@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-all
+.PHONY: build test verify bench benchcmp bench-all
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ verify:
 # steadier numbers.
 bench:
 	sh scripts/bench.sh
+
+# The repo benchmark (BENCHMARK.json, bench/run.sh) on a parent commit vs
+# the working tree, in alternating pairs, then bench's --compare table.
+# BASE=HEAD PAIRS=10 SEED=3 RUN_SECONDS=16 WORKLOADS="..." — see the script.
+benchcmp:
+	sh scripts/benchcmp.sh
 
 # The full benchmark suite: every table/figure plus the ablations.
 bench-all:

@@ -2,11 +2,43 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"repro/internal/raslog"
+	"repro/internal/stream"
 )
+
+// TestIngestResponseDecodesDaemonAck pins the client-side mirror against
+// the daemon's real batch endpoint: the happy-path ack is a hand-written
+// {"accepted":N}, and the worker loop reads Accepted out of it exactly as
+// done here.
+func TestIngestResponseDecodesDaemonAck(t *testing.T) {
+	svc, err := stream.New(stream.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(stream.NewMux(svc))
+	defer srv.Close()
+
+	body := "1|RAS|10|0|R00-M0|KERNEL|INFO|ok\n2|RAS|20|0|R00-M0|KERNEL|INFO|ok\n"
+	resp, err := http.Post(srv.URL+"/ingest/batch", "text/plain", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ir ingestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || ir != (ingestResponse{Accepted: 2}) {
+		t.Fatalf("ack = %d %+v, want 200 with 2 accepted", resp.StatusCode, ir)
+	}
+}
 
 // TestFeedBatchWrapsMonotone pins the epoch-wrap contract: a tenant's
 // cursor walking straight through several copies of the feed must see

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	serve [-addr :8080] [-filter 300] [-window 300] [-train 26] [-retrain 4]
-//	      [-policy sliding|whole|static] [-shards 4] [-reorder 60]
+//	      [-policy sliding|whole|static] [-reorder 60] [-queue 1024]
 //	      [-parallelism 0] [-pprof] [-state-dir DIR]
 //	      [-admit-wait 2s] [-read-header-timeout 10s] [-read-timeout 5m]
 //	      [-idle-timeout 2m] [-sync-max-wait 0]
@@ -103,9 +103,8 @@ func main() {
 	train := flag.Float64("train", 26, "initial/sliding training window in stream-time weeks")
 	retrain := flag.Float64("retrain", 4, "retraining cadence W_R in stream-time weeks")
 	policy := flag.String("policy", "sliding", "training policy: sliding, whole or static")
-	shards := flag.Int("shards", 4, "parallel preprocessing shards")
 	reorder := flag.Int64("reorder", 60, "out-of-order tolerance in stream-time seconds")
-	queue := flag.Int("queue", 1024, "per-stage queue length")
+	queue := flag.Int("queue", 1024, "intake queue length: admitted batches awaiting the pipeline before ingest blocks (see -admit-wait)")
 	parallelism := flag.Int("parallelism", 0, "background-training workers (0 = GOMAXPROCS, 1 = serial)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in)")
 	stateDir := flag.String("state-dir", "", "directory for durable state (snapshots + WAL); empty = in-memory only")
@@ -131,7 +130,7 @@ func main() {
 
 	opts := serveOpts{
 		addr: *addr, filter: *filter, window: *window, train: *train,
-		retrain: *retrain, policy: *policy, shards: *shards, reorder: *reorder,
+		retrain: *retrain, policy: *policy, reorder: *reorder,
 		queue: *queue, parallelism: *parallelism, pprofOn: *pprofOn,
 		stateDir: *stateDir, fleetOn: *fleetOn, defaultTenant: *defaultTenant,
 		maxActive: *maxActive, idleEvict: *idleEvict, retrainWorkers: *retrainWorkers,
@@ -139,7 +138,7 @@ func main() {
 		syncMaxWait: *syncMaxWait, syncParallel: *syncParallel,
 		readHeaderTimeout: *readHeaderTimeout, readTimeout: *readTimeout,
 		idleTimeout: *idleTimeout,
-		follow: *follow, followerID: *followerID, followPoll: *followPoll,
+		follow:      *follow, followerID: *followerID, followPoll: *followPoll,
 		promoteAfter: *promoteAfter, backfill: *backfill, backfillWorkers: *backfillWorkers,
 	}
 	if err := run(opts); err != nil {
@@ -153,7 +152,6 @@ type serveOpts struct {
 	filter, window int64
 	train, retrain float64
 	policy         string
-	shards         int
 	reorder        int64
 	queue          int
 	parallelism    int
@@ -189,7 +187,6 @@ func streamConfig(o serveOpts) (stream.Config, error) {
 	cfg.InitialTrain = time.Duration(o.train * float64(week))
 	cfg.TrainWindow = time.Duration(o.train * float64(week))
 	cfg.RetrainEvery = time.Duration(o.retrain * float64(week))
-	cfg.Shards = o.shards
 	cfg.ReorderWindow = time.Duration(o.reorder) * time.Second
 	cfg.QueueLen = o.queue
 	cfg.Parallelism = o.parallelism

@@ -47,7 +47,6 @@ func TestFleetRoutedAllocBudget(t *testing.T) {
 	}
 	scfg := stream.Defaults()
 	scfg.InitialTrain = 1 << 40 * time.Millisecond // never trains
-	scfg.Shards = 2
 	reg, err := New(Config{Stream: scfg})
 	if err != nil {
 		t.Fatal(err)

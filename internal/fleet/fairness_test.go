@@ -57,7 +57,6 @@ func TestStormingTenantCannotStarveQuietTenant(t *testing.T) {
 	// runner, where CPU-bound handlers would serialize and never contend.
 	scfg := stream.Defaults()
 	scfg.InitialTrain = 1 << 40 * time.Millisecond // never trains
-	scfg.Shards = 1
 	scfg.QueueLen = 1
 	scfg.ReorderWindow = time.Millisecond
 	scfg.AdmitWait = 300 * time.Millisecond

@@ -92,8 +92,8 @@ var ErrClosed = errors.New("persist: store closed")
 
 // Store is one state directory: the WAL appender plus the snapshot
 // reader/writer. All methods are safe for concurrent use; the intended
-// split is one appender (the stream sequencer) and one snapshotter (the
-// stream collector).
+// caller is the stream pipeline goroutine, which both appends and
+// snapshots, next to HTTP handlers serving segments to followers.
 type Store struct {
 	dir string
 	opt Options

@@ -162,33 +162,42 @@ func decodeDist(w Dist) (stats.Distribution, error) {
 }
 
 // WriteSnapshot persists s atomically and returns the bytes written. The
-// sequence order is what makes recovery sound: the WAL is synced first,
-// so the snapshot's existence implies the log is durable through s.Seq;
-// then temp file + fsync + rename + directory fsync publish the snapshot
-// all-or-nothing; only then are superseded snapshots and WAL segments
-// wholly below s.Seq removed.
+// sequence order is what makes recovery sound: the WAL is synced before
+// the snapshot is published, so the snapshot's existence implies the log
+// is durable through s.Seq; temp file + fsync + rename + directory fsync
+// publish it all-or-nothing; only then are superseded snapshots and WAL
+// segments wholly below s.Seq removed. Encoding and the temp-file write
+// run without the store lock — they are most of the cost, and appends
+// must not wait behind them; only the WAL sync and the publication hold
+// it.
 func (st *Store) WriteSnapshot(s *Snapshot) (int64, error) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.dead {
-		return 0, nil
-	}
-	if st.closed {
-		return 0, ErrClosed
-	}
-	if err := st.syncLocked(); err != nil {
+	if gone, err := st.goneLocked(); gone {
+		st.mu.Unlock()
 		return 0, err
 	}
+	st.gen++
+	final := filepath.Join(st.dir, snapName(s.Seq, st.gen))
+	st.mu.Unlock()
+
 	payload, err := json.Marshal(s)
 	if err != nil {
 		return 0, fmt.Errorf("persist: snapshot encode: %w", err)
 	}
 	frame := appendFrame(make([]byte, 0, len(payload)+frameHeader), payload)
-
-	st.gen++
-	final := filepath.Join(st.dir, snapName(s.Seq, st.gen))
 	tmp := final + tmpSuffix
 	if err := writeFileSync(tmp, frame); err != nil {
+		return 0, err
+	}
+
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if gone, err := st.goneLocked(); gone { // while the file was being written
+		os.Remove(tmp)
+		return 0, err
+	}
+	if err := st.syncLocked(); err != nil {
+		os.Remove(tmp)
 		return 0, err
 	}
 	if err := os.Rename(tmp, final); err != nil {
@@ -201,6 +210,19 @@ func (st *Store) WriteSnapshot(s *Snapshot) (int64, error) {
 		return 0, err
 	}
 	return int64(len(frame)), nil
+}
+
+// goneLocked reports whether the store is dead or closed, and what a
+// write returns then: nil after Abandon (every later call is a silent
+// no-op), ErrClosed after Close.
+func (st *Store) goneLocked() (bool, error) {
+	switch {
+	case st.dead:
+		return true, nil
+	case st.closed:
+		return true, ErrClosed
+	}
+	return false, nil
 }
 
 func writeFileSync(path string, b []byte) error {

@@ -27,9 +27,7 @@ const sweepInterval = 8192
 // TemporalStage performs streaming temporal compression at a single
 // location: an event is dropped when the same (location, job, entry) key
 // was kept (or, under Sliding, seen) within Threshold. Events of one
-// location must all pass through the same stage instance; different
-// locations may be partitioned across instances (see internal/stream's
-// per-location shards).
+// location must all pass through the same stage instance.
 type TemporalStage struct {
 	thresholdMs int64
 	sliding     bool

@@ -1,22 +1,10 @@
 package preprocess
 
-import (
-	"sort"
-
-	"repro/internal/raslog"
-)
+import "sort"
 
 // Export/Restore turn the streaming filter stages' resident key state
 // into plain rows and back, for the durable snapshots of internal/persist.
 // Rows are sorted so identical stage state always serializes identically.
-//
-// Record is the third piece: it lets a second TemporalStage mirror one or
-// more live stages by replaying their (event, kept) decisions instead of
-// re-deciding. The temporal key includes the location and the stream
-// shards partition by location, so the union of the shards' states *is*
-// one global stage's state — the mirror reproduces it exactly (modulo
-// sweep timing, which never changes a decision), and a restored mirror
-// can be split back across shards.
 
 // TemporalEntry is one resident key of a TemporalStage.
 type TemporalEntry struct {
@@ -49,31 +37,14 @@ func (t *TemporalStage) Export() []TemporalEntry {
 	return out
 }
 
-// Restore replaces the stage's resident keys with rows (typically a
-// filtered subset of an Export), re-interning the row strings into this
-// stage's symbol table.
+// Restore replaces the stage's resident keys with rows, re-interning the
+// row strings into this stage's symbol table.
 func (t *TemporalStage) Restore(rows []TemporalEntry) {
 	t.last = make(map[tempIKey]int64, len(rows))
 	for _, r := range rows {
 		t.last[tempIKey{loc: t.syms.id(r.Location), entry: t.syms.id(r.Entry), jobID: r.JobID}] = r.LastMs
 	}
 	t.sinceSweep = 0
-}
-
-// Record applies the outcome of another stage's Observe(e) == kept
-// decision without re-deciding, keeping this stage's state identical to
-// the decider's (see the file comment). No-op when compression is off.
-func (t *TemporalStage) Record(e raslog.Event, kept bool) {
-	if t.thresholdMs <= 0 {
-		return
-	}
-	t.maybeSweep(e.Time)
-	// Observe re-anchors the key when it keeps the event, and also when it
-	// drops one under Sliding; an anchored (non-sliding) drop leaves the
-	// key untouched.
-	if kept || t.sliding {
-		t.last[tempIKey{loc: t.syms.id(e.Location), entry: t.syms.id(e.Entry), jobID: e.JobID}] = e.Time
-	}
 }
 
 // SpatialEntry is one resident key of a SpatialStage.

@@ -16,7 +16,8 @@ import (
 //	}
 //	if err := sc.Err(); err != nil { ... }
 type Scanner struct {
-	sc *bufio.Scanner
+	sc  *bufio.Scanner
+	buf []byte // sc's initial line buffer, kept across Reset
 	// in dedups the stream's string vocabulary so steady-state scanning
 	// allocates nothing per line (the fields of repeated values are shared).
 	in     *Interner
@@ -28,9 +29,19 @@ type Scanner struct {
 // NewScanner returns a decoder over r with the same line-size limits as
 // ReadLog.
 func NewScanner(r io.Reader) *Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	return &Scanner{sc: sc, in: NewInterner()}
+	s := &Scanner{sc: new(bufio.Scanner), buf: make([]byte, 1<<16), in: NewInterner()}
+	s.Reset(r)
+	return s
+}
+
+// Reset makes s decode r from its first line, as a new Scanner would, but
+// keeps the line buffer and the interned vocabulary — what a server pays
+// per request otherwise. Events already returned stay valid: their
+// strings are never views into the buffer.
+func (s *Scanner) Reset(r io.Reader) {
+	*s.sc = *bufio.NewScanner(r)
+	s.sc.Buffer(s.buf, 1<<20)
+	s.event, s.err, s.lineNo = Event{}, nil, 0
 }
 
 // Scan advances to the next event. It returns false at end of input or on

@@ -1,12 +1,12 @@
 package stream
 
 // Steady-state allocation budget for the serving hot path. The pipeline
-// (sequencer heap, WAL staging, shard filter, collector ring, predictor
-// observe) reuses its buffers once warm; what remains per event is
-// amortized slice growth in the training history plus scheduler noise.
-// The budget is deliberately loose against that noise but tight enough
-// that reintroducing a per-event allocation (interface boxing in the
-// heap, a hashed pending map, per-event WAL frames) fails it clearly.
+// (reorder buffer, WAL staging, filters, predictor observe) reuses its
+// buffers once warm; what remains per event is amortized slice growth in
+// the training history plus scheduler noise. The budget is deliberately
+// loose against that noise but tight enough that reintroducing a
+// per-event allocation (interface boxing in the heap, per-event WAL
+// frames) fails it clearly.
 
 import (
 	"context"
@@ -49,7 +49,6 @@ func TestPipelineSteadyStateAllocBudget(t *testing.T) {
 	}
 	cfg := Defaults()
 	cfg.InitialTrain = 1 << 40 * time.Millisecond // never trains
-	cfg.Shards = 2
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +102,6 @@ func TestDurableBatchAllocBudget(t *testing.T) {
 	}
 	cfg := Defaults()
 	cfg.InitialTrain = 1 << 40 * time.Millisecond // never trains
-	cfg.Shards = 2
 	cfg.StateDir = t.TempDir()
 	s, err := New(cfg)
 	if err != nil {

@@ -3,11 +3,12 @@ package stream
 // Hot-standby replication (DESIGN.md §14). A Follower tails a leader's
 // WAL over HTTP — GET /wal/segments to learn the chain, GET
 // /wal/segment/{name}?from=seq to pull frames — appends every record to
-// the replica's own WAL, and replays it through the recovery stage logic
-// (replayOne), so the replica passes through exactly the states the
-// leader's durable log defines: same sequences, same inline retrains at
-// the same stream positions, same snapshots-after-retrain. Promotion is
-// therefore nothing more than "stop pulling, start the pipeline": the
+// the replica's own WAL, and runs it through apply — the same function the
+// live pipeline and WAL replay use — so the replica passes through exactly
+// the states the leader's durable log defines: same sequences, same inline
+// retrains at the same stream positions, same snapshots-after-retrain.
+// Promotion is therefore nothing more than "stop pulling, start the
+// pipeline goroutine": the
 // promoted service is byte-equivalent to a single node that ingested the
 // same stream (the same contract recovery already honors).
 //
@@ -115,7 +116,6 @@ func NewFollower(svc *Service, cfg FollowerConfig) (*Follower, error) {
 	// the pull loop is stopped before the state flips.
 	hook := f.Promote
 	svc.promoteHook.Store(&hook)
-	atomic.StoreUint64(&svc.replNext, svc.next)
 	go f.run()
 	return f, nil
 }
@@ -307,11 +307,10 @@ func (f *Follower) pullSegment(name string, from, stop uint64) (bool, error) {
 var errPullDone = errors.New("stream: pull reached boundary")
 
 // applyReplicated commits one pulled batch: WAL first (group commit, one
-// fsync), then serial replay through the recovery stage logic. Runs on
-// the follower goroutine only. A retrain completed during the batch
-// re-anchors durability with a snapshot, mirroring the leader's own
-// snapshot-after-retrain cadence, so a replica restart replays a short
-// tail instead of the whole history.
+// fsync), then apply, event by event. Runs on the follower goroutine
+// only. A retrain completed during the batch re-anchors durability with a
+// snapshot, exactly as on the leader, so a replica restart replays a
+// short tail instead of the whole history.
 func (s *Service) applyReplicated(events []raslog.Event) error {
 	if len(events) == 0 {
 		return nil
@@ -327,26 +326,19 @@ func (s *Service) applyReplicated(events []raslog.Event) error {
 	if err := ticket.Wait(context.Background()); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	before := len(s.retrains)
-	s.mu.Unlock()
 	for i := range events {
-		s.replayOne(events[i])
+		s.apply(events[i])
 	}
-	atomic.StoreUint64(&s.replNext, s.next)
-	s.mu.Lock()
-	after := len(s.retrains)
-	s.mu.Unlock()
-	if after != before {
-		s.writeSnapshot()
-	}
+	s.snapshotIfPending()
+	s.m.ingested.Add(int64(len(events)))
+	s.publish(len(events))
 	return nil
 }
 
-// promoteStandalone flips a standby into a live leader: the sequencer is
-// seeded at the replicated position and watermark (exactly how recovery
-// seeds it), a snapshot re-anchors durability at the promotion cut, and
-// the pipeline goroutines start. Returns false if the service is closed
+// promoteStandalone flips a standby into a live leader: a snapshot
+// re-anchors durability at the promotion cut and the pipeline goroutine
+// starts at the replicated position and watermark (exactly where it
+// starts after recovery). Returns false if the service is closed
 // or already a leader. Idempotent under races between POST /promote and
 // auto-promotion: closeMu serializes promoters, so exactly one call
 // wins the standby flip.
@@ -364,15 +356,9 @@ func (s *Service) promoteStandalone() bool {
 	s.m.promotions.Inc()
 	s.standby.Store(false)
 	s.replaying = false
-	s.seqStart = s.next
-	if s.streamStartMs() >= 0 {
-		s.seqTimeSeed = s.watermarkMs()
-	}
-	// The shards seed their temporal state from the post-replication
-	// mirror, exactly like recovery seeds them post-replay.
-	s.tempSeed = s.tempMirror.Export()
 	s.writeSnapshot()
-	s.startPipelineLocked()
+	s.pipelineOn = true
+	go s.pipeline() // owns the apply-side state from here on
 	s.m.standbyLagSeq.Set(0)
 	s.m.standbyLagSeconds.Set(0)
 	return true

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/persist"
@@ -62,28 +63,53 @@ type ingestResponse struct {
 // maxIngestBody bounds one ingest batch (64 MiB of log lines).
 const maxIngestBody = 64 << 20
 
+// ingestScratch is what one ingest request needs besides its body: the
+// line decoder (64 KiB buffer plus interned vocabulary) and the channel a
+// durable chunk's commit ticket comes back on. The pools are shared by
+// every tenant of a fleet, so what stays resident follows the number of
+// concurrent requests, not the number of tenants.
+type ingestScratch struct {
+	sc  *raslog.Scanner
+	ack chan persist.Ticket
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &ingestScratch{sc: raslog.NewScanner(nil), ack: make(chan persist.Ticket, 1)}
+}}
+
+// chunkPool recycles the slices the batch endpoint parses chunks into.
+// Ownership travels with the message: the handler gives a filled slice up
+// on admission and the pipeline goroutine puts it back once the events
+// are in the reorder buffer — no handler waits for the pipeline to get
+// its buffer back, so a saturated pipeline still answers in bounded time.
+var chunkPool = sync.Pool{New: func() any {
+	chunk := make([]raslog.Event, 0, ingestBatchChunk)
+	return &chunk
+}}
+
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxIngestBody)
-	resp := ingestResponse{}
-	sc := raslog.NewScanner(body)
+	scr := scratchPool.Get().(*ingestScratch)
+	defer scratchPool.Put(scr) // Ingest copies each event: nothing outlives the request
+	sc := scr.sc
+	sc.Reset(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	accepted := 0
 	var err error
 	for sc.Scan() {
 		if ierr := s.Ingest(r.Context(), sc.Event()); ierr != nil {
 			err = fmt.Errorf("ingest line %d: %w", sc.Line(), ierr)
 			break
 		}
-		resp.Accepted++
+		accepted++
 	}
 	if err == nil {
 		err = sc.Err()
 	}
-	status := http.StatusOK
 	if err != nil {
-		resp.Error = err.Error()
-		resp.Line = sc.Line()
-		status = ingestStatus(w, err)
+		resp := ingestResponse{Accepted: accepted, Line: sc.Line(), Error: err.Error()}
+		writeJSON(w, ingestStatus(w, err), resp)
+		return
 	}
-	writeJSON(w, status, resp)
+	writeAccepted(w, accepted)
 }
 
 // ingestStatus maps an ingest failure to its HTTP status, setting any
@@ -117,57 +143,71 @@ func ingestStatus(w http.ResponseWriter, err error) int {
 }
 
 // ingestBatchChunk caps one IngestBatch call (and therefore one WAL
-// frame) from the batch endpoint. Chunking also gives the 429/503
-// resume protocol its granularity: a batch that fails against
-// backpressure or shutdown reports the first line of the first
-// unconsumed chunk, and everything before it is already accepted.
+// frame) from the batch endpoint, and with it the memory a request holds
+// however large its body. Chunking also gives the 429/503 resume
+// protocol its granularity: a batch that fails against backpressure or
+// shutdown reports the first line of the first unconsumed chunk, and
+// everything before it is already accepted.
 const ingestBatchChunk = 1024
 
 // handleIngestBatch serves POST /ingest/batch: the same
-// newline-delimited text codec as /ingest, but events are parsed
-// upfront and handed to IngestBatch in chunks, so each chunk shares one
-// WAL group commit instead of paying the log write per event. The
-// response protocol matches /ingest exactly — on error, Line is the
-// 1-based input line to resume from: lines before it were accepted,
-// whether the failure was a decode error (400), a saturated pipeline
-// (429), or an unavailable service (503). A decode error mid-body still
-// ingests every line parsed before it.
+// newline-delimited text codec as /ingest, but events are parsed and
+// handed to the pipeline a chunk at a time, so each chunk shares one WAL
+// group commit instead of paying the log write per event. The response
+// protocol matches /ingest exactly — on error, Line is the 1-based input
+// line to resume from: lines before it were accepted, whether the
+// failure was a decode error (400), a saturated pipeline (429), or an
+// unavailable service (503). A decode error mid-body still ingests every
+// line parsed before it.
 func (s *Service) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxIngestBody)
-	sc := raslog.NewScanner(body)
-	var (
-		events []raslog.Event
-		lines  []int // 1-based input line per parsed event
-	)
-	for sc.Scan() {
-		events = append(events, sc.Event())
-		lines = append(lines, sc.Line())
+	scr := scratchPool.Get().(*ingestScratch)
+	sc := scr.sc
+	sc.Reset(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	msg := ingestMsg{}
+	if s.store != nil {
+		msg.ack = scr.ack
 	}
-	decodeErr := sc.Err()
-
 	resp := ingestResponse{}
 	var err error
-	for len(events) > 0 {
-		n := min(len(events), ingestBatchChunk)
-		m, ierr := s.IngestBatch(r.Context(), events[:n])
-		resp.Accepted += m
-		if ierr != nil {
-			err = fmt.Errorf("ingest line %d: %w", lines[0], ierr)
-			resp.Line = lines[0]
+	for more := true; more && err == nil; {
+		msg.recycle = chunkPool.Get().(*[]raslog.Event)
+		chunk, first := (*msg.recycle)[:0], 0
+		for len(chunk) < ingestBatchChunk {
+			if more = sc.Scan(); !more {
+				break
+			}
+			if len(chunk) == 0 {
+				first = sc.Line()
+			}
+			chunk = append(chunk, sc.Event())
+		}
+		if len(chunk) == 0 {
+			chunkPool.Put(msg.recycle)
 			break
 		}
-		events, lines = events[n:], lines[n:]
+		msg.batch = chunk
+		n, ierr := s.submit(r.Context(), msg, len(chunk))
+		resp.Accepted += n
+		if ierr != nil {
+			err = fmt.Errorf("ingest line %d: %w", first, ierr)
+			resp.Line = first
+		}
 	}
-	if err == nil && decodeErr != nil {
-		err = decodeErr
-		resp.Line = sc.Line()
+	if err == nil {
+		if err = sc.Err(); err != nil {
+			resp.Line = sc.Line()
+		}
 	}
-	status := http.StatusOK
 	if err != nil {
+		// A chunk that failed after admission may still get its ticket sent
+		// on the ack channel: this scratch is not ours to reuse. Failures
+		// are rare; leave it to the garbage collector.
 		resp.Error = err.Error()
-		status = ingestStatus(w, err)
+		writeJSON(w, ingestStatus(w, err), resp)
+		return
 	}
-	writeJSON(w, status, resp)
+	scratchPool.Put(scr)
+	writeAccepted(w, resp.Accepted)
 }
 
 // warningJSON is one /warnings entry: the prediction interval plus the
@@ -340,6 +380,21 @@ func (s *Service) handleBackfill(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// writeAccepted writes the ingest endpoints' happy-path body,
+// {"accepted":N}, without the reflecting encoder: at 64-line batches the
+// ack is a measurable share of the request.
+func writeAccepted(w http.ResponseWriter, n int) {
+	var buf [40]byte
+	b := append(buf[:0], `{"accepted":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, '}', '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -163,15 +163,14 @@ func TestHTTPIngestClosedService(t *testing.T) {
 func TestHTTPIngestBackpressureTimeout(t *testing.T) {
 	cfg := Defaults()
 	cfg.InitialTrain = 10000 * week
-	cfg.Shards = 1
 	cfg.QueueLen = 1
 	cfg.ReorderLimit = 1 // force the sequencer to emit immediately
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the collector: every collected event takes s.mu for the
-	// retrain check, so holding it stalls the pipeline end to end and
+	// Wedge the pipeline: the first applied event takes s.mu to start the
+	// retrain schedule, so holding it stalls the pipeline goroutine and
 	// Ingest soon blocks on backpressure.
 	s.mu.Lock()
 	evs := make([]raslog.Event, 64)

@@ -108,11 +108,11 @@ func TestRecoveryRestoresIncrementalState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Feed past the first retrain (InitialTrain = 3w) with enough tail
-	// that the collector reaches the post-retrain snapshot point.
+	// that the pipeline reaches the post-retrain snapshot point.
 	split := l.Start() + 4*week.Milliseconds()
 	ingestAll(t, s1, &raslog.Log{Name: l.Name, Events: l.Window(l.Start(), split)})
 	// The kill must land after the first retrain AND the snapshot the
-	// collector writes at its next release point — crash() abandons the
+	// pipeline writes at the end of that batch — crash() abandons the
 	// store, so anything still pending is lost (that's the point).
 	waitFor(t, 30*time.Second, func() bool {
 		return len(s1.Stats().Retrains) >= 1 && s1.m.snapshots.Value() >= 1

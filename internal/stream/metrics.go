@@ -1,14 +1,12 @@
 package stream
 
 import (
-	"fmt"
-
 	"repro/internal/engine"
 	"repro/internal/obsv"
 )
 
-// stageBuckets spans per-event stage work: sub-microsecond filter hits up
-// to multi-second stalls when backpressure blocks a send.
+// stageBuckets spans per-batch stage work: a microsecond for a lone
+// event up to multi-second stalls behind an inline training pass.
 var stageBuckets = obsv.ExpBuckets(1e-6, 4, 12)
 
 // metrics is the service's instrument set, registered on one obsv
@@ -20,11 +18,11 @@ type metrics struct {
 
 	// Pipeline counters, one per stage boundary.
 	ingested        *obsv.Counter // accepted by Ingest
-	sequenced       *obsv.Counter // released in order by the sequencer
+	sequenced       *obsv.Counter // released in order and applied
 	lateDropped     *obsv.Counter // beyond the reorder tolerance
 	reorderOverflow *obsv.Counter // released early by the buffer cap, in tolerance
-	afterTemporal   *obsv.Counter // survived the temporal filter (shards)
-	processed       *obsv.Counter // survived the spatial filter (collector)
+	afterTemporal   *obsv.Counter // survived the temporal filter
+	processed       *obsv.Counter // survived the spatial filter
 	fatals          *obsv.Counter
 	warningsTotal   *obsv.Counter
 	rejected        *obsv.Counter // admission timeouts (ErrSaturated / HTTP 429)
@@ -56,11 +54,10 @@ type metrics struct {
 	backfillLines     *obsv.Counter // historical log lines fed by backfill
 	backfillSkipped   *obsv.Counter // backfill lines that failed to parse
 
-	// Per-stage latency: one observation per event per stage, including
-	// any time blocked on the downstream channel (that is what makes
-	// backpressure visible).
+	// Per-stage latency, one observation per batch: "sequencer" covers the
+	// reorder buffer and the WAL append, "collector" applying the batch's
+	// releases (filters, predictor, retrain check, a due snapshot).
 	seqLatency     *obsv.Histogram
-	shardLatency   *obsv.Histogram
 	collectLatency *obsv.Histogram
 	// backpressure records admission slow-path waits: how long ingest
 	// callers stalled on a full sequencer queue, whether the slot
@@ -74,7 +71,7 @@ type metrics struct {
 }
 
 // newMetrics registers every instrument on a fresh registry. Called after
-// the channels exist: the queue-depth gauges read them at scrape time.
+// the intake queue exists: its depth gauge reads it at scrape time.
 func newMetrics(s *Service) *metrics {
 	reg := obsv.NewRegistry()
 	m := &metrics{
@@ -82,13 +79,13 @@ func newMetrics(s *Service) *metrics {
 		ingested: reg.Counter("stream_ingested_total",
 			"Events accepted by Ingest."),
 		sequenced: reg.Counter("stream_sequenced_total",
-			"Events released in time order by the sequencer."),
+			"Events released in time order by the reorder buffer and applied."),
 		lateDropped: reg.Counter("stream_late_dropped_total",
 			"Events dropped for arriving beyond the reorder tolerance."),
 		reorderOverflow: reg.Counter("stream_reorder_overflow_total",
 			"Events released early by the reorder-buffer cap while still inside the tolerance."),
 		afterTemporal: reg.Counter("stream_after_temporal_total",
-			"Events surviving the temporal filter (shard stage)."),
+			"Events surviving the temporal filter."),
 		processed: reg.Counter("stream_processed_total",
 			"Events surviving the spatial filter and fed to the predictor."),
 		fatals: reg.Counter("stream_fatals_total",
@@ -98,21 +95,19 @@ func newMetrics(s *Service) *metrics {
 		rejected: reg.Counter("stream_ingest_rejected_total",
 			"Ingest calls rejected after waiting AdmitWait on a saturated pipeline (HTTP 429s)."),
 		reorderDepth: reg.Gauge("stream_reorder_depth",
-			"Events currently held in the sequencer's reorder buffer."),
+			"Events currently held in the reorder buffer."),
 		rules: reg.Gauge("stream_rules",
 			"Rules in the live predictor."),
 		streamStart: reg.Gauge("stream_start_ms",
 			"Stream-time (ms) of the first event; -1 before any event."),
 		watermark: reg.Gauge("stream_watermark_ms",
-			"Stream-time (ms) of the newest collected event."),
+			"Stream-time (ms) of the newest applied event."),
 		nextRetrain: reg.Gauge("stream_next_retrain_ms",
 			"Stream-time (ms) of the next scheduled training; -1 when none is due ever again."),
 		seqLatency: reg.Histogram("stream_stage_latency_seconds",
-			"Per-event wall time spent in each pipeline stage.", stageBuckets,
+			"Per-batch wall time spent in each pipeline stage.", stageBuckets,
 			obsv.Label{Key: "stage", Value: "sequencer"}),
 	}
-	m.shardLatency = reg.Histogram("stream_stage_latency_seconds", "", stageBuckets,
-		obsv.Label{Key: "stage", Value: "shard"})
 	m.collectLatency = reg.Histogram("stream_stage_latency_seconds", "", stageBuckets,
 		obsv.Label{Key: "stage", Value: "collector"})
 	// Admission waits run from sub-millisecond blips to the full
@@ -164,16 +159,8 @@ func newMetrics(s *Service) *metrics {
 			}
 			return 1 - float64(m.processed.Value())/float64(seq)
 		})
-	reg.GaugeFunc("stream_queue_depth", "Instantaneous channel occupancy per stage.",
+	reg.GaugeFunc("stream_queue_depth", "Admitted messages (events or batches) awaiting the pipeline goroutine.",
 		func() float64 { return float64(len(s.seqCh)) }, obsv.Label{Key: "queue", Value: "sequencer"})
-	reg.GaugeFunc("stream_queue_depth", "",
-		func() float64 { return float64(len(s.collectCh)) }, obsv.Label{Key: "queue", Value: "collector"})
-	for i := range s.shardChs {
-		ch := s.shardChs[i]
-		reg.GaugeFunc("stream_queue_depth", "",
-			func() float64 { return float64(len(ch)) },
-			obsv.Label{Key: "queue", Value: fmt.Sprintf("shard%d", i)})
-	}
 
 	m.streamStart.Set(-1)
 	m.training = engine.NewTrainingMetrics(reg)

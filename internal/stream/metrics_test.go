@@ -105,21 +105,21 @@ func TestStatsMetricsConsistency(t *testing.T) {
 		t.Fatalf("/metrics is not valid text exposition: %v", err)
 	}
 	checks := map[string]float64{
-		"stream_ingested_total":       float64(st.Ingested),
-		"stream_sequenced_total":      float64(st.Sequenced),
-		"stream_late_dropped_total":   float64(st.LateDropped),
+		"stream_ingested_total":        float64(st.Ingested),
+		"stream_sequenced_total":       float64(st.Sequenced),
+		"stream_late_dropped_total":    float64(st.LateDropped),
 		"stream_ingest_rejected_total": float64(st.Rejected),
-		"stream_after_temporal_total": float64(st.AfterTemporal),
-		"stream_processed_total":      float64(st.Processed),
-		"stream_fatals_total":         float64(st.Fatals),
-		"stream_warnings_total":       float64(st.WarningsTotal),
-		"stream_reorder_depth":        float64(st.Queues.Reorder),
-		"stream_rules":                float64(st.Rules),
-		"stream_start_ms":             float64(st.StreamStart),
-		"stream_watermark_ms":         float64(st.Watermark),
-		"stream_next_retrain_ms":      float64(st.NextRetrain),
-		"stream_compression_rate":     st.CompressionRate,
-		"stream_retraining":           0,
+		"stream_after_temporal_total":  float64(st.AfterTemporal),
+		"stream_processed_total":       float64(st.Processed),
+		"stream_fatals_total":          float64(st.Fatals),
+		"stream_warnings_total":        float64(st.WarningsTotal),
+		"stream_reorder_depth":         float64(st.Queues.Reorder),
+		"stream_rules":                 float64(st.Rules),
+		"stream_start_ms":              float64(st.StreamStart),
+		"stream_watermark_ms":          float64(st.Watermark),
+		"stream_next_retrain_ms":       float64(st.NextRetrain),
+		"stream_compression_rate":      st.CompressionRate,
+		"stream_retraining":            0,
 	}
 	for name, want := range checks {
 		got, ok := samples[name]
@@ -155,7 +155,6 @@ func TestMetricsEndpointCoverage(t *testing.T) {
 	l := genLog(t, 5, 6)
 	cfg := Defaults()
 	cfg.InitialTrain = 10000 * week // retrain only on demand
-	cfg.Shards = 2
 	s, srv := newTestServer(t, cfg)
 	postIngest(t, srv.URL, encodeLog(t, l))
 	settle(t, s)
@@ -187,7 +186,6 @@ func TestMetricsEndpointCoverage(t *testing.T) {
 		"stream_processed_total",
 		"stream_fatals_total",
 		`stream_stage_latency_seconds_count{stage="sequencer"}`,
-		`stream_stage_latency_seconds_count{stage="shard"}`,
 		`stream_stage_latency_seconds_count{stage="collector"}`,
 		"train_passes_total",
 		"train_duration_seconds_count",
@@ -225,9 +223,6 @@ func TestMetricsEndpointCoverage(t *testing.T) {
 		"train_rules_unchanged_total",
 		"train_rules_removed_total",
 		`stream_queue_depth{queue="sequencer"}`,
-		`stream_queue_depth{queue="collector"}`,
-		`stream_queue_depth{queue="shard0"}`,
-		`stream_queue_depth{queue="shard1"}`,
 		`stream_stage_latency_seconds_bucket{stage="collector",le="+Inf"}`,
 	}
 	for _, name := range present {

@@ -15,13 +15,12 @@ import (
 )
 
 // saturatedConfig is a pipeline with almost no internal buffering and a
-// short admission wait, so a stalled collector saturates Ingest within a
+// short admission wait, so a stalled pipeline saturates Ingest within a
 // handful of events.
 func saturatedConfig() Config {
 	cfg := Defaults()
 	cfg.Policy = engine.Whole
 	cfg.InitialTrain = 1 << 40 * time.Millisecond // never trains
-	cfg.Shards = 1
 	cfg.QueueLen = 1
 	cfg.ReorderWindow = time.Millisecond // release (and backpressure) immediately
 	cfg.AdmitWait = 50 * time.Millisecond
@@ -29,8 +28,8 @@ func saturatedConfig() Config {
 }
 
 // TestSaturationRejectsBoundedAndLosslessly drives Ingest past capacity
-// against a deliberately wedged collector (the test holds s.mu, which the
-// collector needs on its very first event) and pins the overload
+// against a deliberately wedged pipeline (the test holds s.mu, which the
+// pipeline needs on its very first event) and pins the overload
 // contract:
 //
 //	(a) rejection is bounded-time — ErrSaturated lands within AdmitWait
@@ -51,7 +50,7 @@ func TestSaturationRejectsBoundedAndLosslessly(t *testing.T) {
 	}
 	defer s.Close()
 
-	// The collector takes s.mu on its first event (advance sets the
+	// The pipeline takes s.mu on its first event (advance sets the
 	// stream clock) and for every kept event after that; holding it here
 	// freezes the pipeline deterministically.
 	s.mu.Lock()
@@ -252,7 +251,7 @@ func TestHTTPSaturationReturns429WithResume(t *testing.T) {
 
 // TestWarningsNotUnderServiceMu is the regression test for the
 // warnings-ring lock split: reading warnings must never need the
-// service mutex, so a collector (or retrain bookkeeping) holding s.mu
+// service mutex, so a pipeline (or retrain bookkeeping) holding s.mu
 // cannot block /warnings readers — and, symmetrically, a warnings
 // reader can never hold up the hot path. Before the split Warnings(n)
 // locked s.mu and this test timed out.

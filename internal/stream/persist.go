@@ -1,10 +1,9 @@
 package stream
 
 // Durable-state wiring: snapshot capture/restore and WAL replay over
-// internal/persist. The collector owns snapshots (its release position is
-// the consistency cut); the sequencer owns WAL appends; recovery runs
-// before any pipeline goroutine exists and is therefore plain serial
-// code over the same stage logic.
+// internal/persist. The pipeline goroutine owns both WAL appends and
+// snapshots (its position s.next is the consistency cut); recovery runs
+// before that goroutine exists and drives the same apply function.
 
 import (
 	"encoding/json"
@@ -39,8 +38,8 @@ type RecoveryInfo struct {
 func (s *Service) Recovery() RecoveryInfo { return s.recovery }
 
 // recover opens the state directory, restores the newest valid snapshot,
-// replays the WAL tail through the pipeline stages, and positions the WAL
-// for new appends. Called from New before the goroutines start.
+// replays the WAL tail through apply, and positions the WAL for new
+// appends. Called from New before the pipeline goroutine starts.
 func (s *Service) recover() error {
 	t0 := time.Now()
 	store, err := persist.Open(s.cfg.StateDir, persist.Options{
@@ -53,9 +52,6 @@ func (s *Service) recover() error {
 		return err
 	}
 	s.store = store
-	// The collector-side mirror exists whenever persistence is on, so the
-	// very first snapshot already carries consistent temporal state.
-	s.tempMirror = preprocess.NewTemporalStage(s.cfg.Filter)
 
 	snap, err := store.LoadSnapshot()
 	if err != nil {
@@ -75,7 +71,7 @@ func (s *Service) recover() error {
 	s.replaying = true
 	var replayed uint64
 	end, err := store.Replay(from, func(seq uint64, e raslog.Event) error {
-		s.replayOne(e)
+		s.apply(e)
 		replayed++
 		return nil
 	})
@@ -86,26 +82,17 @@ func (s *Service) recover() error {
 	if err := store.StartAppend(end); err != nil {
 		return err
 	}
-	s.seqStart = end
-	if s.streamStartMs() >= 0 {
-		// The sequencer's ordering floor continues at the recovered
-		// watermark: everything at or before it was already emitted (the
-		// emit path enforces a nondecreasing timeline, so watermark ==
-		// last emitted time at any cut).
-		s.seqTimeSeed = s.watermarkMs()
-	}
+	s.m.ingested.Add(int64(replayed))
+	s.publish(int(replayed))
 	s.m.replayed.Add(int64(replayed))
 	s.recovery.Replayed = replayed
 	s.recovery.ResumeSeq = end
 	if replayed > 0 {
-		// The replay tail advanced the mirror past the snapshot cut, so the
-		// shards must be seeded from the post-replay state: a stale seed
-		// misses the tail's anchors and would keep an event the original
-		// run suppressed at the temporal threshold.
-		s.tempSeed = s.tempMirror.Export()
 		// Re-anchor durability at the recovered position so the next crash
-		// does not replay this tail again. Not done mid-replay: the WAL
+		// does not replay this tail again (that also serves any snapshot a
+		// replayed training pass asked for). Not done mid-replay: the WAL
 		// files being iterated must not be pruned under the iterator.
+		s.snapPending.Store(false)
 		s.writeSnapshot()
 	}
 	s.recovery.DurationMs = time.Since(t0).Milliseconds()
@@ -137,8 +124,7 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 	}
 	s.lastFatal.Store(snap.LastFatalMs)
 
-	s.tempMirror.Restore(snap.Temporal)
-	s.tempSeed = snap.Temporal // shards re-split this on startup
+	s.temporal.Restore(snap.Temporal)
 	s.spatial.Restore(snap.Spatial)
 
 	var recs []RetrainRecord
@@ -173,8 +159,7 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 		}
 	}
 
-	s.m.streamStart.Set(float64(snap.StreamStartMs))
-	s.m.watermark.Set(float64(snap.WatermarkMs))
+	s.start, s.wm = snap.StreamStartMs, snap.WatermarkMs // published by recover
 	s.m.nextRetrain.Set(float64(snap.NextRetrainMs))
 	c := snap.Counters
 	s.m.ingested.Add(c.Sequenced + c.LateDropped)
@@ -186,34 +171,13 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 	s.m.fatals.Add(c.Fatals)
 	s.m.warningsTotal.Add(c.Warnings)
 	s.next = snap.Seq
-	s.afterTemp = c.AfterTemporal
 	return nil
 }
 
-// replayOne runs one WAL event through the collector's stage logic. The
-// temporal mirror is the decider here (during live operation it only
-// records the shards' decisions — same state machine, same outcome).
-func (s *Service) replayOne(e raslog.Event) {
-	s.next++
-	s.m.ingested.Inc()
-	s.m.sequenced.Inc()
-	s.advance(e.Time)
-	if s.tempMirror.Observe(e) {
-		s.m.afterTemporal.Inc()
-		s.afterTemp++
-		class, fatal := s.zer.Categorize(e)
-		te := preprocess.TaggedEvent{Event: e, Class: class, Fatal: fatal}
-		if s.spatial.Observe(e) {
-			s.process(te)
-		}
-	}
-	s.maybeRetrain()
-}
-
-// buildSnapshot captures the service state at the collector's current
-// release position. Caller must be the collector goroutine (or recovery /
-// shutdown, when no goroutines run): Sequenced is pinned to the cut, not
-// to the live sequencer counter, which may already be ahead.
+// buildSnapshot captures the service state at the cut s.next. Caller must
+// be the applying goroutine (or shutdown / promotion, when none runs):
+// every counter below moves only on that goroutine, so all of them are
+// exact at the cut.
 func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
 	rules, err := persist.EncodeRules(s.repo.Rules())
 	if err != nil {
@@ -221,22 +185,20 @@ func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
 	}
 	snap := &persist.Snapshot{
 		Seq:           s.next,
-		StreamStartMs: s.streamStartMs(),
-		WatermarkMs:   s.watermarkMs(),
+		StreamStartMs: s.start,
+		WatermarkMs:   s.wm,
 		LastFatalMs:   s.lastFatal.Load(),
 		Counters: persist.Counters{
-			Sequenced: int64(s.next),
-			// Late/overflow are sequencer-side; a momentary skew against
-			// the cut is acceptable for these diagnostics.
+			Sequenced:     int64(s.next),
 			LateDropped:   s.m.lateDropped.Value(),
 			Overflow:      s.m.reorderOverflow.Value(),
-			AfterTemporal: s.afterTemp,
+			AfterTemporal: s.m.afterTemporal.Value(),
 			Processed:     s.m.processed.Value(),
 			Fatals:        s.m.fatals.Value(),
 			Warnings:      s.m.warningsTotal.Value(),
 		},
 		Rules:    rules,
-		Temporal: s.tempMirror.Export(),
+		Temporal: s.temporal.Export(),
 		Spatial:  s.spatial.Export(),
 	}
 	if pr := s.pr.Load(); pr != nil {
@@ -272,16 +234,55 @@ func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
 	return snap, nil
 }
 
-// writeSnapshot persists the current state. Failures are counted and
-// logged into metrics, never fatal: the previous snapshot (plus a longer
-// WAL tail) still recovers the service.
+// snapshotIfPending takes the snapshot a completed training pass (inline
+// or in the background) asked for. The applying goroutine calls it between
+// batches, where the cut at s.next is exact, but only cuts: encoding and
+// writing — tens of milliseconds at a few MB of state — happen on a
+// goroutine of their own, so the next batch's ack does not wait behind
+// them. While a write is in flight the request stays pending and the cut
+// moves to a later batch.
+func (s *Service) snapshotIfPending() {
+	if !s.snapPending.Load() {
+		return
+	}
+	select {
+	case s.snapSlot <- struct{}{}:
+	default:
+		return
+	}
+	s.snapPending.Store(false)
+	t0 := time.Now()
+	snap, err := s.buildSnapshot()
+	if err != nil {
+		s.m.snapshotErrors.Inc()
+		<-s.snapSlot
+		return
+	}
+	go func() {
+		s.commitSnapshot(snap, t0)
+		<-s.snapSlot
+	}()
+}
+
+// writeSnapshot snapshots the current state synchronously, after waiting
+// out a write snapshotIfPending may have in flight. For the moments no
+// event is being applied: the end of recovery, promotion, shutdown.
 func (s *Service) writeSnapshot() {
+	s.snapSlot <- struct{}{}
+	defer func() { <-s.snapSlot }()
 	t0 := time.Now()
 	snap, err := s.buildSnapshot()
 	if err != nil {
 		s.m.snapshotErrors.Inc()
 		return
 	}
+	s.commitSnapshot(snap, t0)
+}
+
+// commitSnapshot persists snap, cut at t0. Failures are counted, never
+// fatal: the previous snapshot (plus a longer WAL tail) still recovers
+// the service.
+func (s *Service) commitSnapshot(snap *persist.Snapshot, t0 time.Time) {
 	n, err := s.store.WriteSnapshot(snap)
 	if err != nil {
 		s.m.snapshotErrors.Inc()

@@ -85,6 +85,7 @@ func compareServices(t *testing.T, got, want *Service) {
 		{"ingested", gs.Ingested, ws.Ingested},
 		{"sequenced", gs.Sequenced, ws.Sequenced},
 		{"late_dropped", gs.LateDropped, ws.LateDropped},
+		{"reorder_overflow", gs.ReorderOverflow, ws.ReorderOverflow},
 		{"after_temporal", gs.AfterTemporal, ws.AfterTemporal},
 		{"processed", gs.Processed, ws.Processed},
 		{"fatals", gs.Fatals, ws.Fatals},
@@ -244,8 +245,8 @@ func TestGracefulRestartReplaysNothing(t *testing.T) {
 }
 
 // TestPersistenceDoesNotPerturbPipeline pins that turning StateDir on
-// changes nothing about what the pipeline computes (the WAL append and
-// the temporal mirror are pure observers).
+// changes nothing about what the pipeline computes (the WAL append is a
+// pure observer).
 func TestPersistenceDoesNotPerturbPipeline(t *testing.T) {
 	l := genLog(t, 19, 6)
 	ref := referenceRun(t, l)
@@ -301,6 +302,98 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: warnAt + 10_000}, Class: 1})
 	if got := s.m.warningsTotal.Value(); got != 1 {
 		t.Fatalf("swapped-in predictor re-warned (total %d) off the pre-swap fatal; dedup state was lost across the swap", got)
+	}
+}
+
+// TestKillRecoverCountersExact pins that every counter a snapshot carries
+// is exact at its cut, the reorder buffer's late-drop and forced-release
+// tallies included: they move on the goroutine that takes the cut, so
+// there is no skew to tolerate. A feed with stale events and bursts that
+// overflow a small buffer runs without pause through several inline
+// training passes (each leaves a snapshot behind) and is then killed. The
+// recovered service must report the pipeline counters exactly as the
+// killed one did, and the two reorder tallies — which no WAL record
+// carries — exactly as the reference reorder buffer has them at the
+// batch boundary the restored snapshot was cut at.
+func TestKillRecoverCountersExact(t *testing.T) {
+	l := genLog(t, 37, 8)
+	cfg := durableConfig(t.TempDir())
+	cfg.ReorderLimit = 8 // bursts overflow the buffer: forced releases
+	cfg.ReorderWindow = time.Minute
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every batch carries fresh events (so it releases something and batch
+	// boundaries have distinct sequence numbers) plus, once the stream is a
+	// day old, two events from its first hour: late drops.
+	ref := &refReorder{limit: cfg.ReorderLimit, tolMs: cfg.ReorderWindow.Milliseconds(), maxSeen: -1 << 62, floor: -1 << 62}
+	type boundary struct{ seq, late, overflow int64 }
+	var bounds []boundary
+	var cut boundary
+	ctx := context.Background()
+	for i := 0; i < len(l.Events); i += 48 {
+		batch := append([]raslog.Event(nil), l.Events[i:min(i+48, len(l.Events))]...)
+		if batch[0].Time > l.Start()+24*3600*1000 {
+			batch = append(batch, l.Events[i%20], l.Events[i%20+1])
+		}
+		for _, e := range batch {
+			ref.push(e)
+		}
+		ids, late, overflow := ref.release(false)
+		cut = boundary{cut.seq + int64(len(ids)), cut.late + late, cut.overflow + overflow}
+		bounds = append(bounds, cut)
+		if _, err := first.IngestBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := settle(t, first)
+	if before.LateDropped != cut.late || before.ReorderOverflow != cut.overflow || cut.late == 0 || cut.overflow == 0 {
+		t.Fatalf("live tallies late=%d overflow=%d, reference %d/%d (both must be nonzero)",
+			before.LateDropped, before.ReorderOverflow, cut.late, cut.overflow)
+	}
+	first.crash()
+
+	second, err := New(durableConfig(cfg.StateDir))
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	defer second.Close()
+	rec := second.Recovery()
+	if rec.Replayed == 0 || rec.SnapshotSeq == 0 {
+		t.Fatalf("recovery = %+v, want a snapshot plus a replayed tail", rec)
+	}
+	at := -1
+	for i, b := range bounds {
+		if b.seq == int64(rec.SnapshotSeq) {
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatalf("snapshot cut at seq %d is not a batch boundary", rec.SnapshotSeq)
+	}
+	after := second.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"late_dropped", after.LateDropped, bounds[at].late},
+		{"reorder_overflow", after.ReorderOverflow, bounds[at].overflow},
+		{"sequenced", after.Sequenced, before.Sequenced},
+		{"ingested", after.Ingested, after.Sequenced + after.LateDropped},
+		{"after_temporal", after.AfterTemporal, before.AfterTemporal},
+		{"processed", after.Processed, before.Processed},
+		{"fatals", after.Fatals, before.Fatals},
+		{"warnings_total", after.WarningsTotal, before.WarningsTotal},
+		{"rules", after.Rules, before.Rules},
+		{"watermark", after.Watermark, before.Watermark},
+		{"stream_start", after.StreamStart, before.StreamStart},
+		{"next_retrain", after.NextRetrain, before.NextRetrain},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %d after kill-and-recover, want exactly %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -462,12 +555,13 @@ func TestCrashMidCoalesceNeverFalseAcks(t *testing.T) {
 	}
 }
 
-// TestReplayTailSeedsShardTemporalState pins a recovery-handoff subtlety:
-// WAL replay advances the temporal mirror past the snapshot cut, and the
-// shards must be seeded from that post-replay state. A shard seeded from
-// the stale snapshot rows would miss the replay tail's anchors and keep
-// an event the original run suppressed at exactly the threshold.
-func TestReplayTailSeedsShardTemporalState(t *testing.T) {
+// TestReplayTailKeepsTemporalAnchors pins the recovery hand-off: the
+// temporal filter state WAL replay builds past the snapshot cut is the
+// state the live pipeline continues from. A pipeline starting from the
+// stale snapshot rows would miss the replay tail's anchors and keep an
+// event the original run suppressed at exactly the threshold (the sharded
+// pipeline once did: its shards were seeded separately).
+func TestReplayTailKeepsTemporalAnchors(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	probe := func(tms int64) raslog.Event {
@@ -515,7 +609,7 @@ func TestReplayTailSeedsShardTemporalState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := second.Stats().AfterTemporal; got != 1 {
-		t.Fatalf("after_temporal = %d, want 1 (recovered shard lost the replayed anchor)", got)
+		t.Fatalf("after_temporal = %d, want 1 (the recovered pipeline lost the replayed anchor)", got)
 	}
 
 	// The premise, pinned on a plain service: A kept, B suppressed.

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ func reorderEvent(i int, tMs int64) raslog.Event {
 }
 
 // drainOrder feeds events in the given arrival order and returns the
-// RecordIDs in the order the collector released them.
+// RecordIDs in the order the reorder buffer released them.
 func drainOrder(t *testing.T, cfg Config, events []raslog.Event) []int64 {
 	t.Helper()
 	s, err := New(cfg)
@@ -134,4 +135,128 @@ func TestReorderOverflowCountsExactlyOne(t *testing.T) {
 		}
 		prev = te.Time
 	}
+}
+
+// refReorder is the reorder buffer's specification, kept as the oracle:
+// an unordered slice scanned for its (time, arrival) minimum, released
+// under the sequencer's original loop condition. It is the eventHeap the
+// key-heap-over-slab buffer replaced, minus the heap.
+type refReorder struct {
+	items          []refItem
+	arrival        uint64
+	maxSeen, floor int64
+	limit          int
+	tolMs          int64
+}
+
+type refItem struct {
+	e       raslog.Event
+	arrival uint64
+}
+
+func (r *refReorder) push(e raslog.Event) {
+	if e.Time > r.maxSeen {
+		r.maxSeen = e.Time
+	}
+	r.items = append(r.items, refItem{e, r.arrival})
+	r.arrival++
+}
+
+func (r *refReorder) min() int {
+	m := 0
+	for i, it := range r.items {
+		if it.e.Time < r.items[m].e.Time || it.e.Time == r.items[m].e.Time && it.arrival < r.items[m].arrival {
+			m = i
+		}
+	}
+	return m
+}
+
+func (r *refReorder) release(drain bool) (ids []int64, late, overflow int64) {
+	for len(r.items) > 0 {
+		m := r.min()
+		top := r.items[m].e
+		if !drain && len(r.items) <= r.limit && top.Time > r.maxSeen-r.tolMs {
+			break
+		}
+		forced := !drain && len(r.items) > r.limit && top.Time > r.maxSeen-r.tolMs
+		r.items = append(r.items[:m], r.items[m+1:]...)
+		if top.Time < r.floor {
+			late++
+			continue
+		}
+		if forced {
+			overflow++
+		}
+		r.floor = top.Time
+		ids = append(ids, top.RecordID)
+	}
+	return ids, late, overflow
+}
+
+// TestReorderBufMatchesReference drives the buffer and the reference with
+// the same random arrival schedules — coarse timestamps so ties abound,
+// jitter both inside and far beyond the tolerance so late drops happen,
+// and a small cap so forced releases happen — and requires the same
+// events out in the same order with the same late and overflow tallies
+// after every batch and after the final drain.
+func TestReorderBufMatchesReference(t *testing.T) {
+	const tolMs = 50
+	var sawLate, sawOverflow int64
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		limit := 1 + rng.Intn(24)
+		floor := int64(-1 << 62)
+		if seed%4 == 0 {
+			floor = 1000 // a recovered service starts above a watermark
+		}
+		buf := newReorderBuf(limit, tolMs, floor)
+		ref := &refReorder{limit: limit, tolMs: tolMs, maxSeen: floor, floor: floor}
+
+		now, id := int64(1000), int64(0)
+		check := func(round string, drain bool) {
+			got, late, overflow := buf.release(nil, drain)
+			wantIDs, wantLate, wantOverflow := ref.release(drain)
+			if late != wantLate || overflow != wantOverflow {
+				t.Fatalf("seed %d %s: late/overflow = %d/%d, reference %d/%d", seed, round, late, overflow, wantLate, wantOverflow)
+			}
+			if len(got) != len(wantIDs) {
+				t.Fatalf("seed %d %s: released %d events, reference %d", seed, round, len(got), len(wantIDs))
+			}
+			for i := range got {
+				if got[i].RecordID != wantIDs[i] {
+					t.Fatalf("seed %d %s: release %d is record %d, reference %d", seed, round, i, got[i].RecordID, wantIDs[i])
+				}
+			}
+			if buf.len() != len(ref.items) {
+				t.Fatalf("seed %d %s: %d events buffered, reference %d", seed, round, buf.len(), len(ref.items))
+			}
+			sawLate, sawOverflow = sawLate+late, sawOverflow+overflow
+		}
+		for round := 0; round < 60; round++ {
+			for n := 1 + rng.Intn(12); n > 0; n-- {
+				now += int64(rng.Intn(3)) * 10 // coarse clock: equal timestamps are common
+				at := now
+				switch rng.Intn(10) {
+				case 0:
+					at -= int64(rng.Intn(4*tolMs)) / 10 * 10 // maybe beyond the tolerance
+				case 1, 2:
+					at -= int64(rng.Intn(tolMs)) / 10 * 10 // displaced inside it
+				}
+				e := reorderEvent(int(id), at)
+				id++
+				buf.push(e)
+				ref.push(e)
+			}
+			check(fmt.Sprintf("round %d", round), false)
+		}
+		check("drain", true)
+		if buf.len() != 0 {
+			t.Fatalf("seed %d: %d events left after drain", seed, buf.len())
+		}
+	}
+	if sawLate == 0 || sawOverflow == 0 {
+		t.Fatalf("schedules exercised %d late drops and %d forced releases; the test would prove nothing", sawLate, sawOverflow)
+	}
+	t.Logf("%d late drops, %d forced releases across the schedules", sawLate, sawOverflow)
 }

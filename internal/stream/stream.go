@@ -3,35 +3,36 @@
 // engine replays offline (paper §4.3 — "an event-driven approach is well
 // suited for online failure prediction").
 //
-// Events flow through a concurrent pipeline:
+// Events flow through one pipeline goroutine:
 //
-//		Ingest ─→ sequencer ─→ per-location shards ─→ collector ─→ predictor
-//		           (reorder       (temporal filter       (seq-ordered merge,
-//		            buffer,        + categorizer,         spatial filter,
-//		            late drop)     parallel)              observe, retrain)
+//		Ingest ─→ queue ─→ reorder buffer ─→ WAL frame ─→ apply, per released event:
+//		(per batch)        (late drop,        (ticket →     temporal filter → spatial filter →
+//		                    tolerance, cap)    the ack)      categorizer → predictor → retrain check
 //
-//	  - The sequencer tolerates out-of-order arrivals with a bounded
-//	    reorder buffer keyed on timestamp: events are released once the
-//	    high-water mark has advanced past them by ReorderWindow (or the
-//	    buffer overflows its limit). Events older than the release point
-//	    are counted and dropped, preserving the sorted-stream invariant
-//	    every downstream stage requires.
-//	  - Shards run the streaming temporal filter (state is keyed by
-//	    location, and a location is pinned to one shard) and the
-//	    categorizer in parallel. Every event is forwarded — kept or not —
-//	    carrying its sequence number, so the collector can restore the
-//	    exact global order.
-//	  - The single collector goroutine reassembles sequence order, applies
-//	    the (globally-stateful) spatial filter, feeds the predictor, and
-//	    accumulates history for retraining. Equivalence with the batch
-//	    preprocessor on in-order input is pinned by TestPipelineMatchesBatch.
+//	  - Intake hands whole batches over a bounded queue; that hand-off is the
+//	    only channel hop an event takes.
+//	  - The reorder buffer tolerates out-of-order arrivals: events are
+//	    released in (time, arrival) order once the newest seen timestamp has
+//	    advanced past them by ReorderWindow (or the buffer overflows its
+//	    limit). Events older than the release point are counted and
+//	    dropped, preserving the sorted-stream invariant every later step
+//	    requires.
+//	  - A batch's releases are appended to the WAL as one frame and the
+//	    commit ticket goes back to the caller first, so the fsync and the
+//	    client's ack overlap the filtering of the same events.
+//	  - apply is the whole per-event state machine, and the only copy of
+//	    it: WAL replay at startup and a standby's follower call the same
+//	    function, so live ≡ recovery ≡ follower by construction.
+//	    Equivalence with the batch preprocessor on in-order input is pinned
+//	    by TestPipelineMatchesBatch.
 //	  - Retraining runs in the background on a snapshot of the history
 //	    window (policies Static / Sliding / Whole, as in the engine) and
 //	    swaps the refreshed predictor in via atomic.Pointer — the hot
 //	    observe path takes no lock and never waits on a retrain.
 //
-// All queues are bounded; a full pipeline exerts backpressure on Ingest
-// rather than buffering without limit. Close drains everything in order.
+// The intake queue is bounded; a busy pipeline exerts backpressure on
+// Ingest rather than buffering without limit. Close drains everything in
+// order.
 package stream
 
 import (
@@ -106,10 +107,12 @@ type Config struct {
 	// Inline passes — SyncRetrain, WAL replay, TrainNow — bypass it.
 	RetrainLimiter *RetrainLimiter
 
-	// Shards is the number of parallel temporal-filter/categorizer
-	// workers. Zero means 4.
+	// Shards is ignored: filtering runs on the pipeline goroutine itself.
+	// The field remains so existing callers still compile.
 	Shards int
-	// QueueLen is the per-channel buffer length. Zero means 1024.
+	// QueueLen bounds the intake queue: how many admitted Ingest events or
+	// IngestBatch batches may wait for the pipeline goroutine before
+	// callers block in admission (see AdmitWait). Zero means 1024.
 	QueueLen int
 	// ReorderWindow is the out-of-order tolerance in stream time: an
 	// event is released from the reorder buffer once the newest seen
@@ -137,13 +140,13 @@ type Config struct {
 	// persistence entirely.
 	StateDir string
 	// Standby starts the service as a hot-standby replica (DESIGN.md §14):
-	// recovery runs as usual, but the pipeline goroutines do not start and
+	// recovery runs as usual, but the pipeline goroutine does not start and
 	// Ingest/IngestBatch refuse with ErrStandby. Events arrive instead via
-	// a Follower tailing a leader's WAL segments, replayed serially through
-	// the recovery path, so the replica's state tracks the leader's exactly.
-	// Promote() ends standby: it seeds the sequencer at the replicated
-	// position and starts the live pipeline. Requires StateDir (the replica
-	// keeps its own durable WAL so a promoted leader can itself recover).
+	// a Follower tailing a leader's WAL segments, applied exactly as WAL
+	// replay applies them, so the replica's state tracks the leader's.
+	// Promote() ends standby: the live pipeline starts at the replicated
+	// position. Requires StateDir (the replica keeps its own durable WAL so
+	// a promoted leader can itself recover).
 	Standby bool
 	// WALFlushEvery pushes the WAL write buffer to the OS every this many
 	// records (persist.Options.FlushEvery). Zero means 64; 1 makes every
@@ -162,7 +165,7 @@ type Config struct {
 	// under an executor shared with other services (fleet mode: many
 	// tenant stores on one disk). Nil runs fsyncs directly.
 	WALSyncExec *persist.SyncExecutor
-	// SyncRetrain runs (re)training inline on the collector goroutine
+	// SyncRetrain runs (re)training inline on the pipeline goroutine
 	// instead of in the background. Ingestion stalls for the duration of
 	// a pass, but the predictor swap then lands at a deterministic stream
 	// position — which is what makes a crashed-and-recovered run
@@ -217,9 +220,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Parallelism != 0 {
 		out.Meta.SetParallelism(out.Parallelism)
 	}
-	if out.Shards <= 0 {
-		out.Shards = 4
-	}
 	if out.QueueLen <= 0 {
 		out.QueueLen = 1024
 	}
@@ -236,20 +236,6 @@ func (c *Config) withDefaults() (Config, error) {
 		out.AdmitWait = 30 * time.Second
 	}
 	return out, nil
-}
-
-// seqEvent travels sequencer → shard.
-type seqEvent struct {
-	seq uint64
-	e   raslog.Event
-}
-
-// shardOut travels shard → collector. Every sequenced event arrives here,
-// kept or not, so the collector can release in exact sequence order.
-type shardOut struct {
-	seq  uint64
-	te   preprocess.TaggedEvent
-	kept bool
 }
 
 // RetrainRecord is one background (re)training, for /stats and tests.
@@ -285,30 +271,31 @@ type Service struct {
 	// can be seeded without touching the old one across goroutines.
 	lastWarn [3]atomic.Int64
 
-	seqCh     chan ingestMsg
-	shardChs  []chan seqEvent
-	collectCh chan shardOut
+	seqCh chan ingestMsg
 
-	// Durable-state plumbing; all nil/zero when StateDir is empty.
-	// spatial and next live on the Service (not as collector locals) so
-	// snapshots and WAL replay share the collector's exact state.
+	// State of apply, owned by whichever goroutine is applying events: New
+	// during recovery, the follower while standby, the pipeline goroutine
+	// when live. The hand-overs are ordered by closeMu and goroutine start,
+	// so no lock. start/wm are the stream clock (start is -1 before the
+	// first event); the like-named gauges are its per-batch published copy.
+	temporal *preprocess.TemporalStage
+	spatial  *preprocess.SpatialStage
+	next     uint64 // sequence number the next released event takes
+	start    int64
+	wm       int64
+
+	// Durable-state plumbing; nil/zero when StateDir is empty.
 	store       *persist.Store
-	spatial     *preprocess.SpatialStage
-	tempMirror  *preprocess.TemporalStage // collector-side mirror of the shard stages
-	tempSeed    []preprocess.TemporalEntry
-	next        uint64 // collector position: next sequence to release
-	afterTemp   int64  // cut-consistent tally of temporal-filter survivors
-	seqStart    uint64 // sequencer resume position after recovery
-	seqTimeSeed int64  // sequencer lastEmitted/maxSeen seed after recovery
 	replaying   bool
 	snapPending atomic.Bool
+	snapSlot    chan struct{} // capacity 1: held while a snapshot is written
 	recovery    RecoveryInfo
 	finalSnap   sync.Once
 
 	closeMu    sync.RWMutex
 	closed     bool
-	pipelineOn bool          // goroutines running (false while standby)
-	done       chan struct{} // collector finished
+	pipelineOn bool          // pipeline goroutine running (false while standby)
+	done       chan struct{} // pipeline goroutine finished
 
 	// standby mirrors Config.Standby until promotion flips it; transitions
 	// happen under closeMu.Lock (promote) so intake checks under RLock are
@@ -317,9 +304,8 @@ type Service struct {
 	// flip when POST /promote arrives through the service mux.
 	standby     atomic.Bool
 	promoteHook atomic.Pointer[func() error]
-	// replNext / leaderSeq are the follower loop's published positions
-	// (s.next itself is goroutine-private), read racily by Stats.
-	replNext  uint64
+	// leaderSeq is the leader's next sequence at the follower's last poll
+	// (the replica's own position is the sequenced counter).
 	leaderSeq uint64
 	// backfill is the bounded-memory historical intake (backfill.go); at
 	// most one runs at a time.
@@ -341,7 +327,7 @@ type Service struct {
 	// The warnings ring lives under its own mutex, NOT under mu: readers
 	// (GET /warnings, the fleet firehose) copy the ring here and format it
 	// outside any lock, so a slow reader can never hold the service mutex
-	// against the collector's hot path. The collector takes warnMu only on
+	// against the pipeline's hot path. The pipeline takes warnMu only on
 	// the rare event that actually emits warnings.
 	warnMu   sync.Mutex
 	warnings []predictor.Warning // ring of the last WarningsKeep
@@ -354,8 +340,8 @@ func (s *Service) streamStartMs() int64 { return int64(s.m.streamStart.Value()) 
 func (s *Service) watermarkMs() int64   { return int64(s.m.watermark.Value()) }
 func (s *Service) nextRetrainMs() int64 { return int64(s.m.nextRetrain.Value()) }
 
-// New validates cfg, starts the pipeline goroutines, and returns the
-// running service. With Config.Standby the goroutines are deferred until
+// New validates cfg, starts the pipeline goroutine, and returns the
+// running service. With Config.Standby the goroutine is deferred until
 // Promote: the service recovers its durable state and then waits to be
 // fed by a Follower.
 func New(cfg Config) (*Service, error) {
@@ -367,25 +353,22 @@ func New(cfg Config) (*Service, error) {
 		return nil, errors.New("stream: Standby requires StateDir")
 	}
 	s := &Service{
-		cfg:       full,
-		repo:      meta.NewRepository(),
-		zer:       preprocess.NewCategorizer(preprocess.NewCatalog()),
-		setCache:  learner.NewEventSetCache(),
-		spatial:   preprocess.NewSpatialStage(full.Filter),
-		seqCh:     make(chan ingestMsg, full.QueueLen),
-		shardChs:  make([]chan seqEvent, full.Shards),
-		collectCh: make(chan shardOut, full.QueueLen),
-		done:      make(chan struct{}),
+		cfg:      full,
+		repo:     meta.NewRepository(),
+		zer:      preprocess.NewCategorizer(preprocess.NewCatalog()),
+		setCache: learner.NewEventSetCache(),
+		temporal: preprocess.NewTemporalStage(full.Filter),
+		spatial:  preprocess.NewSpatialStage(full.Filter),
+		seqCh:    make(chan ingestMsg, full.QueueLen),
+		start:    -1,
+		snapSlot: make(chan struct{}, 1),
+		done:     make(chan struct{}),
 	}
 	s.lastFatal.Store(-1)
 	for i := range s.lastWarn {
 		s.lastWarn[i].Store(-1)
 	}
-	s.seqTimeSeed = -1 << 62
-	for i := range s.shardChs {
-		s.shardChs[i] = make(chan seqEvent, full.QueueLen)
-	}
-	s.m = newMetrics(s) // after the channels: queue gauges read them
+	s.m = newMetrics(s) // after the queue exists: its depth gauge reads it
 	if !full.NoIncremental {
 		// Before recover(): a persisted snapshot may carry incremental
 		// state to restore, sparing the first post-recovery retrain a
@@ -394,9 +377,9 @@ func New(cfg Config) (*Service, error) {
 	}
 
 	if full.StateDir != "" {
-		// Recovery runs before any pipeline goroutine exists: the snapshot
-		// is restored and the WAL tail replayed serially through the same
-		// stage logic, then intake resumes where the durable log ends.
+		// Recovery runs before the pipeline goroutine exists: the snapshot
+		// is restored and the WAL tail replayed through apply, then intake
+		// resumes where the durable log ends.
 		if err := s.recover(); err != nil {
 			return nil, err
 		}
@@ -406,33 +389,14 @@ func New(cfg Config) (*Service, error) {
 		// A standby stays in the recovery posture: replaying remains set so
 		// replicated retrains run inline at deterministic stream positions
 		// (exactly like WAL replay), and no pipeline goroutine exists until
-		// promotion. The Follower feeds applyReplicated serially.
+		// promotion. The Follower feeds applyReplicated.
 		s.standby.Store(true)
 		s.replaying = true
 		return s, nil
 	}
-	s.closeMu.Lock()
-	s.startPipelineLocked()
-	s.closeMu.Unlock()
-	return s, nil
-}
-
-// startPipelineLocked launches the sequencer, shard, and collector
-// goroutines. Caller holds closeMu.Lock; the sequencer reads seqStart and
-// seqTimeSeed, so both must be final before the call.
-func (s *Service) startPipelineLocked() {
 	s.pipelineOn = true
-	go s.sequencer()
-	var shardWG sync.WaitGroup
-	for i := range s.shardChs {
-		shardWG.Add(1)
-		go s.shard(i, &shardWG)
-	}
-	go func() {
-		shardWG.Wait()
-		close(s.collectCh)
-	}()
-	go s.collector()
+	go s.pipeline() // owns the apply-side state from here on
+	return s, nil
 }
 
 // Ingest feeds one raw event. It blocks while the pipeline is saturated
@@ -441,24 +405,13 @@ func (s *Service) startPipelineLocked() {
 // the return is nil. Events may arrive modestly out of order (within
 // ReorderWindow); later ones are dropped and counted.
 func (s *Service) Ingest(ctx context.Context, e raslog.Event) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.standby.Load() {
-		return ErrStandby
-	}
-	if err := s.admit(ctx, ingestMsg{e: e}); err != nil {
-		return err
-	}
-	s.m.ingested.Inc()
-	return nil
+	_, err := s.submit(ctx, ingestMsg{e: e}, 1)
+	return err
 }
 
-// admit hands msg to the sequencer. The fast path is a non-blocking send
-// — no timer, no allocation, so an unsaturated pipeline keeps the
-// zero-alloc budget. Only when the queue is full does it arm a timer and
+// admit hands msg to the pipeline goroutine. The fast path is a
+// non-blocking send — no timer, no allocation, so an unsaturated pipeline
+// keeps the zero-alloc budget. Only when the queue is full does it arm a timer and
 // wait up to AdmitWait, recording the stall either way: admission waits
 // feed the backpressure histogram, timeouts the rejected counter (whose
 // value therefore equals the number of 429s the HTTP layer produced).
@@ -498,7 +451,23 @@ func (s *Service) admit(ctx context.Context, msg ingestMsg) error {
 // Config.AdmitWait (ErrSaturated), or the commit could not be confirmed
 // (errCommit → HTTP 503; the client re-sends, at-least-once).
 func (s *Service) IngestBatch(ctx context.Context, events []raslog.Event) (int, error) {
-	if len(events) == 0 {
+	msg := ingestMsg{batch: events}
+	if s.store != nil {
+		// One small allocation per batch (not per event): the channel the
+		// commit ticket comes back on. The store-less path stays
+		// allocation-free (BenchmarkIngestBatch).
+		msg.ack = make(chan persist.Ticket, 1)
+	}
+	return s.submit(ctx, msg, len(events))
+}
+
+// submit admits msg, which carries n events, and returns how many were
+// accepted: n or none. With msg.ack set — a batch into a service that has
+// a store — it returns only once the commit ticket coming back on ack has
+// resolved: after a nil error the channel is empty and the caller's
+// again, after an error the pipeline may still hold every part of msg.
+func (s *Service) submit(ctx context.Context, msg ingestMsg, n int) (int, error) {
+	if n == 0 {
 		return 0, nil
 	}
 	s.closeMu.RLock()
@@ -509,19 +478,12 @@ func (s *Service) IngestBatch(ctx context.Context, events []raslog.Event) (int, 
 	if s.standby.Load() {
 		return 0, ErrStandby
 	}
-	msg := ingestMsg{batch: events}
-	if s.store != nil {
-		// One small allocation per batch (not per event): the ack channel
-		// the sequencer hands the commit ticket back on. The store-less
-		// path stays allocation-free (BenchmarkIngestBatch).
-		msg.ack = make(chan persist.Ticket, 1)
-	}
 	if err := s.admit(ctx, msg); err != nil {
 		return 0, err
 	}
-	s.m.ingested.Add(int64(len(events)))
+	s.m.ingested.Add(int64(n))
 	if msg.ack == nil {
-		return len(events), nil
+		return n, nil
 	}
 	// The batch is admitted and will be sequenced; we only decide what to
 	// tell the caller. Sequencing of later batches overlaps this wait —
@@ -538,10 +500,10 @@ func (s *Service) IngestBatch(ctx context.Context, events []raslog.Event) (int, 
 		}
 		return 0, fmt.Errorf("%w: %v", errCommit, err)
 	}
-	return len(events), nil
+	return n, nil
 }
 
-// Close stops intake, drains every stage in order, waits for in-flight
+// Close stops intake, drains the pipeline in order, waits for in-flight
 // retraining, and returns. Safe to call more than once.
 func (s *Service) Close() error {
 	s.closeMu.Lock()
@@ -570,358 +532,152 @@ func (s *Service) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// Sequencer: bounded reorder buffer keyed on timestamp.
+// The pipeline goroutine: reorder, log, apply.
 // ---------------------------------------------------------------------------
 
-// ingestMsg travels Ingest/IngestBatch → sequencer. Exactly one of the
-// event fields is meaningful: batch == nil is the single-event form. A
-// batch is sequenced as one unit, so everything it releases shares one
-// WAL group commit. ack, when non-nil (durable batch ingest), receives
-// exactly one commit ticket once the batch has been sequenced: the
-// ticket covers the events the batch released from the reorder buffer,
-// and IngestBatch holds the caller's 200 until it resolves.
+// ingestMsg travels Ingest/IngestBatch → pipeline; batch == nil is the
+// single-event form. A batch is sequenced as one unit, so everything it
+// releases shares one WAL group commit. ack, when non-nil, receives
+// exactly one commit ticket, covering the events the batch released,
+// once those are in the WAL. recycle, when non-nil, is the chunkPool
+// entry backing batch: the pipeline puts it back once the events are
+// copied into the reorder buffer, the last time it reads batch.
 type ingestMsg struct {
-	e     raslog.Event
-	batch []raslog.Event
-	ack   chan persist.Ticket
-}
-
-type heapEntry struct {
 	e       raslog.Event
-	arrival uint64 // tie-break so equal timestamps keep arrival order
+	batch   []raslog.Event
+	ack     chan persist.Ticket
+	recycle *[]raslog.Event
 }
 
-// eventHeap is a concrete-typed binary min-heap ordered by (time,
-// arrival). container/heap's interface{} methods box every entry on
-// Push and Pop — two heap allocations per event on the hottest path in
-// the service; with the entry type fixed, push and pop touch only the
-// reused backing array.
-type eventHeap struct {
-	buf []heapEntry
-}
-
-func (h *eventHeap) len() int { return len(h.buf) }
-
-func (h *eventHeap) less(i, j int) bool {
-	if h.buf[i].e.Time != h.buf[j].e.Time {
-		return h.buf[i].e.Time < h.buf[j].e.Time
+// pipeline is the service's one event-processing goroutine. Per message
+// it copies the events into the reorder buffer, appends what the buffer
+// releases to the WAL as one frame, hands the commit ticket back, and
+// only then applies the releases: WAL-before-processing holds, and the
+// fsync (asynchronous, behind the ticket) and the caller's ack overlap
+// the filter and predictor work. Applying ahead of the fsync is safe: a
+// snapshot syncs the WAL first, so no durable state can claim a sequence
+// the log might still lose.
+func (s *Service) pipeline() {
+	defer close(s.done)
+	// After recovery or promotion the ordering floor continues at the
+	// restored watermark (releases are nondecreasing in time, so that is
+	// the last emitted time): re-fed events are not mistaken for late.
+	floor := int64(-1 << 62)
+	if s.start >= 0 {
+		floor = s.wm
 	}
-	return h.buf[i].arrival < h.buf[j].arrival
-}
-
-func (h *eventHeap) push(ent heapEntry) {
-	h.buf = append(h.buf, ent)
-	i := len(h.buf) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.buf[i], h.buf[parent] = h.buf[parent], h.buf[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() heapEntry {
-	top := h.buf[0]
-	last := len(h.buf) - 1
-	h.buf[0] = h.buf[last]
-	h.buf[last] = heapEntry{} // drop the string references
-	h.buf = h.buf[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h.less(l, small) {
-			small = l
-		}
-		if r < last && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.buf[i], h.buf[small] = h.buf[small], h.buf[i]
-		i = small
-	}
-	return top
-}
-
-func (s *Service) sequencer() {
-	var (
-		buf     eventHeap
-		arrival uint64
-		// After recovery, sequence numbers continue where the durable WAL
-		// ends and the time floor continues at the recovered watermark, so
-		// re-fed events are neither double-logged nor mistaken for late.
-		seq         = s.seqStart
-		maxSeen     = s.seqTimeSeed
-		lastEmitted = s.seqTimeSeed
-		release     []seqEvent     // this round's releases, committed together
-		walBatch    []raslog.Event // scratch for the group-commit frame
-	)
-	tolMs := s.cfg.ReorderWindow.Milliseconds()
-
-	// emit stages one event released from the buffer. overflow marks a
-	// release forced by the buffer cap alone (not yet past the tolerance):
-	// such an event increments exactly one counter — lateDropped when it
-	// is behind the emitted floor, reorderOverflow otherwise.
-	emit := func(e raslog.Event, overflow bool) {
-		if e.Time < lastEmitted {
-			s.m.lateDropped.Inc()
-			return
-		}
-		if overflow {
-			s.m.reorderOverflow.Inc()
-		}
-		lastEmitted = e.Time
-		release = append(release, seqEvent{seq: seq, e: e})
-		seq++
-	}
-
-	// flush commits the staged releases — a burst takes one WAL frame no
-	// matter its size (group commit), a burst of one from the non-acked
-	// single-event path takes the buffered single-record path — then
-	// forwards them to the shards. The frame is appended (enqueued in the
-	// commit pipeline) before anything is forwarded: WAL-before-processing
-	// holds as before. The fsync itself is asynchronous; the sequencer
-	// hands the commit ticket back through ack (when the msg wants a
-	// durable receipt) and moves straight on to the next batch, so
-	// parse/sequence of the next request overlaps the in-flight fsync.
-	// Forwarding ahead of the fsync is safe: a snapshot syncs the WAL
-	// before it is written, so no durable state can ever claim a sequence
-	// the log might still lose.
-	flush := func(ack chan persist.Ticket) {
-		if len(release) == 0 {
-			if ack != nil {
-				ack <- persist.Ticket{} // nothing released → nothing to await
-			}
-			return
-		}
-		var t persist.Ticket
-		if s.store != nil {
-			var n int
-			var err error
-			if len(release) == 1 && ack == nil {
-				n, err = s.store.Append(release[0].seq, release[0].e)
-			} else {
-				walBatch = walBatch[:0]
-				for i := range release {
-					walBatch = append(walBatch, release[i].e)
-				}
-				n, t, err = s.store.AppendBatch(release[0].seq, walBatch)
-			}
-			if err != nil {
-				s.m.walErrors.Inc()
-				t = persist.FailedTicket(err)
-			} else {
-				s.m.walBytes.Add(int64(n))
-			}
-		}
-		if ack != nil {
-			ack <- t // buffered: never blocks the sequencer
-		}
-		for i := range release {
-			s.m.sequenced.Inc()
-			s.shardChs[shardOf(release[i].e.Location, len(s.shardChs))] <- release[i]
-			release[i] = seqEvent{} // drop the string references
-		}
-		release = release[:0]
-	}
-
-	push := func(e raslog.Event) {
-		if e.Time > maxSeen {
-			maxSeen = e.Time
-		}
-		buf.push(heapEntry{e: e, arrival: arrival})
-		arrival++
-	}
-
+	buf := newReorderBuf(s.cfg.ReorderLimit, s.cfg.ReorderWindow.Milliseconds(), floor)
+	var release []raslog.Event // this round's releases, committed together
 	for msg := range s.seqCh {
 		t0 := time.Now()
 		if msg.batch != nil {
-			for _, e := range msg.batch {
-				push(e)
+			for i := range msg.batch {
+				buf.push(msg.batch[i])
+			}
+			if msg.recycle != nil {
+				chunkPool.Put(msg.recycle)
 			}
 		} else {
-			push(msg.e)
+			buf.push(msg.e)
 		}
-		for buf.len() > 0 && (buf.len() > s.cfg.ReorderLimit || buf.buf[0].e.Time <= maxSeen-tolMs) {
-			overflow := buf.len() > s.cfg.ReorderLimit && buf.buf[0].e.Time > maxSeen-tolMs
-			emit(buf.pop().e, overflow)
+		var late, overflow int64
+		release, late, overflow = buf.release(release[:0], false)
+		t := s.logReleases(release, msg.ack != nil)
+		if msg.ack != nil {
+			msg.ack <- t // buffered: never blocks the pipeline
 		}
-		flush(msg.ack)
-		s.m.reorderDepth.Set(float64(buf.len()))
-		s.m.seqLatency.Since(t0)
+		t1 := time.Now()
+		s.m.seqLatency.Observe(t1.Sub(t0).Seconds())
+		s.applyBatch(release, late, overflow, buf.len(), t1)
 	}
 	// Intake closed: flush the buffer in order.
-	for buf.len() > 0 {
-		emit(buf.pop().e, false)
-	}
-	flush(nil)
-	s.m.reorderDepth.Set(0)
-	for _, ch := range s.shardChs {
-		close(ch)
-	}
+	var late int64
+	release, late, _ = buf.release(release[:0], true)
+	s.logReleases(release, false)
+	s.applyBatch(release, late, 0, 0, time.Now())
 }
 
-// shardOf pins a location to a shard with inline FNV-1a. The hash/fnv
-// object costs an allocation per event (plus the []byte(location)
-// conversion); the loop below computes the identical hash, so shard
-// assignment — and the re-split of snapshotted temporal state across
-// shards — is unchanged.
-func shardOf(location string, n int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
+// logReleases appends one round of releases to the WAL at sequences
+// s.next on: one frame whatever its size (group commit), or the buffered
+// single-record path for a lone release nobody awaits a ticket for. The
+// returned ticket resolves with the covering fsync.
+func (s *Service) logReleases(release []raslog.Event, wantTicket bool) persist.Ticket {
+	if s.store == nil || len(release) == 0 {
+		return persist.Ticket{}
+	}
+	var (
+		n   int
+		t   persist.Ticket
+		err error
 	)
-	h := uint32(offset32)
-	for i := 0; i < len(location); i++ {
-		h = (h ^ uint32(location[i])) * prime32
+	if len(release) == 1 && !wantTicket {
+		n, err = s.store.Append(s.next, release[0])
+	} else {
+		n, t, err = s.store.AppendBatch(s.next, release)
 	}
-	return int(h % uint32(n))
+	if err != nil {
+		s.m.walErrors.Inc()
+		return persist.FailedTicket(err)
+	}
+	s.m.walBytes.Add(int64(n))
+	return t
 }
 
-// ---------------------------------------------------------------------------
-// Shards: parallel temporal filtering + categorization.
-// ---------------------------------------------------------------------------
-
-func (s *Service) shard(i int, wg *sync.WaitGroup) {
-	defer wg.Done()
-	temporal := preprocess.NewTemporalStage(s.cfg.Filter)
-	if len(s.tempSeed) > 0 {
-		// Recovery: re-split the snapshot's global temporal state across
-		// the shards (a location is pinned to one shard, so each key has
-		// exactly one home).
-		rows := make([]preprocess.TemporalEntry, 0, len(s.tempSeed)/len(s.shardChs)+1)
-		for _, row := range s.tempSeed {
-			if shardOf(row.Location, len(s.shardChs)) == i {
-				rows = append(rows, row)
-			}
-		}
-		temporal.Restore(rows)
+// applyBatch runs one round of releases through apply and publishes it to
+// the instruments — per batch, not per event. t0 is when the round's
+// sequencing ended.
+func (s *Service) applyBatch(release []raslog.Event, late, overflow int64, depth int, t0 time.Time) {
+	// The reorder tallies land before the events are applied and before
+	// any snapshot below, so a snapshot's counters are exact at its cut.
+	s.m.lateDropped.Add(late)
+	s.m.reorderOverflow.Add(overflow)
+	for i := range release {
+		s.apply(release[i])
 	}
-	for se := range s.shardChs[i] {
-		t0 := time.Now()
-		out := shardOut{seq: se.seq}
-		if temporal.Observe(se.e) {
-			s.m.afterTemporal.Inc()
-			class, fatal := s.zer.Categorize(se.e)
-			out.te = preprocess.TaggedEvent{Event: se.e, Class: class, Fatal: fatal}
-			out.kept = true
-		} else {
-			out.te.Event = se.e // carry the timestamp for the watermark
-		}
-		s.collectCh <- out
-		s.m.shardLatency.Since(t0)
+	s.snapshotIfPending()
+	s.publish(len(release))
+	s.m.reorderDepth.Set(float64(depth))
+	if len(release) > 0 {
+		clear(release) // drop the string references
+		s.m.collectLatency.Since(t0)
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Collector: ordered merge, spatial filter, predictor, retrain trigger.
-// ---------------------------------------------------------------------------
-
-// pendingRing holds out-of-order shard outputs awaiting in-sequence
-// release, slotted by sequence number into a power-of-two ring. The
-// live window (newest seq − release position) is bounded by the
-// in-flight capacity of the shard and collector channels, so the ring
-// grows to a steady size once and then replaces the old map's per-event
-// hashing, bucket allocation and tombstones with two array writes.
-type pendingRing struct {
-	buf []shardOut
-	set []bool
-}
-
-// put stores o, growing the ring while o.seq would collide with a slot
-// still inside the [next, next+len) window.
-func (r *pendingRing) put(next uint64, o shardOut) {
-	if len(r.buf) == 0 {
-		r.buf = make([]shardOut, 64)
-		r.set = make([]bool, 64)
-	}
-	for o.seq-next >= uint64(len(r.buf)) {
-		r.grow()
-	}
-	i := o.seq & uint64(len(r.buf)-1)
-	r.buf[i], r.set[i] = o, true
-}
-
-func (r *pendingRing) grow() {
-	buf := make([]shardOut, 2*len(r.buf))
-	set := make([]bool, 2*len(r.buf))
-	for i, ok := range r.set {
-		if ok {
-			j := r.buf[i].seq & uint64(len(buf)-1)
-			buf[j], set[j] = r.buf[i], true
-		}
-	}
-	r.buf, r.set = buf, set
-}
-
-// take removes and returns the entry for seq, if present.
-func (r *pendingRing) take(seq uint64) (shardOut, bool) {
-	if len(r.buf) == 0 {
-		return shardOut{}, false
-	}
-	i := seq & uint64(len(r.buf)-1)
-	if !r.set[i] {
-		return shardOut{}, false
-	}
-	o := r.buf[i]
-	r.buf[i], r.set[i] = shardOut{}, false // drop the string references
-	return o, true
-}
-
-func (s *Service) collector() {
-	defer close(s.done)
-	var pending pendingRing
-	for out := range s.collectCh {
-		pending.put(s.next, out)
-		for {
-			o, ok := pending.take(s.next)
-			if !ok {
-				break
-			}
-			s.next++
-			t0 := time.Now()
-			s.advance(o.te.Time)
-			if s.tempMirror != nil {
-				// Track the shards' temporal decisions so a snapshot can carry
-				// one consistent global filter state (see preprocess.Record).
-				s.tempMirror.Record(o.te.Event, o.kept)
-			}
-			if o.kept {
-				s.afterTemp++
-			}
-			if o.kept && s.spatial.Observe(o.te.Event) {
-				s.process(o.te)
-			}
-			s.maybeRetrain()
-			if s.store != nil && s.snapPending.CompareAndSwap(true, false) {
-				// A training pass completed (inline or in the background):
-				// snapshot on the collector, where the cut at s.next is exact.
-				s.writeSnapshot()
-			}
-			s.m.collectLatency.Since(t0)
-		}
-	}
-}
-
-// advance moves the stream clock.
-func (s *Service) advance(t int64) {
-	if s.streamStartMs() < 0 {
-		s.m.streamStart.Set(float64(t))
+// apply is the per-event state machine, and the only one: the live
+// pipeline, WAL replay and the standby's follower all advance the
+// service through this function, so the three agree by construction.
+func (s *Service) apply(e raslog.Event) {
+	s.next++
+	if s.start < 0 {
+		s.start = e.Time
 		s.mu.Lock()
-		s.m.nextRetrain.Set(float64(t + s.cfg.InitialTrain.Milliseconds()))
+		s.m.nextRetrain.Set(float64(e.Time + s.cfg.InitialTrain.Milliseconds()))
 		s.mu.Unlock()
 	}
-	if t > s.watermarkMs() {
-		s.m.watermark.Set(float64(t))
+	if e.Time > s.wm {
+		s.wm = e.Time
 	}
+	if s.temporal.Observe(e) {
+		s.m.afterTemporal.Inc()
+		if s.spatial.Observe(e) {
+			class, fatal := s.zer.Categorize(e)
+			s.process(preprocess.TaggedEvent{Event: e, Class: class, Fatal: fatal})
+		}
+	}
+	s.maybeRetrain(s.wm)
+}
+
+// publish makes n applied events and the stream clock visible to everyone
+// who is not the applying goroutine (TrainNow and the background
+// trainer's catch-up read the clock here, at most one batch stale).
+func (s *Service) publish(n int) {
+	s.m.sequenced.Add(int64(n))
+	s.m.streamStart.Set(float64(s.start))
+	s.m.watermark.Set(float64(s.wm))
 }
 
 // process feeds one fully-filtered event to the history and the live
-// predictor. Runs only on the collector goroutine; the predictor pointer
+// predictor. Runs only on the applying goroutine; the predictor pointer
 // is loaded once per event and never locked.
 func (s *Service) process(te preprocess.TaggedEvent) {
 	s.m.processed.Inc()
@@ -980,44 +736,53 @@ func (s *Service) trimHistoryLocked() {
 	}
 }
 
-// maybeRetrain starts a background training pass when the stream clock
-// crosses the next boundary and none is in flight.
-func (s *Service) maybeRetrain() {
-	wm := s.watermarkMs()
-	s.mu.Lock()
-	at := s.nextRetrainMs()
-	due := at > 0 && wm >= at
-	s.mu.Unlock()
-	if !due || !s.retraining.CompareAndSwap(false, true) {
-		return
-	}
-	snapshot, from := s.snapshotTrainingSet(at)
-	s.mu.Lock()
-	if s.cfg.Policy == engine.Static {
-		s.m.nextRetrain.Set(-1) // never again
-	} else {
-		s.m.nextRetrain.Set(float64(at + s.cfg.RetrainEvery.Milliseconds()))
-	}
-	s.mu.Unlock()
-	s.retrainWG.Add(1)
-	if s.cfg.SyncRetrain || s.replaying {
-		// Inline on the caller (the collector, or recovery's replay loop):
-		// the swap lands at a deterministic stream position. WAL replay must
-		// train inline regardless of configuration — the events that would
-		// have fed a background pass are being replayed synchronously.
-		s.retrain(at, from, snapshot)
-	} else if lim := s.cfg.RetrainLimiter; lim != nil {
-		// Fleet mode: wait for a fleet-wide training slot off the hot
-		// path. Ingestion and prediction continue on the old rules while
-		// the pass queues; s.retraining stays set, so this service cannot
-		// stack up a second pending pass behind the first.
-		go func() {
-			lim.acquire()
-			defer lim.release()
+// maybeRetrain starts a training pass when the stream clock wm has
+// crossed the next boundary and none is in flight. The applying goroutine
+// passes its own clock, which makes an inline pass land at a
+// deterministic stream position; everyone else passes the published one.
+func (s *Service) maybeRetrain(wm int64) {
+	for {
+		// A lone read of the gauge is atomic; mu guards only the compound
+		// read-check-advance transitions of the schedule.
+		at := s.nextRetrainMs()
+		if at <= 0 || wm < at || !s.retraining.CompareAndSwap(false, true) {
+			return
+		}
+		snapshot, from := s.snapshotTrainingSet(at)
+		s.mu.Lock()
+		if s.cfg.Policy == engine.Static {
+			s.m.nextRetrain.Set(-1) // never again
+		} else {
+			s.m.nextRetrain.Set(float64(at + s.cfg.RetrainEvery.Milliseconds()))
+		}
+		s.mu.Unlock()
+		if s.cfg.SyncRetrain || s.replaying {
+			// Inline on the applying goroutine: the swap lands at a
+			// deterministic stream position. WAL replay must train inline
+			// whatever the configuration — the events that would have fed a
+			// background pass are being replayed synchronously. Then loop:
+			// the stream may already be past the next boundary too.
 			s.retrain(at, from, snapshot)
+			continue
+		}
+		s.retrainWG.Add(1)
+		go func() {
+			defer s.retrainWG.Done()
+			if lim := s.cfg.RetrainLimiter; lim != nil {
+				// Fleet mode: wait for a fleet-wide training slot off the hot
+				// path. Ingestion and prediction continue on the old rules
+				// while the pass queues; s.retraining stays set, so this
+				// service cannot stack up a second pending pass behind it.
+				lim.acquire()
+				defer lim.release()
+			}
+			s.retrain(at, from, snapshot)
+			// The stream may have crossed the next boundary while we trained
+			// (or gone idle right after); catch up instead of waiting for the
+			// next event. Any Add this makes precedes our own Done.
+			s.maybeRetrain(s.watermarkMs())
 		}()
-	} else {
-		go s.retrain(at, from, snapshot)
+		return
 	}
 }
 
@@ -1040,9 +805,9 @@ func (s *Service) snapshotTrainingSet(at int64) ([]preprocess.TaggedEvent, int64
 	return out, from
 }
 
-// retrain runs one training pass off the hot path and atomically swaps
-// the refreshed predictor in. On error the previous rule set stays live.
-// With incremental maintenance on (the default), the pass first advances
+// retrain runs one training pass and atomically swaps the refreshed
+// predictor in; it releases the retraining flag its caller took. On error
+// the previous rule set stays live. With incremental maintenance on (the default), the pass first advances
 // the sufficient-statistics window by the events that entered/expired
 // since the last retrain and the learners then read the maintained
 // counters instead of re-mining the snapshot; otherwise event sets are
@@ -1050,7 +815,6 @@ func (s *Service) snapshotTrainingSet(at int64) ([]preprocess.TaggedEvent, int64
 // differ call to call, but the stream content over any shared [time)
 // range is identical, which is all the maintained state depends on.
 func (s *Service) retrain(at, from int64, snapshot []preprocess.TaggedEvent) RetrainRecord {
-	defer s.retrainWG.Done()
 	rec := RetrainRecord{At: at}
 	pre := learner.Prepare(snapshot)
 	var incrInfo *engine.IncrInfo
@@ -1074,10 +838,9 @@ func (s *Service) retrain(at, from int64, snapshot []preprocess.TaggedEvent) Ret
 		rec.Retraining = rt
 		s.swapPredictor()
 		s.m.training.Record(rt)
-		if s.store != nil && !s.replaying {
-			// Ask the collector to snapshot at its next release point; during
-			// replay the WAL files are being read, so snapshotting (which
-			// truncates them) waits until recovery finishes.
+		if s.store != nil {
+			// Ask the applying goroutine to snapshot at the end of its
+			// current (or next) batch, where the cut at s.next is exact.
 			s.snapPending.Store(true)
 		}
 	}
@@ -1088,11 +851,6 @@ func (s *Service) retrain(at, from int64, snapshot []preprocess.TaggedEvent) Ret
 	}
 	s.mu.Unlock()
 	s.retraining.Store(false)
-	// The stream may have crossed the next boundary while we trained (or
-	// gone idle right after); catch up instead of waiting for the next
-	// processed event. WG ordering is safe: this Add (if any) happens
-	// before our own Done.
-	s.maybeRetrain()
 	return rec
 }
 
@@ -1111,7 +869,7 @@ func (s *Service) swapPredictor() {
 		pr.SeedLastFatal(lf)
 	}
 	// Seed the dedup marks from the service-level mirror, not from the old
-	// predictor (which the collector may be mutating concurrently). Without
+	// predictor (which the pipeline may be mutating concurrently). Without
 	// this, seeding lastFatal alone re-arms the distribution expert and it
 	// re-warns off the pre-swap fatal — TestSwapPredictorKeepsWarnSpacing.
 	pr.SeedLastWarn([3]int64{s.lastWarn[0].Load(), s.lastWarn[1].Load(), s.lastWarn[2].Load()})
@@ -1119,8 +877,8 @@ func (s *Service) swapPredictor() {
 	s.m.rules.Set(float64(len(rules)))
 }
 
-// ErrNoEvents is returned by TrainNow before the first event has reached
-// the collector: there is no history to train on and no stream clock to
+// ErrNoEvents is returned by TrainNow before the first event has been
+// applied: there is no history to train on and no stream clock to
 // schedule against.
 var ErrNoEvents = errors.New("stream: no events observed yet; nothing to train on")
 
@@ -1141,9 +899,9 @@ func (s *Service) TrainNow() (RetrainRecord, error) {
 		return RetrainRecord{}, errors.New("stream: retraining already in flight")
 	}
 	at := s.watermarkMs() + 1
-	// Claim the schedule before training, exactly like maybeRetrain:
-	// retrain's trailing catch-up must not see a stale boundary and
-	// immediately re-fire the scheduled pass on the data we just used.
+	// Claim the schedule before training, exactly like maybeRetrain: the
+	// catch-up below must not see a stale boundary and immediately
+	// re-fire the scheduled pass on the data we just used.
 	s.mu.Lock()
 	prev := s.nextRetrainMs()
 	next := prev
@@ -1156,6 +914,7 @@ func (s *Service) TrainNow() (RetrainRecord, error) {
 	s.mu.Unlock()
 	snapshot, from := s.snapshotTrainingSet(at)
 	s.retrainWG.Add(1)
+	defer s.retrainWG.Done()
 	rec := s.retrain(at, from, snapshot)
 	if rec.Err != "" {
 		// The pass failed: hand the schedule back (unless a concurrent
@@ -1167,6 +926,8 @@ func (s *Service) TrainNow() (RetrainRecord, error) {
 		s.mu.Unlock()
 		return rec, errors.New(rec.Err)
 	}
+	// The scheduled boundary may have been crossed meanwhile.
+	s.maybeRetrain(s.watermarkMs())
 	return rec, nil
 }
 
@@ -1178,7 +939,7 @@ func (s *Service) TrainNow() (RetrainRecord, error) {
 // copy is taken under the warnings ring's own short critical section —
 // never under the service mutex — so callers that consume the result
 // slowly (a firehose reader on a congested socket) cannot stall the
-// collector (TestWarningsReaderDoesNotStallPipeline).
+// pipeline (TestWarningsReaderDoesNotStallPipeline).
 func (s *Service) Warnings(n int) []predictor.Warning {
 	s.warnMu.Lock()
 	defer s.warnMu.Unlock()
@@ -1197,12 +958,12 @@ func (s *Service) Rules() []learner.Rule {
 	return pr.Rules()
 }
 
-// QueueDepths reports the instantaneous channel occupancy per stage.
+// QueueDepths reports the instantaneous occupancy of the intake queue
+// (admitted messages awaiting the pipeline goroutine) and of the reorder
+// buffer (events).
 type QueueDepths struct {
-	Sequencer int   `json:"sequencer"`
-	Reorder   int   `json:"reorder"`
-	Shards    []int `json:"shards"`
-	Collector int   `json:"collector"`
+	Sequencer int `json:"sequencer"`
+	Reorder   int `json:"reorder"`
 }
 
 // Stats is a point-in-time snapshot of the service counters.
@@ -1286,12 +1047,7 @@ func (s *Service) Stats() Stats {
 		Queues: QueueDepths{
 			Sequencer: len(s.seqCh),
 			Reorder:   int(s.m.reorderDepth.Value()),
-			Shards:    make([]int, len(s.shardChs)),
-			Collector: len(s.collectCh),
 		},
-	}
-	for i, ch := range s.shardChs {
-		st.Queues.Shards[i] = len(ch)
 	}
 	if st.Sequenced > 0 {
 		st.CompressionRate = 1 - float64(st.Processed)/float64(st.Sequenced)
@@ -1312,7 +1068,7 @@ func (s *Service) Stats() Stats {
 	// promotion count survives the role flip.
 	if st.Role == "standby" || s.m.promotions.Value() > 0 {
 		st.Standby = &StandbyInfo{
-			NextSeq:    atomic.LoadUint64(&s.replNext),
+			NextSeq:    uint64(st.Sequenced),
 			LeaderSeq:  atomic.LoadUint64(&s.leaderSeq),
 			LagSeq:     uint64(s.m.standbyLagSeq.Value()),
 			LagSeconds: s.m.standbyLagSeconds.Value(),

@@ -58,44 +58,40 @@ func batchPreprocess(l *raslog.Log, f preprocess.Filter) []preprocess.TaggedEven
 	return z.Tag(filtered)
 }
 
-// TestPipelineMatchesBatch pins the concurrent pipeline (sequencer →
-// shards → collector) to the batch preprocessor: on an in-order feed the
-// accumulated history must equal Filter.Apply + Tag exactly, for any
-// shard count.
+// TestPipelineMatchesBatch pins the live pipeline (reorder buffer → apply)
+// to the batch preprocessor: on an in-order feed the accumulated history
+// must equal Filter.Apply + Tag exactly.
 func TestPipelineMatchesBatch(t *testing.T) {
-	for _, shards := range []int{1, 3, 8} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				l := genLog(t, seed, 6)
-				want := batchPreprocess(l, preprocess.Filter{Threshold: 300})
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			l := genLog(t, seed, 6)
+			want := batchPreprocess(l, preprocess.Filter{Threshold: 300})
 
-				cfg := Defaults()
-				cfg.InitialTrain = 10000 * week // never train: isolate the filter path
-				cfg.Shards = shards
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ingestAll(t, s, l)
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
+			cfg := Defaults()
+			cfg.InitialTrain = 10000 * week // never train: isolate the filter path
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestAll(t, s, l)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-				got := s.history
-				if len(got) != len(want) {
-					t.Fatalf("pipeline kept %d events, batch kept %d", len(got), len(want))
+			got := s.history
+			if len(got) != len(want) {
+				t.Fatalf("pipeline kept %d events, batch kept %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("event %d: pipeline %+v != batch %+v", i, got[i], want[i])
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("event %d: pipeline %+v != batch %+v", i, got[i], want[i])
-					}
-				}
-				st := s.Stats()
-				if st.LateDropped != 0 || st.Sequenced != int64(l.Len()) {
-					t.Errorf("stats = %+v; want no late drops, %d sequenced", st, l.Len())
-				}
-			})
-		}
+			}
+			st := s.Stats()
+			if st.LateDropped != 0 || st.Sequenced != int64(l.Len()) {
+				t.Errorf("stats = %+v; want no late drops, %d sequenced", st, l.Len())
+			}
+		})
 	}
 }
 
@@ -216,7 +212,7 @@ func TestIngestAfterClose(t *testing.T) {
 }
 
 // TestTrainNowBeforeFirstEvent pins the empty-stream guard: before any
-// event has reached the collector there is no history and no stream
+// event has been applied there is no history and no stream
 // clock, so a manual retrain must be rejected cleanly — no junk failed
 // record, no stuck in-flight flag.
 func TestTrainNowBeforeFirstEvent(t *testing.T) {

@@ -13,8 +13,10 @@ echo "== go test ./..."
 go test ./...
 echo "== allocation budgets (-count=1)"
 # The zero-allocation serving guarantees, re-measured every run: parse,
-# filter stages, predictor observe, the whole stream pipeline, and the
-# fleet-routed path (multi-tenancy must add no per-event cost).
+# filter stages, predictor observe, the whole stream pipeline, the batch
+# HTTP handler (pooled request scratch: a constant per request, nothing
+# per event), and the fleet-routed path (multi-tenancy must add no
+# per-event cost).
 go test -count=1 -run 'AllocBudget' \
     ./internal/raslog ./internal/preprocess ./internal/predictor ./internal/stream ./internal/fleet
 echo "== ingest hot path stays allocation-free (BenchmarkIngestBatch)"
