@@ -375,9 +375,6 @@ func BenchmarkFleetIngestBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkRuleSwap measures the retrainer's copy-on-write publish: build
-// a predictor over the refreshed rule set and swap it behind the atomic
-// pointer the hot observe path loads from.
 // ---------------------------------------------------------------------------
 // Incremental retraining (DESIGN.md §12): delta-apply vs O(window) rebuild.
 // ---------------------------------------------------------------------------
@@ -441,9 +438,9 @@ func benchRetrainWorkload(b *testing.B) ([]preprocess.TaggedEvent, []retrainWind
 	return retrainBench.events, retrainBench.wins, p
 }
 
-// BenchmarkRetrainFull measures the batch path: every retrain re-mines
-// the whole training window from scratch (no event-set cache, no
-// sufficient statistics) — the O(window) cost incremental maintenance
+// BenchmarkRetrainFull measures the learners' batch pass: every retrain
+// re-mines the whole training window from scratch (no maintained event
+// sets or sufficient statistics) — the O(window) cost engine.TrainWindow
 // exists to avoid.
 func BenchmarkRetrainFull(b *testing.B) {
 	events, wins, p := benchRetrainWorkload(b)
@@ -461,12 +458,12 @@ func BenchmarkRetrainFull(b *testing.B) {
 	b.ReportMetric(float64(w.hi-w.lo), "window-events")
 }
 
-// BenchmarkRetrainIncremental measures the same retrain sequence with
-// sufficient-statistics maintenance: each pass delta-applies the minute
-// of events that entered/expired and re-emits rules from the maintained
-// counters. The advance-ns/op metric isolates the delta-apply itself
-// (the issue's sub-millisecond target); ns/op adds rule emission and the
-// reviser pass, the irreducible floor shared with the batch path.
+// BenchmarkRetrainIncremental measures the same retrain sequence through
+// engine.TrainWindow: each pass delta-applies the minute of events that
+// entered/expired and re-emits rules from the maintained counters. The
+// advance-ns/op metric isolates the delta-apply itself (sub-millisecond
+// on this workload); ns/op adds rule emission and the reviser pass, the
+// irreducible floor shared with the batch path.
 func BenchmarkRetrainIncremental(b *testing.B) {
 	events, wins, p := benchRetrainWorkload(b)
 	ml := meta.New()
@@ -489,21 +486,21 @@ func BenchmarkRetrainIncremental(b *testing.B) {
 			b.StartTimer()
 		}
 		w := wins[idx]
-		ta := time.Now()
-		d := st.Advance(events, w.from, w.to, p)
-		advanceNs += time.Since(ta).Nanoseconds()
-		if d.Rebuild {
-			b.Fatalf("delta-apply fell back to a rebuild: %s", d.Reason)
-		}
-		pre := learner.Prepare(events[w.lo:w.hi])
-		st.Install(pre)
-		if _, err := engine.TrainStepPrepared(ml, repo, pre, p); err != nil {
+		rt, err := engine.TrainWindow(ml, repo, st, events, w.from, w.to, p)
+		if err != nil {
 			b.Fatal(err)
+		}
+		advanceNs += rt.Incr.AdvanceDuration.Nanoseconds()
+		if rt.Incr.Rebuild {
+			b.Fatalf("delta-apply fell back to a rebuild: %s", rt.Incr.Reason)
 		}
 	}
 	b.ReportMetric(float64(advanceNs)/float64(b.N), "advance-ns/op")
 }
 
+// BenchmarkRuleSwap measures the retrainer's copy-on-write publish: build
+// a predictor over the refreshed rule set and swap it behind the atomic
+// pointer the hot observe path loads from.
 func BenchmarkRuleSwap(b *testing.B) {
 	events := benchTagged(b)
 	p := learner.Params{WindowSec: 300}

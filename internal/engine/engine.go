@@ -78,18 +78,6 @@ type Config struct {
 	// counting, reviser scoring): 0 means GOMAXPROCS, 1 forces the serial
 	// pipeline. Results are identical at any setting.
 	Parallelism int
-	// NoEventSetReuse disables the incremental event-set cache that
-	// carries Apriori transactions across overlapping retraining windows.
-	// The cache is exact (see learner.EventSetCache); the switch exists
-	// for equivalence testing and measurement.
-	NoEventSetReuse bool
-	// Incremental maintains the learners' sufficient statistics across
-	// retrainings (internal/learner/incr): each pass delta-applies the
-	// window slide instead of re-mining the whole training set, with
-	// byte-identical results. Subsumes the event-set cache. The batch
-	// path remains the fallback for parameter changes, backwards windows
-	// and drift (see Retraining.Incr for what each pass actually did).
-	Incremental bool
 	// Metrics, when non-nil, records every (re)training pass — duration,
 	// per-learner time, reviser time, rule churn — into an obsv registry:
 	// the live version of Table 5. Nil disables recording.
@@ -149,8 +137,9 @@ type Retraining struct {
 	LearnerDurations map[string]time.Duration
 	ReviseDuration   time.Duration
 	Total            time.Duration
-	// Incr describes the incremental sufficient-statistics advance behind
-	// this pass; nil when the pass ran without incremental maintenance.
+	// Incr describes the sufficient-statistics advance behind this pass
+	// (TrainWindow fills it in); nil only in records restored from
+	// snapshots of older versions, which could train without it.
 	Incr *IncrInfo
 }
 
@@ -185,18 +174,33 @@ type Result struct {
 	MatchDuration time.Duration
 }
 
-// TrainStep runs one (re)training pass — meta-learner over the training
-// slice, reviser, repository swap — and returns its record. It is the
-// single retraining step of Run, exported so long-running services
-// (internal/stream) can retrain outside an offline engine run. The
-// returned Retraining has Week zero; callers with a week timeline set it.
-func TrainStep(ml *meta.MetaLearner, repo *meta.Repository, slice []preprocess.TaggedEvent, params learner.Params) (Retraining, error) {
-	return TrainStepPrepared(ml, repo, learner.Prepare(slice), params)
+// TrainWindow runs one (re)training pass over the events in [from, to):
+// it slides st's sufficient statistics to that window, serves the
+// learners from them, and runs the meta-learner, reviser and repository
+// swap (TrainStepPrepared). It is the one training call of both
+// deployment modes — Run and the streaming service (internal/stream) —
+// so the paper's retrain-every-W_R step has a single implementation.
+// events must be time-sorted and agree with what st was fed before on
+// any shared time range; st rebuilds from scratch when it cannot slide
+// (first pass, W_P change, window moving backwards, drift). The returned
+// Retraining has Week zero; callers with a week timeline set it.
+func TrainWindow(ml *meta.MetaLearner, repo *meta.Repository, st *incr.State, events []preprocess.TaggedEvent, from, to int64, params learner.Params) (Retraining, error) {
+	t0 := time.Now()
+	d := st.Advance(events, from, to, params)
+	info := &IncrInfo{Applied: d.Applied, Expired: d.Expired,
+		Rebuild: d.Rebuild, Reason: d.Reason, AdvanceDuration: time.Since(t0)}
+	pre := learner.Prepare(events[searchTime(events, from):searchTime(events, to)])
+	st.Install(pre)
+	rt, err := TrainStepPrepared(ml, repo, pre, params)
+	rt.Incr = info
+	return rt, err
 }
 
-// TrainStepPrepared is TrainStep over a caller-prepared training view —
-// the engine and the stream service install their incremental event-set
-// caches on the view before coming in here.
+// TrainStepPrepared runs the meta-learner, reviser and repository swap
+// over a prepared training view and returns the pass record. TrainWindow
+// calls it with the maintained statistics installed on the view; over a
+// bare view it is the learners' batch pass, the reference the maintained
+// statistics are pinned against.
 func TrainStepPrepared(ml *meta.MetaLearner, repo *meta.Repository, pre *learner.Prepared, params learner.Params) (Retraining, error) {
 	slice := pre.Events
 	t0 := time.Now()
@@ -216,6 +220,15 @@ func TrainStepPrepared(ml *meta.MetaLearner, repo *meta.Repository, pre *learner
 	}, nil
 }
 
+// searchTime returns the index of the first event at or after t.
+func searchTime(events []preprocess.TaggedEvent, t int64) int {
+	return sort.Search(len(events), func(i int) bool { return events[i].Time >= t })
+}
+
+// trainPass is Run's training call. It is a variable only so that this
+// package's tests can swap in the learners' batch pass as the reference.
+var trainPass = TrainWindow
+
 // Run executes the framework over a preprocessed, time-sorted event
 // stream spanning [start, start + weeks). Training happens inside the
 // stream's own timeline: the first InitialTrainWeeks are training-only,
@@ -234,27 +247,12 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 	res := &Result{Config: cfg, Start: start, Weeks: weeks, TestFrom: cfg.InitialTrainWeeks}
 	repo := meta.NewRepository()
 	params := cfg.Params
-	// setCache carries Apriori transactions across the overlapping
-	// training windows of the retraining sequence: a sliding window drops
-	// a few expired weeks and appends a few new ones, so most event sets
-	// survive verbatim and only the boundary is rebuilt.
-	var setCache *learner.EventSetCache
-	if !cfg.NoEventSetReuse {
-		setCache = learner.NewEventSetCache()
-	}
-	// incrState additionally carries the learners' sufficient statistics
-	// across retrainings, turning each pass into a delta-apply.
-	var incrState *incr.State
-	if cfg.Incremental {
-		incrState = incr.New(meta.IncrConfig(ml, params))
-	}
+	// st carries the learners' sufficient statistics across the
+	// overlapping training windows, turning each pass into a delta-apply.
+	st := incr.New(meta.IncrConfig(ml, params))
 
 	weekMs := int64(raslog.MillisPerWeek)
 	at := func(week int) int64 { return start + int64(week)*weekMs }
-	// index finds the first event at or after t.
-	index := func(t int64) int {
-		return sort.Search(len(events), func(i int) bool { return events[i].Time >= t })
-	}
 
 	train := func(effectiveWeek int) error {
 		var from int64
@@ -271,9 +269,9 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 			from = start
 		}
 		to := at(effectiveWeek)
-		slice := events[index(from):index(to)]
 		t0 := time.Now()
 		if cfg.Tuner != nil {
+			slice := events[searchTime(events, from):searchTime(events, to)]
 			wp, _, err := cfg.Tuner.Choose(slice, ml)
 			if err != nil {
 				return err
@@ -282,26 +280,12 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 				params.WindowSec = wp
 			}
 		}
-		pre := learner.Prepare(slice)
-		var incrInfo *IncrInfo
-		if incrState != nil {
-			ta := time.Now()
-			d := incrState.Advance(events, from, to, params)
-			incrState.Install(pre)
-			incrInfo = &IncrInfo{Applied: d.Applied, Expired: d.Expired,
-				Rebuild: d.Rebuild, Reason: d.Reason, AdvanceDuration: time.Since(ta)}
-		} else if setCache != nil {
-			pre.SetsFor = func(windowMs int64, maxItems int) []learner.EventSet {
-				return setCache.Sets(events, from, to, windowMs, maxItems)
-			}
-		}
-		rt, err := TrainStepPrepared(ml, repo, pre, params)
+		rt, err := trainPass(ml, repo, st, events, from, to, params)
 		if err != nil {
 			cfg.Metrics.RecordError()
 			return err
 		}
 		rt.Week = effectiveWeek
-		rt.Incr = incrInfo
 		rt.Total = time.Since(t0) // include the tuner's share
 		cfg.Metrics.Record(rt)
 		res.Retrainings = append(res.Retrainings, rt)
@@ -320,7 +304,7 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 	if cfg.Policy == Static {
 		nextRetrain = weeks + 1 // never
 	}
-	i := index(testStart)
+	i := searchTime(events, testStart)
 	for week := cfg.InitialTrainWeeks; week < weeks; week++ {
 		if week == nextRetrain {
 			if err := train(week); err != nil {

@@ -6,28 +6,46 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/learner"
+	"repro/internal/learner/incr"
+	"repro/internal/meta"
 	"repro/internal/obsv"
+	"repro/internal/preprocess"
 )
 
-// TestRunIncrementalEquivalence pins the headline contract of the
-// incremental trainer: a run with Config.Incremental produces exactly the
-// same warnings, evaluation, and per-pass rule churn as the batch path —
-// the sufficient-statistics maintenance is an optimization, never a
-// behavior change. It also checks the pass records: the first pass is the
-// sole full rebuild, every later pass a delta-apply.
+// batchRun runs the engine with every pass trained by the learners' batch
+// scans over a bare view of the window: the reference that TrainWindow's
+// maintained statistics must reproduce.
+func batchRun(t *testing.T, events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) *Result {
+	t.Helper()
+	prev := trainPass
+	defer func() { trainPass = prev }()
+	trainPass = func(ml *meta.MetaLearner, repo *meta.Repository, _ *incr.State, events []preprocess.TaggedEvent, from, to int64, p learner.Params) (Retraining, error) {
+		pre := learner.Prepare(events[searchTime(events, from):searchTime(events, to)])
+		return TrainStepPrepared(ml, repo, pre, p)
+	}
+	res, err := Run(events, start, weeks, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRunIncrementalEquivalence pins the headline contract of the one
+// training path: Run, which maintains the learners' sufficient statistics
+// across passes, produces exactly the same warnings, evaluation, and
+// per-pass rule churn as batch passes over each window — the maintenance
+// is an optimization, never a behavior change. It also checks the pass
+// records: the first pass is the sole full rebuild, every later pass a
+// delta-apply.
 func TestRunIncrementalEquivalence(t *testing.T) {
 	events, start := pipeline(t, 109, 20)
 	for _, policy := range []Policy{Sliding, Whole} {
 		t.Run(policy.String(), func(t *testing.T) {
-			base := quickConfig()
-			base.Policy = policy
-			full, err := Run(events, start, 20, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			icfg := base
-			icfg.Incremental = true
-			inc, err := Run(events, start, 20, icfg)
+			cfg := quickConfig()
+			cfg.Policy = policy
+			full := batchRun(t, events, start, 20, cfg)
+			inc, err := Run(events, start, 20, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,14 +88,13 @@ func TestRunIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// TestIncrementalMetricsRecorded runs the incremental engine with a
-// metrics recorder attached and checks the train_incr_* instruments and
-// the per-mode pass histogram against the returned pass records, through
-// a strict text-exposition round trip.
+// TestIncrementalMetricsRecorded runs the engine with a metrics recorder
+// attached and checks the train_incr_* instruments and the per-mode pass
+// histogram against the returned pass records, through a strict
+// text-exposition round trip.
 func TestIncrementalMetricsRecorded(t *testing.T) {
 	events, start := pipeline(t, 110, 20)
 	cfg := quickConfig()
-	cfg.Incremental = true
 	reg := obsv.NewRegistry()
 	cfg.Metrics = NewTrainingMetrics(reg)
 	res, err := Run(events, start, 20, cfg)
@@ -114,10 +131,10 @@ func TestIncrementalMetricsRecorded(t *testing.T) {
 		t.Fatal("no events applied — the window never moved")
 	}
 	for key, want := range map[string]float64{
-		"train_incr_applied_events_total":               applied,
-		"train_incr_expired_events_total":               expired,
-		"train_incr_rebuilds_total":                     rebuilds,
-		"train_incr_advance_duration_seconds_count":     passes,
+		"train_incr_applied_events_total":                         applied,
+		"train_incr_expired_events_total":                         expired,
+		"train_incr_rebuilds_total":                               rebuilds,
+		"train_incr_advance_duration_seconds_count":               passes,
 		"train_pass_duration_seconds_count{mode=\"incremental\"}": deltas,
 		"train_pass_duration_seconds_count{mode=\"full\"}":        rebuilds,
 	} {
@@ -125,15 +142,13 @@ func TestIncrementalMetricsRecorded(t *testing.T) {
 			t.Errorf("%s = %v, want %v", key, got, want)
 		}
 	}
-	// The batch engine must label every pass "full" and never touch the
-	// incr counters.
+	// A pass without maintained statistics (a record restored from an
+	// older snapshot) is labelled "full" and never touches the incr
+	// counters.
 	breg := obsv.NewRegistry()
 	bcfg := quickConfig()
 	bcfg.Metrics = NewTrainingMetrics(breg)
-	bres, err := Run(events, start, 20, bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bres := batchRun(t, events, start, 20, bcfg)
 	buf.Reset()
 	if err := breg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

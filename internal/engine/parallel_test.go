@@ -13,15 +13,16 @@ func stripDurations(rts []Retraining) []Retraining {
 		out[i].LearnerDurations = nil
 		out[i].ReviseDuration = 0
 		out[i].Total = 0
+		out[i].Incr = nil // only the maintained-statistics side has one
 	}
 	return out
 }
 
 // TestRunParallelAndCacheMatchSerial pins the engine tentpole: the
-// default configuration (parallel training, incremental event-set reuse
-// across retrainings) reproduces the fully serial, cache-free run byte
-// for byte — warnings, fatals, weekly curves, overall outcome, and every
-// retraining record.
+// default configuration (parallel training, sufficient statistics and
+// event sets carried across retrainings) reproduces the fully serial
+// batch run byte for byte — warnings, fatals, weekly curves, overall
+// outcome, and every retraining record.
 func TestRunParallelAndCacheMatchSerial(t *testing.T) {
 	for _, seed := range []uint64{101, 707} {
 		events, start := pipeline(t, seed, 20)
@@ -31,13 +32,9 @@ func TestRunParallelAndCacheMatchSerial(t *testing.T) {
 
 			serial := base
 			serial.Parallelism = 1
-			serial.NoEventSetReuse = true
-			want, err := Run(events, start, 20, serial)
-			if err != nil {
-				t.Fatalf("seed %d %v: serial: %v", seed, policy, err)
-			}
+			want := batchRun(t, events, start, 20, serial)
 
-			fast := base // Parallelism 0 (= GOMAXPROCS), cache on
+			fast := base // Parallelism 0 (= GOMAXPROCS), maintained statistics
 			got, err := Run(events, start, 20, fast)
 			if err != nil {
 				t.Fatalf("seed %d %v: parallel: %v", seed, policy, err)

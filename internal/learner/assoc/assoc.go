@@ -225,7 +225,7 @@ func (l *Learner) finishRules(rules []learner.Rule) []learner.Rule {
 		})
 		rules = rules[:l.MaxRules]
 	}
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID() < rules[j].ID() })
+	learner.SortByID(rules)
 	return rules
 }
 

@@ -49,18 +49,18 @@ func New() *Learner {
 // Name implements learner.Learner.
 func (l *Learner) Name() string { return "bayes" }
 
+// classTally is one non-fatal class's occurrence split.
+type classTally struct {
+	followed    int // occurrences followed by a fatal within the window
+	notFollowed int
+	target      map[int]int // fatal class frequencies when followed
+}
+
 // Learn implements learner.Learner. It slides over the stream once,
 // counting for every non-fatal class how many of its occurrences are
 // followed by a fatal event within the window versus not, then emits an
 // indicator rule per class whose likelihood ratio clears the threshold.
-// When the prepared view carries maintained class tallies for this window
-// (incremental retraining), the scan is skipped and the identical rules
-// are emitted straight from the counts.
 func (l *Learner) Learn(tr *learner.Prepared, p learner.Params) ([]learner.Rule, error) {
-	if src := tr.Tallies; src != nil && src.CanServeTallies(p.Window()) {
-		perClass, positives, negatives := src.Tallies()
-		return l.rulesFromTallies(perClass, positives, negatives), nil
-	}
 	events := tr.Events
 	window := p.Window()
 
@@ -75,12 +75,7 @@ func (l *Learner) Learn(tr *learner.Prepared, p learner.Params) ([]learner.Rule,
 		}
 	}
 
-	type counts struct {
-		followed    int // occurrences followed by a fatal within the window
-		notFollowed int
-		target      map[int]int // fatal class frequencies when followed
-	}
-	perClass := make(map[int]*counts)
+	perClass := make(map[int]*classTally)
 	positives, negatives := 0, 0
 	for i := range events {
 		if events[i].Fatal {
@@ -89,7 +84,7 @@ func (l *Learner) Learn(tr *learner.Prepared, p learner.Params) ([]learner.Rule,
 		followed := nextFatal[i] >= 0 && nextFatal[i]-events[i].Time <= window
 		c := perClass[events[i].Class]
 		if c == nil {
-			c = &counts{target: make(map[int]int)}
+			c = &classTally{target: make(map[int]int)}
 			perClass[events[i].Class] = c
 		}
 		if followed {
@@ -103,59 +98,44 @@ func (l *Learner) Learn(tr *learner.Prepared, p learner.Params) ([]learner.Rule,
 		}
 	}
 
-	// Project the maps into the canonical sorted tally form and share the
-	// emission path with the incremental counts.
-	tallies := make([]learner.ClassTally, 0, len(perClass))
-	for class, c := range perClass {
-		t := learner.ClassTally{Class: class, Followed: c.followed, NotFollowed: c.notFollowed}
-		for f, n := range c.target {
-			t.Targets = append(t.Targets, learner.TargetCount{Target: f, Count: n})
-		}
-		sort.Slice(t.Targets, func(i, j int) bool { return t.Targets[i].Target < t.Targets[j].Target })
-		tallies = append(tallies, t)
-	}
-	sort.Slice(tallies, func(i, j int) bool { return tallies[i].Class < tallies[j].Class })
-	return l.rulesFromTallies(tallies, positives, negatives), nil
+	return l.rulesFromTallies(perClass, positives, negatives), nil
 }
 
-// rulesFromTallies emits indicator rules from per-class tallies (sorted
-// by class, targets sorted by target class). The target tie-break is
-// deterministic — highest count, then smallest class ID — so the batch
-// scan and the incremental maintainer produce identical rules no matter
-// what order their internals accumulated counts in.
-func (l *Learner) rulesFromTallies(perClass []learner.ClassTally, positives, negatives int) []learner.Rule {
+// rulesFromTallies emits indicator rules from the per-class tallies. The
+// output does not depend on map order: the target tie-break is
+// deterministic — highest count, then smallest class ID — and the rules
+// are sorted by ID.
+func (l *Learner) rulesFromTallies(perClass map[int]*classTally, positives, negatives int) []learner.Rule {
 	if positives == 0 || negatives == 0 {
 		return nil
 	}
 	var rules []learner.Rule
-	for i := range perClass {
-		c := &perClass[i]
-		if c.Followed < l.MinOccurrences {
+	for class, c := range perClass {
+		if c.followed < l.MinOccurrences {
 			continue
 		}
 		// Laplace-smoothed likelihood ratio.
-		pPos := (float64(c.Followed) + 1) / (float64(positives) + 2)
-		pNeg := (float64(c.NotFollowed) + 1) / (float64(negatives) + 2)
+		pPos := (float64(c.followed) + 1) / (float64(positives) + 2)
+		pNeg := (float64(c.notFollowed) + 1) / (float64(negatives) + 2)
 		lr := pPos / pNeg
 		if lr < l.MinLikelihoodRatio {
 			continue
 		}
 		// The most frequent fatal class this indicator precedes; ties go
-		// to the smallest class ID (Targets is sorted ascending, so the
-		// first maximum wins).
+		// to the smallest class ID.
 		target, best := learner.AnyFatal, 0
-		for _, tc := range c.Targets {
-			if tc.Count > best {
-				target, best = tc.Target, tc.Count
+		for f, n := range c.target {
+			if n > best || n == best && f < target {
+				target, best = f, n
 			}
 		}
-		confidence := float64(c.Followed) / float64(c.Followed+c.NotFollowed)
+		confidence := float64(c.followed) / float64(c.followed+c.notFollowed)
 		rules = append(rules, learner.Rule{
 			Kind:       learner.Association,
-			Body:       []int{c.Class},
+			Body:       []int{class},
 			Target:     target,
 			Confidence: confidence,
-			Support:    math.Min(1, float64(c.Followed)/float64(positives)),
+			Support:    math.Min(1, float64(c.followed)/float64(positives)),
 		})
 	}
 	sort.Slice(rules, func(i, j int) bool {
@@ -167,7 +147,7 @@ func (l *Learner) rulesFromTallies(perClass []learner.ClassTally, positives, neg
 	if l.MaxRules > 0 && len(rules) > l.MaxRules {
 		rules = rules[:l.MaxRules]
 	}
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID() < rules[j].ID() })
+	learner.SortByID(rules)
 	return rules
 }
 

@@ -31,8 +31,8 @@ type Delta struct {
 // new start are subtracted as stored, (3) fatal runs anchored within W_P
 // of the new start are recomputed against the shortened lookback, and
 // (4) the appended tail is ingested through the same recurrence a batch
-// scan would run — including the end-provisional flips (the previous
-// last fatal's "followed", pending bayes resolutions).
+// scan would run — including the end-provisional flip of the previous
+// last fatal's "followed".
 func (s *State) Advance(events []preprocess.TaggedEvent, from, to int64, p learner.Params) Delta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -125,9 +125,6 @@ func (s *State) rebuild(events []preprocess.TaggedEvent, lo, hi int, from, to, w
 		s.succ[k] = 0
 	}
 	s.gaps = s.gaps[:0]
-	s.events = s.events[:0]
-	s.perClass = make(map[int]*classTally)
-	s.positives, s.negatives = 0, 0
 	for i := lo; i < hi; i++ {
 		s.ingest(&events[i])
 	}
@@ -141,74 +138,36 @@ func (s *State) rebuild(events []preprocess.TaggedEvent, lo, hi int, from, to, w
 
 // ingest appends one event at the window end. This is exactly the batch
 // recurrence: a fatal flips the previous fatal's provisional "followed"
-// (and its success counters), records the inter-arrival gap, computes
-// its own run against the in-window fatals behind it, and resolves any
-// pending bayes occurrences; a non-fatal is tallied not-followed until a
-// fatal resolves it.
+// (and its success counters), records the inter-arrival gap, and computes
+// its own run against the in-window fatals behind it. Non-fatals carry no
+// statistic of their own here (event sets are the cache's business).
 func (s *State) ingest(e *preprocess.TaggedEvent) {
-	w := s.cfg.WindowMs
-	if e.Fatal {
-		if n := len(s.fatals); n > 0 {
-			prev := &s.fatals[n-1]
-			if d := e.Time - prev.T; d > 0 {
-				s.gaps = append(s.gaps, gapRec{T1: prev.T, Gap: float64(d) / 1000})
-			}
-			if !prev.Followed && e.Time-prev.T <= w {
-				prev.Followed = true
-				for k := 1; k <= prev.Run; k++ {
-					s.succ[k]++
-				}
-			}
-		}
-		run := 1
-		for j := len(s.fatals) - 1; j >= 0 && run < s.cfg.MaxK; j-- {
-			if e.Time-s.fatals[j].T > w {
-				break
-			}
-			run++
-		}
-		s.fatals = append(s.fatals, fatalRec{T: e.Time, Run: run})
-		for k := 1; k <= run; k++ {
-			s.occ[k]++
-		}
-		if s.cfg.TrackBayes {
-			s.resolvePending(e)
-			s.events = append(s.events, bayesRec{T: e.Time, Class: int32(e.Class), Fatal: true})
-		}
+	if !e.Fatal {
 		return
 	}
-	if s.cfg.TrackBayes {
-		s.events = append(s.events, bayesRec{T: e.Time, Class: int32(e.Class)})
-		c := s.tally(e.Class)
-		c.notFollowed++
-		s.negatives++
-	}
-}
-
-// resolvePending finalizes the bayes records between the previous fatal
-// and this one: each becomes followed (re-tallied, target attributed to
-// this fatal's class) if the gap fits the window, not-followed finally
-// otherwise. Each record is resolved exactly once — by the first fatal
-// after it — so the walk's total cost is one visit per event.
-func (s *State) resolvePending(e *preprocess.TaggedEvent) {
 	w := s.cfg.WindowMs
-	for i := len(s.events) - 1; i >= 0; i-- {
-		r := &s.events[i]
-		if r.Fatal {
+	if n := len(s.fatals); n > 0 {
+		prev := &s.fatals[n-1]
+		if d := e.Time - prev.T; d > 0 {
+			s.gaps = append(s.gaps, gapRec{T1: prev.T, Gap: float64(d) / 1000})
+		}
+		if !prev.Followed && e.Time-prev.T <= w {
+			prev.Followed = true
+			for k := 1; k <= prev.Run; k++ {
+				s.succ[k]++
+			}
+		}
+	}
+	run := 1
+	for j := len(s.fatals) - 1; j >= 0 && run < s.cfg.MaxK; j-- {
+		if e.Time-s.fatals[j].T > w {
 			break
 		}
-		r.Resolved = true
-		if e.Time-r.T > w {
-			continue // finally not-followed; already tallied that way
-		}
-		r.Followed = true
-		r.Target = int32(e.Class)
-		c := s.tally(int(r.Class))
-		c.notFollowed--
-		s.negatives--
-		c.followed++
-		s.positives++
-		c.targets[int(e.Class)]++
+		run++
+	}
+	s.fatals = append(s.fatals, fatalRec{T: e.Time, Run: run})
+	for k := 1; k <= run; k++ {
+		s.occ[k]++
 	}
 }
 
@@ -236,36 +195,6 @@ func (s *State) expire(from int64) {
 	}
 	if k > 0 {
 		s.gaps = append(s.gaps[:0], s.gaps[k:]...)
-	}
-
-	if !s.cfg.TrackBayes {
-		return
-	}
-	k = 0
-	for k < len(s.events) && s.events[k].T < from {
-		r := &s.events[k]
-		k++
-		if r.Fatal {
-			continue
-		}
-		c := s.perClass[int(r.Class)]
-		if r.Followed {
-			c.followed--
-			s.positives--
-			c.targets[int(r.Target)]--
-			if c.targets[int(r.Target)] == 0 {
-				delete(c.targets, int(r.Target))
-			}
-		} else {
-			c.notFollowed--
-			s.negatives--
-		}
-		if c.followed == 0 && c.notFollowed == 0 {
-			delete(s.perClass, int(r.Class))
-		}
-	}
-	if k > 0 {
-		s.events = append(s.events[:0], s.events[k:]...)
 	}
 }
 
@@ -390,17 +319,6 @@ func (s *State) resetItemsets() {
 func (s *State) invalidateServed() {
 	s.gapsOut = nil
 	s.times = nil
-	s.tallies = nil
-}
-
-// tally returns the mutable tally for a class, creating it on first use.
-func (s *State) tally(class int) *classTally {
-	c := s.perClass[class]
-	if c == nil {
-		c = &classTally{targets: make(map[int]int)}
-		s.perClass[class] = c
-	}
-	return c
 }
 
 // drifted cross-checks cheap invariants of the maintained state against

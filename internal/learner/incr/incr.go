@@ -15,29 +15,27 @@
 //     through learner.FailureRunCounts.
 //   - Fatal inter-arrival gaps (the MLE fit's sufficient statistic) —
 //     served through Prepared.GapsFor.
-//   - Naive-Bayes class tallies (optional, TrackBayes): per non-fatal
-//     class the followed/not-followed occurrence split and target
-//     attribution — served through learner.ClassTallies.
+//
+// Learners it does not serve (the optional naive-Bayes one, or a miner
+// configured differently from the state) keep their batch scans.
 //
 // Every statistic is a sum of bounded-lookback per-event contributions,
 // so Advance touches only the window boundaries and the appended tail:
 // expired contributions are subtracted exactly as stored, start-boundary
 // contributions (anchor within W_P of the new start) are recomputed, and
-// end-provisional flags (a fatal's "followed", a class occurrence's
-// resolution) flip as successors arrive. The result is byte-equivalent to
-// a batch rebuild over the same window — identical integer counts divide
-// into identical float64 statistics — pinned by the equivalence tests in
-// this package.
+// end-provisional flags (a fatal's "followed") flip as successors
+// arrive. The result is byte-equivalent to a batch rebuild over the same
+// window — identical integer counts divide into identical float64
+// statistics — pinned by the equivalence tests in this package.
 //
 // Concurrency: Advance, Export and Restore serialize on an internal
 // mutex. The serving interfaces are read-only and safe for the
 // concurrent learner ensemble, provided no Advance runs during a
-// training pass — the retrain flows in internal/engine and
-// internal/stream sequence Advance strictly before TrainPrepared.
+// training pass — engine.TrainWindow, the one training call, sequences
+// Advance strictly before TrainPrepared.
 package incr
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/learner"
@@ -67,10 +65,6 @@ type Config struct {
 	MaxBody int
 	// MaxK is the statistical learner's run-length cap.
 	MaxK int
-	// TrackBayes maintains the naive-Bayes class tallies, which requires
-	// keeping a per-event record for the whole window. Leave false when
-	// the ensemble has no bayes learner.
-	TrackBayes bool
 	// VerifyEvery is the drift-audit cadence in Advances (0 = the
 	// package default, negative = never).
 	VerifyEvery int
@@ -93,29 +87,10 @@ type gapRec struct {
 	Gap float64 `json:"g"`
 }
 
-// bayesRec is one in-window event's naive-Bayes bookkeeping. A non-fatal
-// occurrence is tallied not-followed on arrival and re-tallied when the
-// first later fatal resolves it; Resolved marks the flag final.
-type bayesRec struct {
-	T        int64 `json:"t"`
-	Class    int32 `json:"c"`
-	Fatal    bool  `json:"x,omitempty"`
-	Followed bool  `json:"f,omitempty"`
-	Resolved bool  `json:"d,omitempty"`
-	Target   int32 `json:"g,omitempty"` // fatal class attributed when Followed
-}
-
 // itemsetEntry is one itemset's window count, split by target class.
 type itemsetEntry struct {
 	global   int
 	byTarget []learner.TargetCount
-}
-
-// classTally is one non-fatal class's mutable naive-Bayes tally.
-type classTally struct {
-	followed    int
-	notFollowed int
-	targets     map[int]int
 }
 
 // State is the incremental sufficient-statistics maintainer. Zero value
@@ -144,13 +119,6 @@ type State struct {
 	gaps    []gapRec
 	gapsOut []float64
 
-	// Bayes (TrackBayes only): per-event records plus class tallies.
-	events    []bayesRec
-	perClass  map[int]*classTally
-	positives int
-	negatives int
-	tallies   []learner.ClassTally // served materialization
-
 	times []int64 // served materialization of the fatal deque
 }
 
@@ -175,7 +143,6 @@ func New(cfg Config) *State {
 		itemsets: make(map[uint64]*itemsetEntry),
 		occ:      make([]int, cfg.MaxK+1),
 		succ:     make([]int, cfg.MaxK+1),
-		perClass: make(map[int]*classTally),
 	}
 }
 
@@ -194,7 +161,6 @@ func (s *State) Window() (from, to int64, ok bool) {
 func (s *State) Install(pre *learner.Prepared) {
 	pre.Itemsets = s
 	pre.FailureRuns = s
-	pre.Tallies = s
 	pre.GapsFor = s.Gaps
 	pre.TimesFor = s.FatalTimes
 	events := pre.Events
@@ -280,37 +246,6 @@ func (s *State) RunCounts() (occurrences, successes []int, total int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.occ, s.succ, len(s.fatals)
-}
-
-// ---------------------------------------------------------------------------
-// learner.ClassTallies
-// ---------------------------------------------------------------------------
-
-// CanServeTallies implements learner.ClassTallies.
-func (s *State) CanServeTallies(windowMs int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.valid && s.cfg.TrackBayes && windowMs == s.cfg.WindowMs
-}
-
-// Tallies implements learner.ClassTallies: the canonical sorted
-// projection of the per-class counters, materialized once per window.
-func (s *State) Tallies() ([]learner.ClassTally, int, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tallies == nil {
-		s.tallies = make([]learner.ClassTally, 0, len(s.perClass))
-		for class, c := range s.perClass {
-			t := learner.ClassTally{Class: class, Followed: c.followed, NotFollowed: c.notFollowed}
-			for f, n := range c.targets {
-				t.Targets = append(t.Targets, learner.TargetCount{Target: f, Count: n})
-			}
-			sort.Slice(t.Targets, func(i, j int) bool { return t.Targets[i].Target < t.Targets[j].Target })
-			s.tallies = append(s.tallies, t)
-		}
-		sort.Slice(s.tallies, func(i, j int) bool { return s.tallies[i].Class < s.tallies[j].Class })
-	}
-	return s.tallies, s.positives, s.negatives
 }
 
 // ---------------------------------------------------------------------------

@@ -22,23 +22,21 @@ type wireSet struct {
 // wire is the persisted incremental state: the configuration it was
 // maintained under, the window bounds, and the per-record deques. Only
 // deques are persisted — the folded counters (itemset counts, run
-// occurrence arrays, class tallies) re-derive deterministically on
+// occurrence arrays) re-derive deterministically on
 // restore, keeping the format small and the invariants impossible to
 // desynchronize.
 type wire struct {
-	Version    int        `json:"v"`
-	WindowMs   int64      `json:"window_ms"`
-	MaxItems   int        `json:"max_items"`
-	MaxBody    int        `json:"max_body"`
-	MaxK       int        `json:"max_k"`
-	TrackBayes bool       `json:"track_bayes,omitempty"`
-	From       int64      `json:"from"`
-	To         int64      `json:"to"`
-	Count      int        `json:"count"`
-	Sets       []wireSet  `json:"sets"`
-	Fatals     []fatalRec `json:"fatals"`
-	Gaps       []gapRec   `json:"gaps"`
-	Bayes      []bayesRec `json:"bayes,omitempty"`
+	Version  int        `json:"v"`
+	WindowMs int64      `json:"window_ms"`
+	MaxItems int        `json:"max_items"`
+	MaxBody  int        `json:"max_body"`
+	MaxK     int        `json:"max_k"`
+	From     int64      `json:"from"`
+	To       int64      `json:"to"`
+	Count    int        `json:"count"`
+	Sets     []wireSet  `json:"sets"`
+	Fatals   []fatalRec `json:"fatals"`
+	Gaps     []gapRec   `json:"gaps"`
 }
 
 // Export serializes the maintained window so a restart can resume
@@ -51,24 +49,20 @@ func (s *State) Export() ([]byte, error) {
 		return nil, nil
 	}
 	w := wire{
-		Version:    wireVersion,
-		WindowMs:   s.cfg.WindowMs,
-		MaxItems:   s.cfg.MaxItems,
-		MaxBody:    s.cfg.MaxBody,
-		MaxK:       s.cfg.MaxK,
-		TrackBayes: s.cfg.TrackBayes,
-		From:       s.from,
-		To:         s.to,
-		Count:      s.count,
-		Sets:       make([]wireSet, len(s.sets)),
-		Fatals:     s.fatals,
-		Gaps:       s.gaps,
+		Version:  wireVersion,
+		WindowMs: s.cfg.WindowMs,
+		MaxItems: s.cfg.MaxItems,
+		MaxBody:  s.cfg.MaxBody,
+		MaxK:     s.cfg.MaxK,
+		From:     s.from,
+		To:       s.to,
+		Count:    s.count,
+		Sets:     make([]wireSet, len(s.sets)),
+		Fatals:   s.fatals,
+		Gaps:     s.gaps,
 	}
 	for i := range s.sets {
 		w.Sets[i] = wireSet{Items: s.sets[i].Items, Target: s.sets[i].Target, Time: s.sets[i].Time}
-	}
-	if s.cfg.TrackBayes {
-		w.Bayes = s.events
 	}
 	return json.Marshal(&w)
 }
@@ -92,13 +86,10 @@ func (s *State) Restore(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if w.WindowMs != s.cfg.WindowMs || w.MaxItems != s.cfg.MaxItems ||
-		w.MaxBody != s.cfg.MaxBody || w.MaxK != s.cfg.MaxK || w.TrackBayes != s.cfg.TrackBayes {
-		return fmt.Errorf("incr: persisted config (window=%dms items=%d body=%d k=%d bayes=%v) does not match (window=%dms items=%d body=%d k=%d bayes=%v)",
-			w.WindowMs, w.MaxItems, w.MaxBody, w.MaxK, w.TrackBayes,
-			s.cfg.WindowMs, s.cfg.MaxItems, s.cfg.MaxBody, s.cfg.MaxK, s.cfg.TrackBayes)
-	}
-	if w.TrackBayes && len(w.Bayes) != w.Count {
-		return fmt.Errorf("incr: persisted state inconsistent: %d bayes records for %d events", len(w.Bayes), w.Count)
+		w.MaxBody != s.cfg.MaxBody || w.MaxK != s.cfg.MaxK {
+		return fmt.Errorf("incr: persisted config (window=%dms items=%d body=%d k=%d) does not match (window=%dms items=%d body=%d k=%d)",
+			w.WindowMs, w.MaxItems, w.MaxBody, w.MaxK,
+			s.cfg.WindowMs, s.cfg.MaxItems, s.cfg.MaxBody, s.cfg.MaxK)
 	}
 
 	sets := make([]learner.EventSet, len(w.Sets))
@@ -128,25 +119,6 @@ func (s *State) Restore(data []byte) error {
 		}
 	}
 	s.gaps = w.Gaps
-
-	s.events = w.Bayes
-	s.perClass = make(map[int]*classTally)
-	s.positives, s.negatives = 0, 0
-	for i := range s.events {
-		r := &s.events[i]
-		if r.Fatal {
-			continue
-		}
-		c := s.tally(int(r.Class))
-		if r.Followed {
-			c.followed++
-			s.positives++
-			c.targets[int(r.Target)]++
-		} else {
-			c.notFollowed++
-			s.negatives++
-		}
-	}
 
 	s.from, s.to = w.From, w.To
 	s.count = w.Count

@@ -33,25 +33,22 @@ type Prepared struct {
 	// Events is the raw training stream; read-only.
 	Events []preprocess.TaggedEvent
 
-	// SetsFor, when non-nil, overrides the batch event-set builder — the
-	// engine installs an incremental cross-retraining cache here. It must
-	// return exactly what BuildEventSets(Events, p, maxItems) would.
-	SetsFor func(windowMs int64, maxItems int) []EventSet
-	// GapsFor and TimesFor, when non-nil, override the batch fatal-gap /
-	// fatal-time extraction the same way: an incremental maintainer
-	// (internal/learner/incr) serves its window deques here. They must
-	// return exactly what FatalGaps(Events) / FatalTimes(Events) would.
+	// SetsFor, GapsFor and TimesFor, when non-nil, override the batch
+	// event-set scan and fatal-gap / fatal-time extraction: the
+	// incremental maintainer (internal/learner/incr) serves its window
+	// state here. They must return exactly what BuildEventSets(Events, p,
+	// maxItems), FatalGaps(Events) and FatalTimes(Events) would.
+	SetsFor  func(windowMs int64, maxItems int) []EventSet
 	GapsFor  func() []float64
 	TimesFor func() []int64
 
-	// Itemsets, FailureRuns and Tallies, when non-nil, offer maintained
-	// sufficient statistics to the learners that can mine from counts
-	// instead of rescanning the stream. Each learner checks the CanServe
-	// guard and falls back to its batch pass on a mismatch, so installing
-	// these is always safe.
+	// Itemsets and FailureRuns, when non-nil, offer maintained sufficient
+	// statistics to the learners that can mine from counts instead of
+	// rescanning the stream. Each learner checks the CanServe guard and
+	// falls back to its batch pass on a mismatch, so installing these is
+	// always safe.
 	Itemsets    ItemsetCounts
 	FailureRuns FailureRunCounts
-	Tallies     ClassTallies
 
 	mu      sync.Mutex
 	sets    map[setsKey][]EventSet
@@ -165,24 +162,16 @@ type SetsDelta struct {
 	Rebuild bool
 }
 
-// Sets returns the event sets of the stream slice covering [from, to) —
-// equal to BuildEventSets over that slice — reusing the previous call's
-// sets where the window overlap allows. events must be the same
-// time-sorted stream across calls, and from must not move backwards
-// between calls (a full rebuild happens otherwise). The returned slice
-// is reused in place by the next call: it is valid until then only.
-func (c *EventSetCache) Sets(events []preprocess.TaggedEvent, from, to, windowMs int64, maxItems int) []EventSet {
-	sets, _ := c.Advance(events, from, to, windowMs, maxItems)
-	return sets
-}
-
-// Advance is Sets plus the exact delta against the previous window. A
-// window sliding forward evicts only the expired prefix and rebuilds only
-// the boundary region (fatals within windowMs of the new start, whose
-// lookback truncation may have changed their items) — sets in the
-// untouched middle are reused verbatim and never appear in the delta, so
-// a slide-by-one advance reports a delta of a handful of sets, not a
-// whole-window invalidation.
+// Advance returns the event sets of the stream slice covering [from, to)
+// — equal to BuildEventSets over that slice — plus the exact delta
+// against the previous window. events must be the same time-sorted
+// stream across calls; a window start or end moving backwards rebuilds
+// from scratch. A window sliding forward evicts only the expired prefix
+// and rebuilds only the boundary region (fatals within windowMs of the
+// new start, whose lookback truncation may have changed their items) —
+// sets in the untouched middle are reused verbatim and never appear in
+// the delta, so a slide-by-one advance reports a delta of a handful of
+// sets, not a whole-window invalidation.
 func (c *EventSetCache) Advance(events []preprocess.TaggedEvent, from, to, windowMs int64, maxItems int) ([]EventSet, SetsDelta) {
 	idx := func(t int64) int {
 		return sort.Search(len(events), func(i int) bool { return events[i].Time >= t })

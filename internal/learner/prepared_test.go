@@ -91,7 +91,7 @@ func TestEventSetCacheMatchesBatch(t *testing.T) {
 				from, to := events[0].Time, events[0].Time+last/4
 				r := stats.NewRNG(seed + 1)
 				for step := 0; step < 12 && to <= last; step++ {
-					got := cache.Sets(events, from, to, windowMs, maxItems)
+					got, _ := cache.Advance(events, from, to, windowMs, maxItems)
 					want := BuildEventSets(events[idx(from):idx(to)], p, maxItems)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d W %d maxItems %d step %d: cache diverged (%d vs %d sets)",
@@ -121,8 +121,11 @@ func TestEventSetCacheRebuildsOnRegression(t *testing.T) {
 	cache := NewEventSetCache()
 	p := Params{WindowSec: 300}
 	mid, end := events[300].Time, events[len(events)-1].Time+1
-	cache.Sets(events, mid, end, 300_000, 0)
-	got := cache.Sets(events, events[0].Time, end, 300_000, 0)
+	cache.Advance(events, mid, end, 300_000, 0)
+	got, d := cache.Advance(events, events[0].Time, end, 300_000, 0)
+	if !d.Rebuild {
+		t.Error("a window start moving backwards did not rebuild")
+	}
 	want := BuildEventSets(events[idx(events[0].Time):idx(end)], p, 0)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("regressed window diverged: %d vs %d sets", len(got), len(want))

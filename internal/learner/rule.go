@@ -13,7 +13,7 @@ package learner
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/stats"
 )
@@ -78,13 +78,19 @@ type Rule struct {
 func (r Rule) ID() string {
 	switch r.Kind {
 	case Association:
-		parts := make([]string, len(r.Body))
+		b := make([]byte, 0, 12+4*len(r.Body))
+		b = append(b, "assoc:"...)
 		for i, c := range r.Body {
-			parts[i] = fmt.Sprint(c)
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(c), 10)
 		}
-		return fmt.Sprintf("assoc:%s=>%d", strings.Join(parts, ","), r.Target)
+		b = append(b, "=>"...)
+		b = strconv.AppendInt(b, int64(r.Target), 10)
+		return string(b)
 	case Statistical:
-		return fmt.Sprintf("stat:k=%d", r.Count)
+		return "stat:k=" + strconv.Itoa(r.Count)
 	case Distribution:
 		name := "none"
 		if r.Dist != nil {
@@ -92,9 +98,27 @@ func (r Rule) ID() string {
 		}
 		// Bucket the trigger point so refits that barely move do not count
 		// as rule churn, while real shifts do.
-		return fmt.Sprintf("dist:%s@%d", name, bucket(r.ElapsedSec))
+		return "dist:" + name + "@" + strconv.FormatInt(bucket(r.ElapsedSec), 10)
 	default:
-		return fmt.Sprintf("unknown:%d", int(r.Kind))
+		return "unknown:" + strconv.Itoa(int(r.Kind))
+	}
+}
+
+// SortByID sorts rules by ID in place. Each ID is built once up front:
+// rebuilding both IDs in every comparison made the sort the dominant cost
+// of a training pass.
+func SortByID(rules []Rule) {
+	type keyed struct {
+		id   string
+		rule Rule
+	}
+	ks := make([]keyed, len(rules))
+	for i := range rules {
+		ks[i] = keyed{rules[i].ID(), rules[i]}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].id < ks[j].id })
+	for i := range ks {
+		rules[i] = ks[i].rule
 	}
 }
 

@@ -62,6 +62,50 @@ func TestDistributionRuleIDBuckets(t *testing.T) {
 	}
 }
 
+// TestRuleIDFormat pins the exact ID strings of every kind. They key the
+// knowledge repository, order the predictor's rules and appear in every
+// warning, so a byte that moves shifts churn accounting and predictions.
+func TestRuleIDFormat(t *testing.T) {
+	for _, tc := range []struct {
+		rule Rule
+		want string
+	}{
+		{Rule{Kind: Association, Body: []int{3, 17}, Target: 40}, "assoc:3,17=>40"},
+		{Rule{Kind: Association, Body: []int{5}, Target: AnyFatal}, "assoc:5=>-1"},
+		{Rule{Kind: Association, Body: []int{-3, 0, 12}, Target: -7}, "assoc:-3,0,12=>-7"},
+		{Rule{Kind: Association, Target: 2}, "assoc:=>2"},
+		{Rule{Kind: Statistical, Count: 4}, "stat:k=4"},
+		{Rule{Kind: Statistical, Count: -2}, "stat:k=-2"},
+		{Rule{Kind: Distribution}, "dist:none@0"},
+		{Rule{Kind: Distribution, ElapsedSec: -5}, "dist:none@0"},
+		{Rule{Kind: Distribution, Dist: stats.Weibull{Scale: 1, Shape: 1}, ElapsedSec: 20000}, "dist:weibull@18205"},
+		{Rule{Kind: Distribution, Dist: stats.LogNormal{Mu: 1, Sigma: 1}, ElapsedSec: 60}, "dist:lognormal@40"},
+		{Rule{Kind: Distribution, Dist: stats.Exponential{Scale: 1}, ElapsedSec: 1}, "dist:exponential@1"},
+		{Rule{Kind: Kind(7)}, "unknown:7"},
+	} {
+		if got := tc.rule.ID(); got != tc.want {
+			t.Errorf("%+v: ID = %q, want %q", tc.rule, got, tc.want)
+		}
+	}
+}
+
+func TestSortByID(t *testing.T) {
+	rules := []Rule{
+		{Kind: Statistical, Count: 3},
+		{Kind: Association, Body: []int{9}, Target: 1},
+		{Kind: Distribution, ElapsedSec: 100},
+		{Kind: Association, Body: []int{10}, Target: 1},
+		{Kind: Association, Body: []int{1, 2}, Target: 5},
+	}
+	SortByID(rules)
+	want := []string{"assoc:1,2=>5", "assoc:10=>1", "assoc:9=>1", "dist:none@92", "stat:k=3"}
+	for i, r := range rules {
+		if r.ID() != want[i] {
+			t.Fatalf("position %d: %q, want %q", i, r.ID(), want[i])
+		}
+	}
+}
+
 func TestRuleStringMentionsStats(t *testing.T) {
 	r := Rule{Kind: Association, Body: []int{1}, Target: 2, Confidence: 0.5, Support: 0.02}
 	if s := r.String(); !strings.Contains(s, "conf=0.50") {

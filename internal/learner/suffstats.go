@@ -54,25 +54,3 @@ type FailureRunCounts interface {
 	// the window. The slices are shared state: read-only, do not retain.
 	RunCounts() (occurrences, successes []int, total int)
 }
-
-// ClassTally is one non-fatal class's naive-Bayes tally: how many of its
-// occurrences were followed by a fatal within the window versus not, and
-// which fatal classes those occurrences preceded. Targets is sorted by
-// Target ascending.
-type ClassTally struct {
-	Class       int
-	Followed    int
-	NotFollowed int
-	Targets     []TargetCount
-}
-
-// ClassTallies serves the naive-Bayes learner's sufficient statistics.
-type ClassTallies interface {
-	// CanServeTallies reports whether tallies are maintained for this
-	// window (followed/not-followed splits are window-dependent).
-	CanServeTallies(windowMs int64) bool
-	// Tallies returns the per-class tallies sorted by Class ascending,
-	// plus the window-wide positive (followed) and negative occurrence
-	// totals. Shared state: read-only, do not retain past the pass.
-	Tallies() (perClass []ClassTally, positives, negatives int)
-}

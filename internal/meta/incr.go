@@ -2,16 +2,14 @@ package meta
 
 import (
 	"repro/internal/learner"
-	"repro/internal/learner/bayes"
 	"repro/internal/learner/incr"
 )
 
 // IncrConfig derives the incremental sufficient-statistics configuration
 // that serves this ensemble exactly: the maintainer's caps mirror what
-// each base learner's effective knobs ask for, and bayes tallies are
-// tracked only when a bayes learner is actually in the ensemble. A State
-// built from this config answers every CanServe guard positively, so no
-// learner silently falls back to its batch pass.
+// each base learner's effective knobs ask for. A State built from this
+// config answers every CanServe guard positively, so no core learner
+// silently falls back to its batch pass.
 func IncrConfig(m *MetaLearner, p learner.Params) incr.Config {
 	cfg := incr.Config{WindowMs: p.Window()}
 	if m.Assoc != nil {
@@ -20,11 +18,6 @@ func IncrConfig(m *MetaLearner, p learner.Params) incr.Config {
 	}
 	if m.Stat != nil {
 		cfg.MaxK = m.Stat.EffectiveMaxK()
-	}
-	for _, ex := range m.Extra {
-		if _, ok := ex.(*bayes.Learner); ok {
-			cfg.TrackBayes = true
-		}
 	}
 	return cfg
 }

@@ -107,8 +107,8 @@ func (m *MetaLearner) Train(events []preprocess.TaggedEvent, p learner.Params) (
 }
 
 // TrainPrepared is Train over a prepared training view — callers that
-// maintain derived state across retrainings (the engine's incremental
-// event-set cache) prepare the view themselves and come in here.
+// maintain derived state across retrainings (engine.TrainWindow's
+// sufficient statistics) prepare the view themselves and come in here.
 //
 // The base learners run concurrently, bounded by the Parallelism knob;
 // results are collected into per-learner slots and merged in the fixed

@@ -1,10 +1,6 @@
 package meta
 
-import (
-	"sort"
-
-	"repro/internal/learner"
-)
+import "repro/internal/learner"
 
 // Repository is the knowledge repository of Figure 1: the rule set the
 // predictor currently runs on, with churn accounting across retrainings.
@@ -27,7 +23,7 @@ func (r *Repository) Rules() []learner.Rule {
 	for _, rule := range r.rules {
 		out = append(out, rule)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	learner.SortByID(out)
 	return out
 }
 

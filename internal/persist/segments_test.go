@@ -78,7 +78,7 @@ func TestReadActiveSegmentExtends(t *testing.T) {
 		t.Fatalf("extension read: %d events, next %d; want %d, %d", len(evs), got, second-first, second)
 	}
 	for i, e := range evs {
-		if e != testEvent(first + i) {
+		if e != testEvent(first+i) {
 			t.Fatalf("extension event %d differs", first+i)
 		}
 	}

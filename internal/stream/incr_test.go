@@ -5,8 +5,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/learner"
+	"repro/internal/learner/incr"
+	"repro/internal/meta"
+	"repro/internal/preprocess"
 	"repro/internal/raslog"
 )
+
+// batchPass trains on the learners' batch scans over a bare view of the
+// training snapshot: the reference engine.TrainWindow's maintained
+// statistics must reproduce. A test installs it as a fresh service's
+// trainPass before feeding the first event.
+func batchPass(ml *meta.MetaLearner, repo *meta.Repository, _ *incr.State, snapshot []preprocess.TaggedEvent, _, _ int64, p learner.Params) (engine.Retraining, error) {
+	return engine.TrainStepPrepared(ml, repo, learner.Prepare(snapshot), p)
+}
 
 // incrEquivConfig is a deterministic multi-retrain configuration: sync
 // retraining pins the predictor swap positions, so the incremental and
@@ -34,19 +47,20 @@ func retrainRecords(t *testing.T, s *Service) []RetrainRecord {
 	return recs
 }
 
-// TestStreamIncrementalEquivalence pins the service-level contract: the
-// default (incremental) service and a NoIncremental one fed the same
-// stream end with identical rules, warnings, and retrain outcomes — and
-// only the incremental one reports delta-applies after its first pass.
+// TestStreamIncrementalEquivalence pins the service-level contract: a
+// service and a batch-pass reference fed the same stream end with
+// identical rules, warnings, and retrain outcomes — and the service
+// reports delta-applies after its first pass.
 func TestStreamIncrementalEquivalence(t *testing.T) {
 	l := genLog(t, 17, 10)
-	run := func(noIncr bool) *Service {
+	run := func(batch bool) *Service {
 		t.Helper()
-		cfg := incrEquivConfig()
-		cfg.NoIncremental = noIncr
-		s, err := New(cfg)
+		s, err := New(incrEquivConfig())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if batch {
+			s.trainPass = batchPass
 		}
 		ingestAll(t, s, l)
 		if err := s.Close(); err != nil {
@@ -151,24 +165,24 @@ func TestRecoveryRestoresIncrementalState(t *testing.T) {
 	}
 }
 
-// TestRecoveryWithoutIncrState pins the fallback: a NoIncremental writer
-// leaves no incremental state in its snapshots, and a default (incremental)
-// reader recovering from them simply cold-rebuilds on its next retrain —
-// recovery never depends on the field being present.
+// TestRecoveryWithoutIncrState pins the fallback: a writer that trained
+// without maintained statistics (batch passes, as older versions could)
+// leaves no incremental state in its snapshots, and a reader recovering
+// from them simply cold-rebuilds on its next retrain — recovery never
+// depends on the field being present.
 func TestRecoveryWithoutIncrState(t *testing.T) {
 	l := genLog(t, 13, 8)
 	cfg := durableConfig(t.TempDir())
-	cfg.NoIncremental = true
 
 	s1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1.trainPass = batchPass
 	split := l.Start() + 4*week.Milliseconds()
 	ingestAll(t, s1, &raslog.Log{Name: l.Name, Events: l.Window(l.Start(), split)})
 	s1.crash()
 
-	cfg.NoIncremental = false
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

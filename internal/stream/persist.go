@@ -150,7 +150,7 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 		}
 	}
 
-	if s.incrState != nil && len(snap.Incr) > 0 {
+	if len(snap.Incr) > 0 {
 		// Best effort: a version or configuration mismatch just means the
 		// next retrain falls back to a full rebuild (the same thing a
 		// snapshot without incremental state means).
@@ -220,16 +220,12 @@ func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
 		}
 		snap.Retrains = raw
 	}
-	if s.incrState != nil {
-		// Export is safe against an in-flight background retrain (the
-		// state locks itself); whichever side of the Advance it captures
-		// is consistent with some retrain boundary, and the next Advance
-		// continues from there.
-		raw, err := s.incrState.Export()
-		if err != nil {
-			return nil, err
-		}
-		snap.Incr = raw
+	// Export is safe against an in-flight background retrain (the state
+	// locks itself); whichever side of the Advance it captures is
+	// consistent with some retrain boundary, and the next Advance
+	// continues from there.
+	if snap.Incr, err = s.incrState.Export(); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }

@@ -347,6 +347,7 @@ func TestKillRecoverCountersExact(t *testing.T) {
 		if _, err := first.IngestBatch(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
+		awaitSnapshotWrites(t, first, cut.seq)
 	}
 	before := settle(t, first)
 	if before.LateDropped != cut.late || before.ReorderOverflow != cut.overflow || cut.late == 0 || cut.overflow == 0 {
@@ -395,6 +396,20 @@ func TestKillRecoverCountersExact(t *testing.T) {
 			t.Errorf("%s: %d after kill-and-recover, want exactly %d", c.name, c.got, c.want)
 		}
 	}
+}
+
+// awaitSnapshotWrites waits until the pipeline has applied the first seq
+// released events and any snapshot write it started on the way has
+// finished. Called after every batch, it keeps the snapshot slot free, so
+// each post-retrain snapshot is cut at the batch whose retrain asked for
+// it. Otherwise a write still in flight pushes the cut to a later batch
+// (by design), and on a fast enough machine the last one can slide to
+// the final batch, leaving recovery no WAL tail to replay.
+func awaitSnapshotWrites(t *testing.T, s *Service, seq int64) {
+	t.Helper()
+	waitFor(t, 30*time.Second, func() bool { return s.m.sequenced.Value() >= seq })
+	s.snapSlot <- struct{}{}
+	<-s.snapSlot
 }
 
 // removeMiddleWAL deletes a WAL segment from the middle of the chain,

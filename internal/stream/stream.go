@@ -174,15 +174,6 @@ type Config struct {
 	// reproduced exactly; an async service recovers to an equivalent
 	// state whose swap points may differ by a few events).
 	SyncRetrain bool
-	// NoIncremental disables incremental sufficient-statistics maintenance
-	// across retrains (internal/learner/incr) and restores the batch-only
-	// training path. Incremental maintenance is on by default: each retrain
-	// delta-applies the events that entered/expired from the training
-	// window and falls back to a full rebuild on parameter changes,
-	// backwards window moves, or a drift-audit mismatch, so the learned
-	// rules are identical either way. The switch exists for measurement
-	// and equivalence testing.
-	NoIncremental bool
 }
 
 // Defaults returns the paper's parameters: 300 s filter threshold,
@@ -255,14 +246,15 @@ type Service struct {
 	cfg  Config
 	repo *meta.Repository
 	zer  *preprocess.Categorizer
-	// setCache carries Apriori event sets across the overlapping training
-	// snapshots of successive retrainings (see learner.EventSetCache).
-	setCache *learner.EventSetCache
 	// incrState maintains the windowed sufficient statistics that turn a
-	// retrain into a delta-apply (nil when Config.NoIncremental). Retrains
-	// are serialized by the retraining flag, so Advance/Install never race;
-	// snapshot Export runs under the state's own lock.
+	// retrain into a delta-apply. Retrains are serialized by the
+	// retraining flag, so Advance/Install never race; snapshot Export runs
+	// under the state's own lock.
 	incrState *incr.State
+	// trainPass is the training call of every retrain: engine.TrainWindow,
+	// which this package's tests replace with the learners' batch pass as
+	// the reference. Set before the service applies its first event.
+	trainPass func(*meta.MetaLearner, *meta.Repository, *incr.State, []preprocess.TaggedEvent, int64, int64, learner.Params) (engine.Retraining, error)
 
 	pr        atomic.Pointer[predictor.Predictor]
 	lastFatal atomic.Int64
@@ -353,28 +345,26 @@ func New(cfg Config) (*Service, error) {
 		return nil, errors.New("stream: Standby requires StateDir")
 	}
 	s := &Service{
-		cfg:      full,
-		repo:     meta.NewRepository(),
-		zer:      preprocess.NewCategorizer(preprocess.NewCatalog()),
-		setCache: learner.NewEventSetCache(),
-		temporal: preprocess.NewTemporalStage(full.Filter),
-		spatial:  preprocess.NewSpatialStage(full.Filter),
-		seqCh:    make(chan ingestMsg, full.QueueLen),
-		start:    -1,
-		snapSlot: make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		cfg:  full,
+		repo: meta.NewRepository(),
+		zer:  preprocess.NewCategorizer(preprocess.NewCatalog()),
+		// Before recover(): a persisted snapshot may carry incremental
+		// state to restore, sparing the first post-recovery retrain a
+		// cold rebuild.
+		incrState: incr.New(meta.IncrConfig(full.Meta, full.Params)),
+		trainPass: engine.TrainWindow,
+		temporal:  preprocess.NewTemporalStage(full.Filter),
+		spatial:   preprocess.NewSpatialStage(full.Filter),
+		seqCh:     make(chan ingestMsg, full.QueueLen),
+		start:     -1,
+		snapSlot:  make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
 	s.lastFatal.Store(-1)
 	for i := range s.lastWarn {
 		s.lastWarn[i].Store(-1)
 	}
 	s.m = newMetrics(s) // after the queue exists: its depth gauge reads it
-	if !full.NoIncremental {
-		// Before recover(): a persisted snapshot may carry incremental
-		// state to restore, sparing the first post-recovery retrain a
-		// cold rebuild.
-		s.incrState = incr.New(meta.IncrConfig(full.Meta, full.Params))
-	}
 
 	if full.StateDir != "" {
 		// Recovery runs before the pipeline goroutine exists: the snapshot
@@ -788,7 +778,7 @@ func (s *Service) maybeRetrain(wm int64) {
 
 // snapshotTrainingSet copies the policy's training slice ending at the
 // stream-time boundary `at` (ms), returning the slice and its window
-// start (the event-set cache needs both bounds).
+// start (engine.TrainWindow needs both bounds).
 func (s *Service) snapshotTrainingSet(at int64) ([]preprocess.TaggedEvent, int64) {
 	var from int64 = -1 << 62
 	if s.cfg.Policy == engine.Sliding {
@@ -805,32 +795,17 @@ func (s *Service) snapshotTrainingSet(at int64) ([]preprocess.TaggedEvent, int64
 	return out, from
 }
 
-// retrain runs one training pass and atomically swaps the refreshed
-// predictor in; it releases the retraining flag its caller took. On error
-// the previous rule set stays live. With incremental maintenance on (the default), the pass first advances
-// the sufficient-statistics window by the events that entered/expired
-// since the last retrain and the learners then read the maintained
-// counters instead of re-mining the snapshot; otherwise event sets are
-// reused across retrainings via setCache. Either way the snapshot slices
-// differ call to call, but the stream content over any shared [time)
-// range is identical, which is all the maintained state depends on.
+// retrain runs one training pass (engine.TrainWindow over the snapshot)
+// and atomically swaps the refreshed predictor in; it releases the
+// retraining flag its caller took. On error the previous rule set stays
+// live. The pass advances the sufficient-statistics window by the events
+// that entered/expired since the last retrain, and the learners read the
+// maintained counters instead of re-mining the snapshot. The snapshot
+// slices differ call to call, but the stream content over any shared
+// [time) range is identical, which is all the maintained state depends on.
 func (s *Service) retrain(at, from int64, snapshot []preprocess.TaggedEvent) RetrainRecord {
 	rec := RetrainRecord{At: at}
-	pre := learner.Prepare(snapshot)
-	var incrInfo *engine.IncrInfo
-	if s.incrState != nil {
-		ta := time.Now()
-		d := s.incrState.Advance(snapshot, from, at, s.cfg.Params)
-		s.incrState.Install(pre)
-		incrInfo = &engine.IncrInfo{Applied: d.Applied, Expired: d.Expired,
-			Rebuild: d.Rebuild, Reason: d.Reason, AdvanceDuration: time.Since(ta)}
-	} else {
-		pre.SetsFor = func(windowMs int64, maxItems int) []learner.EventSet {
-			return s.setCache.Sets(snapshot, from, at, windowMs, maxItems)
-		}
-	}
-	rt, err := engine.TrainStepPrepared(s.cfg.Meta, s.repo, pre, s.cfg.Params)
-	rt.Incr = incrInfo
+	rt, err := s.trainPass(s.cfg.Meta, s.repo, s.incrState, snapshot, from, at, s.cfg.Params)
 	if err != nil {
 		rec.Err = err.Error()
 		s.m.training.RecordError()

@@ -186,21 +186,25 @@ type TrainStats struct {
 }
 
 // Train (re)learns rules from a training stream and swaps them into the
-// live predictor; accumulated runtime state (the elapsed-failure clock)
-// carries over.
+// live predictor; accumulated runtime state (the elapsed-failure clock
+// and the alarm-spacing marks) carries over, and alarms stay spaced at
+// the base window exactly as in Run.
 func (o *Online) Train(history []TaggedEvent) (TrainStats, error) {
 	report, err := o.ml.Train(history, o.params)
 	if err != nil {
 		return TrainStats{}, err
 	}
 	o.repo.Update(report)
-	var lastFatal int64 = -1
+	pr := predictor.New(o.repo.Rules(), o.params)
+	pr.GlobalDedup = true
+	engine.ClampDedup(pr, o.params.WindowSec)
 	if o.pr != nil {
-		lastFatal = o.pr.LastFatal()
+		pr.SeedLastFatal(o.pr.LastFatal())
+		// Re-arming the distribution expert without its last warning
+		// would let it warn again right after the swap.
+		pr.SeedLastWarn(o.pr.LastWarnTimes())
 	}
-	o.pr = predictor.New(o.repo.Rules(), o.params)
-	o.pr.GlobalDedup = true
-	o.pr.SeedLastFatal(lastFatal)
+	o.pr = pr
 	return TrainStats{
 		Candidates: len(report.Candidates),
 		Kept:       len(report.Kept),

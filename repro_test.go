@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/learner"
 )
 
 // smallCfg is a fast end-to-end configuration.
@@ -156,6 +158,62 @@ func TestOnlineRetrainCarriesClock(t *testing.T) {
 	// stream continues to be accepted).
 	for _, e := range events[half+50 : half+100] {
 		o.Observe(e)
+	}
+}
+
+// TestOnlineRetrainKeepsWarnSpacing is the regression test for the
+// retrain dedup bug: Train seeded only the elapsed-failure clock, which
+// re-armed the distribution expert without its last warning, so the first
+// event after a retrain could warn again inside the dedup window.
+func TestOnlineRetrainKeepsWarnSpacing(t *testing.T) {
+	cfg := smallCfg(4)
+	raw, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := Preprocess(raw, 300)
+	split := cfg.Start + 12*7*24*3600*1000
+	var history, live []TaggedEvent
+	for _, e := range events {
+		if e.Time < split {
+			history = append(history, e)
+		} else {
+			live = append(live, e)
+		}
+	}
+
+	// Find a distribution warning whose next event arrives inside the
+	// dedup window (W_P = 300 s) with no fatal in between: the fallback
+	// expert is still past its trigger point there.
+	ref := NewOnline(DefaultOptions())
+	if _, err := ref.Train(history); err != nil {
+		t.Fatal(err)
+	}
+	at := -1
+	for i := 0; i+1 < len(live) && at < 0; i++ {
+		ws := ref.Observe(live[i])
+		if len(ws) > 0 && ws[0].Source == learner.Distribution &&
+			!live[i+1].Fatal && live[i+1].Time-live[i].Time < 300_000 {
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatal("no distribution warning followed by an event inside the dedup window")
+	}
+
+	o := NewOnline(DefaultOptions())
+	if _, err := o.Train(history); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range live[:at+1] {
+		o.Observe(e)
+	}
+	if _, err := o.Train(history); err != nil {
+		t.Fatal(err)
+	}
+	if ws := o.Observe(live[at+1]); len(ws) != 0 {
+		t.Fatalf("retrained predictor warned %+v %d ms after the previous warning",
+			ws[0], live[at+1].Time-live[at].Time)
 	}
 }
 

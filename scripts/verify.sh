@@ -5,10 +5,39 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+
+# run_selected PATTERN PKG... runs go test -race -count=1 -run PATTERN,
+# after checking that PATTERN selects at least one test in every package:
+# a pattern that matches nothing would pass silently.
+run_selected() {
+    pattern=$1
+    shift
+    for pkg in "$@"; do
+        if ! go test -list "$pattern" "$pkg" | grep -q '^Test'; then
+            echo "FAIL: -run '$pattern' selects no test in $pkg"
+            exit 1
+        fi
+    done
+    go test -race -count=1 -run "$pattern" "$@"
+}
+
+echo "== gofmt -l"
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: not gofmt-formatted:"
+    echo "$unformatted"
+    exit 1
+fi
 echo "== go build ./..."
 go build ./...
 echo "== go vet ./..."
 go vet ./...
+echo "== bench module: go vet + go build"
+# The benchmark harness is its own module compiled against this one; its
+# binaries go to a temporary directory, never into bench/.
+(cd bench && go vet ./... && go build -o "$tmpdir" ./...)
 echo "== go test ./..."
 go test ./...
 echo "== allocation budgets (-count=1)"
@@ -37,15 +66,23 @@ echo "== group-commit gate (-race -count=1)"
 go test -race -count=1 \
     -run 'Ticket|Coalesce|SharedSyncExecutor|RotationPreserves|IngestBatch|DurableBatch' \
     ./internal/persist ./internal/stream
-echo "== incremental-retraining equivalence gate (-race -count=1)"
-# The incremental ≡ batch property re-proven fresh on every run: the
-# sufficient-statistics maintainer (random streams × random slides, the
-# export/restore round trip, fallback and drift-audit paths), the
-# event-set cache delta exactness, and the engine/stream end-to-end
-# equivalence runs — all under the race detector, never from the test
-# cache. Build with -tags slow for the long campaign.
+echo "== training-path equivalence gate (-race -count=1)"
+# engine.TrainWindow ≡ the learners' batch passes, re-proven fresh on
+# every run: the sufficient-statistics maintainer (random streams ×
+# random slides, the export/restore round trip, fallback and drift-audit
+# paths), the event-set cache delta exactness, the engine and stream
+# end-to-end runs against their batch references, and the prediction
+# golden — all under the race detector, never from the test cache. Build
+# with -tags slow for the long campaign.
 go test -race -count=1 ./internal/learner ./internal/learner/incr
-go test -race -count=1 -run 'Incremental' ./internal/engine ./internal/stream
+run_selected 'TestRunIncrementalEquivalence|TestIncrementalMetricsRecorded|TestRunParallelAndCacheMatchSerial|TestPredictionGolden' \
+    ./internal/engine
+run_selected 'TestStreamIncrementalEquivalence|TestRecoveryRestoresIncrementalState|TestRecoveryWithoutIncrState' \
+    ./internal/stream
+echo "== kill-and-recover counters (-race -count=10)"
+# Repeated because its snapshot cut depends on goroutine timing: the test
+# must hold on any machine speed, not only on the one it was written on.
+go test -race -count=10 -run '^TestKillRecoverCountersExact$' ./internal/stream
 echo "== overload-path gate (-race -count=1)"
 # The saturation pins re-proven fresh every run: bounded-time 429s with
 # no admitted event dropped or reordered (stream), warnings served off
