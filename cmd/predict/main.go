@@ -11,8 +11,9 @@
 //
 //	bgsim-gen -system sdsc -scale 0.05 | predict -train 26
 //
-// The input is decoded line by line and preprocessed incrementally, so
-// only the filtered events (~2% of the raw log at the default threshold)
+// The input is decoded on its own goroutine, a few chunks of lines ahead
+// of the incremental preprocessor (raslog.ScanLog), so only the filtered
+// events (~2% of the raw log at the default threshold)
 // are ever resident in memory. That requires a time-sorted input — which
 // bgsim-gen and the production logs produce; pass -sort to buffer and
 // sort an unsorted log first.

@@ -109,7 +109,9 @@ func (l *Learner) Mine(sets []learner.EventSet) ([]learner.Rule, error) {
 	}
 
 	var rules []learner.Rule
-	frequent := frequentItems(sets, minCount) // level 1
+	// Level 1 is ascending, and every later level stays in lexicographic
+	// order (kept preserves it; generateCandidates relies on it).
+	frequent := frequentItems(sets, minCount)
 	level := make([]itemset, 0, len(frequent))
 	for _, it := range frequent {
 		level = append(level, itemset{items: []int{it}})
@@ -168,7 +170,7 @@ func (l *Learner) MineCounts(src learner.ItemsetCounts) ([]learner.Rule, error) 
 	maxBody := l.EffectiveMaxBody()
 
 	var rules []learner.Rule
-	frequent := src.FrequentItems(minCount) // level 1
+	frequent := src.FrequentItems(minCount) // level 1, ascending, as in Mine
 	level := make([]itemset, 0, len(frequent))
 	for _, it := range frequent {
 		level = append(level, itemset{items: []int{it}})
@@ -407,6 +409,14 @@ func enumerate(items, combo []int, start, depth int, visit func([]int)) {
 // generateCandidates joins frequent k-itemsets sharing their first k-1
 // items into (k+1)-candidates, pruning any whose k-subsets are not all
 // frequent (the Apriori property).
+//
+// frequent must be in strictly increasing lexicographic order. Every
+// level is: level 1 is the ascending frequent items, the miners keep a
+// level's order when they drop infrequent itemsets, and this join emits
+// prefix+a.last+b.last for i < j in (i, j) order, which is again sorted.
+// So the itemsets sharing frequent[i]'s prefix are the run right after
+// it, and the join stops at the end of that run instead of testing every
+// pair.
 func generateCandidates(frequent []itemset) []itemset {
 	known := make(map[uint64]bool, len(frequent))
 	for _, f := range frequent {
@@ -414,19 +424,11 @@ func generateCandidates(frequent []itemset) []itemset {
 	}
 	var out []itemset
 	for i := 0; i < len(frequent); i++ {
-		for j := i + 1; j < len(frequent); j++ {
-			a, b := frequent[i].items, frequent[j].items
-			if !samePrefix(a, b) {
-				continue
-			}
+		a := frequent[i].items
+		for j := i + 1; j < len(frequent) && samePrefix(a, frequent[j].items); j++ {
 			merged := make([]int, len(a)+1)
 			copy(merged, a)
-			last := b[len(b)-1]
-			if last < a[len(a)-1] {
-				merged[len(a)-1], merged[len(a)] = last, a[len(a)-1]
-			} else {
-				merged[len(a)] = last
-			}
+			merged[len(a)] = frequent[j].items[len(a)-1]
 			if allSubsetsFrequent(merged, known) {
 				out = append(out, itemset{items: merged})
 			}
@@ -435,15 +437,15 @@ func generateCandidates(frequent []itemset) []itemset {
 	return out
 }
 
-// samePrefix reports whether two equal-length sorted itemsets share all
-// but their last element.
+// samePrefix reports whether two equal-length itemsets share all but
+// their last element.
 func samePrefix(a, b []int) bool {
 	for i := 0; i < len(a)-1; i++ {
 		if a[i] != b[i] {
 			return false
 		}
 	}
-	return a[len(a)-1] != b[len(b)-1]
+	return true
 }
 
 // allSubsetsFrequent checks the Apriori downward-closure property.

@@ -1,6 +1,8 @@
 package assoc
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/learner"
@@ -276,6 +278,58 @@ func TestPackSupportsFourItemBodies(t *testing.T) {
 			t.Fatalf("collision: %v and %v -> %d", prev, items, key)
 		}
 		seen[key] = append([]int(nil), items...)
+	}
+}
+
+// allPairsJoin is the Apriori join tested pair by pair, the reference the
+// prefix-run join in generateCandidates must reproduce.
+func allPairsJoin(frequent []itemset) []itemset {
+	known := make(map[uint64]bool, len(frequent))
+	for _, f := range frequent {
+		known[pack(f.items)] = true
+	}
+	var out []itemset
+	for i := range frequent {
+		for j := i + 1; j < len(frequent); j++ {
+			a, b := frequent[i].items, frequent[j].items
+			k := len(a) - 1
+			if !equalInts(a[:k], b[:k]) || a[k] == b[k] {
+				continue
+			}
+			merged := append(append([]int(nil), a[:k]...), min(a[k], b[k]), max(a[k], b[k]))
+			if allSubsetsFrequent(merged, known) {
+				out = append(out, itemset{items: merged})
+			}
+		}
+	}
+	return out
+}
+
+// TestGenerateCandidatesMatchesAllPairs pins the prefix-run join to the
+// all-pairs join on random lexicographically sorted levels, dense enough
+// over a small alphabet that prefix runs are long and subsets often known.
+func TestGenerateCandidatesMatchesAllPairs(t *testing.T) {
+	r := stats.NewRNG(17)
+	for trial := 0; trial < 500; trial++ {
+		k := 1 + r.Intn(3)
+		var level []itemset
+		for n := r.Intn(80); n > 0; n-- {
+			items := make([]int, k)
+			for i := range items {
+				items[i] = r.Intn(10)
+			}
+			if items = learner.NormalizeBody(items); len(items) == k {
+				level = append(level, itemset{items: items})
+			}
+		}
+		slices.SortFunc(level, func(a, b itemset) int { return slices.Compare(a.items, b.items) })
+		level = slices.CompactFunc(level, func(a, b itemset) bool { return equalInts(a.items, b.items) })
+
+		got, want := generateCandidates(level), allPairsJoin(level)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (k=%d, %d itemsets): prefix-run join %v, all-pairs join %v",
+				trial, k, len(level), got, want)
+		}
 	}
 }
 

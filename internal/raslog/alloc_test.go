@@ -57,6 +57,34 @@ func TestScannerAllocBudget(t *testing.T) {
 	}
 }
 
+// TestScanLogAllocBudget extends the budget through the decode-ahead
+// hand-off: ScanLog pays a fixed set-up (scanner, interner, goroutine,
+// channels) and recycles its chunk slices, so what it allocates is
+// bounded by the number of chunks, never by the number of lines.
+func TestScanLogAllocBudget(t *testing.T) {
+	const chunks = 16
+	r := strings.NewReader(strings.Repeat(benchLine+"\n", chunks*scanChunk))
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	count := 0
+	err := ScanLog(r, func(Event) error {
+		count++
+		return nil
+	})
+	runtime.ReadMemStats(&ms1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != chunks*scanChunk {
+		t.Fatalf("scanned %d lines, want %d", count, chunks*scanChunk)
+	}
+	if got := ms1.Mallocs - ms0.Mallocs; got > 32+chunks {
+		t.Fatalf("ScanLog allocated %d objects over %d lines in %d chunks, want <= %d",
+			got, count, chunks, 32+chunks)
+	}
+}
+
 func TestParseLineBytesMatchesParseLine(t *testing.T) {
 	lines := []string{
 		benchLine,

@@ -51,24 +51,11 @@ func sanitize(s string) string {
 // the caller should SortByTime if order is not guaranteed.
 func ReadLog(r io.Reader, name string) (*Log, error) {
 	l := NewLog(name, 1024)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	in := NewInterner()
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		e, err := ParseLineBytes(line, in)
-		if err != nil {
-			return nil, fmt.Errorf("raslog: line %d: %w", lineNo, err)
-		}
+	if err := ScanLog(r, func(e Event) error {
 		l.Append(e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("raslog: read: %w", err)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return l, nil
 }

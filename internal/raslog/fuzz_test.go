@@ -1,9 +1,31 @@
 package raslog
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
+
+// FuzzScanLog holds the decode-ahead ScanLog to the serial Scanner loop on
+// arbitrary bytes: the same events delivered, the same number of fn calls
+// and the same error, with fn failing on its stop-th call (never for 0).
+// The checked-in corpus (testdata/fuzz/FuzzScanLog) puts line counts, bad
+// lines, CRLF and blank lines and stop indexes on either side of the
+// 1024-event chunk boundary.
+func FuzzScanLog(f *testing.F) {
+	f.Add([]byte(""), uint16(0))
+	f.Add([]byte(benchLine), uint16(0))
+	f.Add([]byte(lfLog), uint16(2))
+	f.Add([]byte(crlfNoFinalLog+"\r\n\r\n"), uint16(0))
+	f.Add([]byte(lfLog+"garbage\n"+lfLog), uint16(0))
+	f.Fuzz(func(t *testing.T, input []byte, stop uint16) {
+		want := collect(serialScan, bytes.NewReader(input), int(stop))
+		got := collect(ScanLog, bytes.NewReader(input), int(stop))
+		if diff := sameResult(got, want); diff != "" {
+			t.Fatal(diff)
+		}
+	})
+}
 
 // FuzzParseLine exercises the codec parser with arbitrary input: it must
 // never panic, and every accepted line must re-serialize to a parseable

@@ -8,10 +8,13 @@ cd "$(dirname "$0")/.."
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-# run_selected PATTERN PKG... runs go test -race -count=1 -run PATTERN,
-# after checking that PATTERN selects at least one test in every package:
-# a pattern that matches nothing would pass silently.
+# run_selected [-count=N] PATTERN PKG... runs go test -race -count=N
+# (default 1) -run PATTERN, after checking that PATTERN selects at least
+# one test in every package: a pattern that matches nothing would pass
+# silently.
 run_selected() {
+    count=-count=1
+    case $1 in -count=*) count=$1; shift ;; esac
     pattern=$1
     shift
     for pkg in "$@"; do
@@ -20,7 +23,7 @@ run_selected() {
             exit 1
         fi
     done
-    go test -race -count=1 -run "$pattern" "$@"
+    go test -race "$count" -run "$pattern" "$@"
 }
 
 echo "== gofmt -l"
@@ -41,13 +44,20 @@ echo "== bench module: go vet + go build"
 echo "== go test ./..."
 go test ./...
 echo "== allocation budgets (-count=1)"
-# The zero-allocation serving guarantees, re-measured every run: parse,
+# The zero-allocation serving guarantees, re-measured every run: parse
+# (and ScanLog's decode-ahead: chunk slices recycled, nothing per line),
 # filter stages, predictor observe, the whole stream pipeline, the batch
 # HTTP handler (pooled request scratch: a constant per request, nothing
 # per event), and the fleet-routed path (multi-tenancy must add no
 # per-event cost).
 go test -count=1 -run 'AllocBudget' \
     ./internal/raslog ./internal/preprocess ./internal/predictor ./internal/stream ./internal/fleet
+echo "== decode-ahead gate (-race -count=20)"
+# raslog.ScanLog decodes on its own goroutine. Its contract tests and fuzz
+# seeds (the serial Scanner's events and errors across chunk boundaries,
+# exact early stop, no decoder outliving the call) repeat under the race
+# detector, because the hand-off interleaves differently on every run.
+run_selected -count=20 'ScanLog' ./internal/raslog
 echo "== ingest hot path stays allocation-free (BenchmarkIngestBatch)"
 # The batch ingest path must stay at 0 allocs/event with the commit
 # ticket threaded through it — the ticket, ack channel, and commit round
