@@ -84,6 +84,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -355,8 +356,15 @@ func run(o serveOpts) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Listening before serving lets -addr name port 0: the log line below
+	// then carries the port the kernel picked.
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		shutdown()
+		return err
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 	extra := ""
 	if o.pprofOn {
 		extra += ", pprof on"
@@ -365,7 +373,7 @@ func run(o serveOpts) error {
 		extra += ", fleet mode"
 	}
 	fmt.Fprintf(os.Stderr, "serve: listening on %s (policy %s, W_P %ds, filter %ds, retrain every %.3gw%s)\n",
-		o.addr, o.policy, o.window, o.filter, o.retrain, extra)
+		ln.Addr(), o.policy, o.window, o.filter, o.retrain, extra)
 
 	select {
 	case <-ctx.Done():

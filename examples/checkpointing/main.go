@@ -20,7 +20,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -32,10 +34,16 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := repro.SDSC(7).Scaled(40, 0.05)
 	raw, err := repro.Generate(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	events, _ := repro.Preprocess(raw, 300)
 
@@ -44,9 +52,9 @@ func main() {
 	opts.TrainWeeks = 16
 	res, err := repro.Run(events, cfg.Start, cfg.Weeks, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("predictor over the test span: %s\n\n", res.Overall)
+	fmt.Fprintf(w, "predictor over the test span: %s\n\n", res.Overall)
 
 	start := cfg.Start + int64(res.TestFrom)*7*24*3600*1000
 	end := cfg.Start + int64(cfg.Weeks)*7*24*3600*1000
@@ -57,7 +65,7 @@ func main() {
 	}
 	sort.Slice(warnTimes, func(i, j int) bool { return warnTimes[i] < warnTimes[j] })
 
-	fmt.Printf("%-14s %14s %14s %12s %14s\n",
+	fmt.Fprintf(w, "%-14s %14s %14s %12s %14s\n",
 		"strategy", "lost work", "checkpoints", "ckpt cost", "total waste")
 	for _, s := range []strategy{
 		periodic{"periodic-1h", time.Hour},
@@ -66,10 +74,11 @@ func main() {
 	} {
 		lost, ckpts := simulate(s, start, end, res.FatalTimes)
 		overhead := time.Duration(ckpts) * checkpointCost
-		fmt.Printf("%-14s %14s %14d %12s %14s\n",
+		fmt.Fprintf(w, "%-14s %14s %14d %12s %14s\n",
 			s.name(), lost.Round(time.Minute), ckpts,
 			overhead.Round(time.Minute), (lost + overhead).Round(time.Minute))
 	}
+	return nil
 }
 
 // strategy decides the next checkpoint instant given the current time.

@@ -19,7 +19,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -28,10 +30,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	cfg := repro.SDSC(11).Scaled(40, 0.05)
 	raw, err := repro.Generate(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	events, _ := repro.Preprocess(raw, 300)
 	opts := repro.DefaultOptions()
@@ -39,26 +47,27 @@ func main() {
 	opts.TrainWeeks = 16
 	res, err := repro.Run(events, cfg.Start, cfg.Weeks, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("predictor over the test span: %s\n\n", res.Overall)
+	fmt.Fprintf(w, "predictor over the test span: %s\n\n", res.Overall)
 
 	start := cfg.Start + int64(res.TestFrom)*7*24*3600*1000
 	end := cfg.Start + int64(cfg.Weeks)*7*24*3600*1000
 
 	jobs := generateJobs(start, end, 9001)
-	fmt.Printf("job stream: %d jobs (30 min - 4 h runtimes)\n\n", len(jobs))
+	fmt.Fprintf(w, "job stream: %d jobs (30 min - 4 h runtimes)\n\n", len(jobs))
 
 	baseKilled, baseDelay := schedule(jobs, res.FatalTimes, nil)
 	awareKilled, awareDelay := schedule(jobs, res.FatalTimes, res.Warnings)
 
-	fmt.Printf("%-15s %10s %18s\n", "scheduler", "killed", "mean start delay")
-	fmt.Printf("%-15s %10d %18s\n", "baseline", baseKilled, baseDelay.Round(time.Second))
-	fmt.Printf("%-15s %10d %18s\n", "failure-aware", awareKilled, awareDelay.Round(time.Second))
+	fmt.Fprintf(w, "%-15s %10s %18s\n", "scheduler", "killed", "mean start delay")
+	fmt.Fprintf(w, "%-15s %10d %18s\n", "baseline", baseKilled, baseDelay.Round(time.Second))
+	fmt.Fprintf(w, "%-15s %10d %18s\n", "failure-aware", awareKilled, awareDelay.Round(time.Second))
 	if baseKilled > 0 {
-		fmt.Printf("\nkilled-job reduction: %.1f%%\n",
+		fmt.Fprintf(w, "\nkilled-job reduction: %.1f%%\n",
 			100*float64(baseKilled-awareKilled)/float64(baseKilled))
 	}
+	return nil
 }
 
 type job struct {

@@ -120,26 +120,7 @@ type Config struct {
 	// structure, and therefore everything the learners see after
 	// filtering, is unchanged.
 	RawScale float64
-
-	// Log storms: short windows in which every facility's background
-	// arrival rate is multiplied — LogMaster-style burst regimes, the
-	// arrival shape cmd/loadgen uses to stress the service's overload
-	// path. LogStormsPerWeek storm windows (Poisson) of LogStormMinutes
-	// each land uniformly in time; inside a window the background noise
-	// runs at LogStormFactor times its calibrated rate (the extra events
-	// draw from the same class/placement/duplication machinery, so a
-	// storm is indistinguishable from ordinary traffic except in volume).
-	// LogStormsPerWeek = 0 disables storms entirely and — deliberately —
-	// consumes no randomness, so enabling the knobs never perturbs the
-	// byte-identical output of existing seeds when left off.
-	LogStormsPerWeek float64
-	LogStormFactor   float64
-	LogStormMinutes  float64
 }
-
-// stormsEnabled reports whether log-storm shaping is active. A zero
-// rate disables it without touching the RNG stream.
-func (c *Config) stormsEnabled() bool { return c.LogStormsPerWeek > 0 }
 
 // Validate reports the first configuration error.
 func (c *Config) Validate() error {
@@ -173,17 +154,6 @@ func (c *Config) Validate() error {
 	}
 	if c.RawScale < 0 {
 		return fmt.Errorf("bgsim: RawScale = %g, need >= 0", c.RawScale)
-	}
-	if c.LogStormsPerWeek < 0 {
-		return fmt.Errorf("bgsim: LogStormsPerWeek = %g, need >= 0", c.LogStormsPerWeek)
-	}
-	if c.stormsEnabled() {
-		if c.LogStormFactor <= 1 {
-			return fmt.Errorf("bgsim: LogStormFactor = %g, need > 1 when storms are enabled", c.LogStormFactor)
-		}
-		if c.LogStormMinutes <= 0 {
-			return fmt.Errorf("bgsim: LogStormMinutes = %g, need > 0 when storms are enabled", c.LogStormMinutes)
-		}
 	}
 	weightTotal := 0.0
 	for fac, w := range c.FatalFacilityWeights {

@@ -403,7 +403,6 @@ func (g *Generator) Stream(emit func(raslog.Event) error) error {
 			g.episodeT += g.episodeGap(g.episodeT)
 		}
 		g.genNoise(dayStart, dayEnd, episodes)
-		g.genLogStorms(dayStart, dayEnd)
 		g.genFalseSignatures(dayStart, dayEnd, episodes)
 		for _, ep := range episodes {
 			g.genEpisode(ep.time, ep.class)
@@ -504,43 +503,6 @@ func (g *Generator) genNoise(dayStart, dayEnd int64, episodes []episodeInfo) {
 					t = g.cfg.Start
 				}
 				class := ids[g.rng.Choose(weights)]
-				loc, kind, job := g.placeEvent(fac, t)
-				g.emitLogical(class, t, loc, kind, job)
-			}
-		}
-	}
-}
-
-// genLogStorms overlays one day's storm windows: short spans during
-// which every facility's background chatter runs at LogStormFactor
-// times its calibrated rate. The extra events go through the same
-// class/placement/duplication path as ordinary noise, so a storm
-// changes only the arrival shape — exactly the burst regime the load
-// harness drives the overload path with. The whole method is gated on
-// the knobs, drawing no randomness when storms are off, so enabling
-// the feature leaves every existing seed's output byte-identical.
-func (g *Generator) genLogStorms(dayStart, dayEnd int64) {
-	if !g.cfg.stormsEnabled() {
-		return
-	}
-	span := dayEnd - dayStart
-	windowMs := int64(g.cfg.LogStormMinutes * 60_000)
-	extra := g.cfg.LogStormFactor - 1
-	for s, storms := 0, g.rng.Poisson(g.cfg.LogStormsPerWeek/7); s < storms; s++ {
-		start := dayStart + g.rng.Int63n(span)
-		for _, fac := range raslog.Facilities() {
-			base := g.cfg.NoisePerWeek[fac] / 7
-			ids := g.nonFatalByFac[fac]
-			if base <= 0 || len(ids) == 0 {
-				continue
-			}
-			// The facility's per-day volume, scaled to the window's share
-			// of the day, times (factor-1): adding this on top of the
-			// ordinary noise makes the in-window rate ≈ factor × base.
-			mean := base * extra * float64(windowMs) / float64(span)
-			for i, n := 0, g.rng.Poisson(mean); i < n; i++ {
-				t := start + g.rng.Int63n(windowMs)
-				class := ids[g.rng.Choose(g.noiseWeightsFor(fac, g.weekOf(t)))]
 				loc, kind, job := g.placeEvent(fac, t)
 				g.emitLogical(class, t, loc, kind, job)
 			}

@@ -1,10 +1,10 @@
 // Package httpx holds small HTTP client helpers shared by the repo's
-// clients (examples/livefeed, cmd/loadgen) and the standby follower's
-// pull loop. It exists because the Retry-After parsing those clients
-// originally duplicated had quietly diverged: one accepted only positive
-// integer seconds, the other any integer, neither capped the wait or
-// understood the HTTP-date form the header is equally allowed to carry
-// (RFC 9110 §10.2.3).
+// clients (examples/livefeed, the cmd/serve crash harness) and the
+// standby follower's pull loop. It exists because the Retry-After
+// parsing those clients originally duplicated had quietly diverged: one
+// accepted only positive integer seconds, the other any integer, neither
+// capped the wait or understood the HTTP-date form the header is equally
+// allowed to carry (RFC 9110 §10.2.3).
 package httpx
 
 import (

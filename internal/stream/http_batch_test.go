@@ -183,7 +183,7 @@ func TestHTTPIngestBatchBadLineInLaterChunk(t *testing.T) {
 
 // TestHTTPIngestAckBody pins the happy-path ack of both ingest endpoints
 // byte for byte: it is written without the JSON encoder, and the clients
-// (examples/livefeed, cmd/loadgen, bench/) decode it with encoding/json
+// (examples/livefeed, the cmd/serve crash harness, bench/) decode it with encoding/json
 // into mirrors of ingestResponse.
 func TestHTTPIngestAckBody(t *testing.T) {
 	_, srv := newTestServer(t, Defaults())

@@ -8,22 +8,29 @@ cd "$(dirname "$0")/.."
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-# run_selected [-count=N] PATTERN PKG... runs go test -race -count=N
-# (default 1) -run PATTERN, after checking that PATTERN selects at least
-# one test in every package: a pattern that matches nothing would pass
-# silently.
+# run_selected [-count=N] [-tags=T] PATTERN PKG... runs go test -race
+# -count=N (default 1) [-tags=T] -run PATTERN, after checking that PATTERN
+# selects at least one test in every package under the same tags: a
+# pattern that matches nothing would pass silently.
 run_selected() {
     count=-count=1
-    case $1 in -count=*) count=$1; shift ;; esac
+    tags=
+    while :; do
+        case $1 in
+        -count=*) count=$1; shift ;;
+        -tags=*) tags=$1; shift ;;
+        *) break ;;
+        esac
+    done
     pattern=$1
     shift
     for pkg in "$@"; do
-        if ! go test -list "$pattern" "$pkg" | grep -q '^Test'; then
+        if ! go test $tags -list "$pattern" "$pkg" | grep -q '^Test'; then
             echo "FAIL: -run '$pattern' selects no test in $pkg"
             exit 1
         fi
     done
-    go test -race "$count" -run "$pattern" "$@"
+    go test -race $tags "$count" -run "$pattern" "$@"
 }
 
 echo "== gofmt -l"
@@ -120,6 +127,11 @@ echo "== go test -race -count=1 ./internal/stream ./internal/predictor ./interna
 go test -race -count=1 ./internal/stream ./internal/predictor ./internal/obsv ./internal/persist ./internal/fleet
 echo "== go test -race ./..."
 go test -race ./...
-echo "== scripts/smoke_restart.sh"
-sh scripts/smoke_restart.sh
+echo "== crash harness (-tags crash, -race -count=3)"
+# The real cmd/serve binary under kill -9, on ephemeral ports: resume
+# after a crash, incremental state restored, no acked batch lost to a
+# mid-sweep kill at 1 and 8 connections, a two-tenant fleet, and standby
+# failover (cmd/serve/crash_test.go).
+go vet -tags crash ./cmd/serve
+run_selected -count=3 -tags=crash '^TestCrash' ./cmd/serve
 echo "verify: OK"
