@@ -235,44 +235,56 @@ func TestScanLogStopsAtCallbackError(t *testing.T) {
 	}
 }
 
-// heldLog is an endlessLog whose first read after armed closes blocks
-// until ScanLog has returned or a grace period has passed. A ScanLog that
-// waits for its decoder sits the grace period out; one that returns while
-// the decoder is still reading releases the read itself, and early is set.
+// heldReadMax caps every heldLog read, so the bytes delivered before the
+// held read overshoot heldAfter by less than this.
+const heldReadMax = 4096
+
+// heldLog is an endlessLog that holds one read: the first to start once
+// heldAfter bytes have been delivered. That read closes entered, then
+// blocks until ScanLog has returned or a grace period has passed. A
+// ScanLog that waits for its decoder sits the grace period out; one that
+// returns while the decoder is still reading releases the read itself,
+// and early is set.
 type heldLog struct {
 	endlessLog
-	armed, entered, returned, released chan struct{}
-	held, early                        bool
+	delivered, heldAfter        int
+	entered, returned, released chan struct{}
+	held, early                 bool
 }
 
 func (r *heldLog) Read(p []byte) (int, error) {
-	select {
-	case <-r.armed:
-		if !r.held {
-			r.held = true
-			close(r.entered)
-			select {
-			case <-r.returned:
-				r.early = true
-			case <-time.After(100 * time.Millisecond):
-			}
-			close(r.released)
+	if !r.held && r.delivered >= r.heldAfter {
+		r.held = true
+		close(r.entered)
+		select {
+		case <-r.returned:
+			r.early = true
+		case <-time.After(100 * time.Millisecond):
 		}
-	default:
+		close(r.released)
 	}
-	return r.endlessLog.Read(p)
+	n, err := r.endlessLog.Read(p[:min(len(p), heldReadMax)])
+	r.delivered += n
+	return n, err
 }
 
 // TestScanLogWaitsForDecoder: fn fails while the decoder is blocked in a
 // read, and ScanLog must not return before that read does.
+//
+// The read is held once two chunks' worth of lines are delivered. By then
+// the decoder has sent the first chunk, so fn runs; and it has decoded
+// too few events to fill the queue (scanAhead chunks plus one waiting to
+// be sent), so it must make the held read whatever the scheduling. fn
+// waits for that read to begin, then fails.
 func TestScanLogWaitsForDecoder(t *testing.T) {
-	r := &heldLog{endlessLog: endlessLog{line: []byte(benchLine + "\n")},
-		armed: make(chan struct{}), entered: make(chan struct{}),
-		returned: make(chan struct{}), released: make(chan struct{})}
+	line := []byte(benchLine + "\n")
+	heldAfter := 2 * scanChunk * len(line)
+	if heldAfter+heldReadMax >= (scanAhead+1)*scanChunk*len(line) {
+		t.Fatal("the held read could come after the decoder fills the queue")
+	}
+	r := &heldLog{endlessLog: endlessLog{line: line}, heldAfter: heldAfter,
+		entered: make(chan struct{}), returned: make(chan struct{}), released: make(chan struct{})}
 	err := ScanLog(r, func(Event) error {
-		// The queue has room for scanAhead more chunks, so the decoder
-		// reads again after this.
-		close(r.armed)
 		<-r.entered
 		return errStop
 	})
