@@ -175,22 +175,19 @@ type Result struct {
 }
 
 // TrainWindow runs one (re)training pass over the events in [from, to):
-// it slides st's sufficient statistics to that window, serves the
-// learners from them, and runs the meta-learner, reviser and repository
-// swap (TrainStepPrepared). It is the one training call of both
-// deployment modes — Run and the streaming service (internal/stream) —
-// so the paper's retrain-every-W_R step has a single implementation.
-// events must be time-sorted and agree with what st was fed before on
-// any shared time range; st rebuilds from scratch when it cannot slide
-// (first pass, W_P change, window moving backwards, drift). The returned
-// Retraining has Week zero; callers with a week timeline set it.
+// view → learn → revise. It slides st's sufficient statistics to that
+// window and serves the learners from them, then runs the meta-learner,
+// reviser and repository swap (TrainStepPrepared). It is the one
+// training call of both deployment modes — Run, which overlaps the
+// halves of consecutive passes, and the streaming service
+// (internal/stream) — so the paper's retrain-every-W_R step has a single
+// implementation. events must be time-sorted and agree with what st was
+// fed before on any shared time range; st rebuilds from scratch when it
+// cannot slide (first pass, W_P change, window moving backwards, drift).
+// The returned Retraining has Week zero; callers with a week timeline
+// set it.
 func TrainWindow(ml *meta.MetaLearner, repo *meta.Repository, st *incr.State, events []preprocess.TaggedEvent, from, to int64, params learner.Params) (Retraining, error) {
-	t0 := time.Now()
-	d := st.Advance(events, from, to, params)
-	info := &IncrInfo{Applied: d.Applied, Expired: d.Expired,
-		Rebuild: d.Rebuild, Reason: d.Reason, AdvanceDuration: time.Since(t0)}
-	pre := learner.Prepare(events[searchTime(events, from):searchTime(events, to)])
-	st.Install(pre)
+	pre, info := trainView(st, events, from, to, params)
 	rt, err := TrainStepPrepared(ml, repo, pre, params)
 	rt.Incr = info
 	return rt, err
@@ -202,22 +199,49 @@ func TrainWindow(ml *meta.MetaLearner, repo *meta.Repository, st *incr.State, ev
 // bare view it is the learners' batch pass, the reference the maintained
 // statistics are pinned against.
 func TrainStepPrepared(ml *meta.MetaLearner, repo *meta.Repository, pre *learner.Prepared, params learner.Params) (Retraining, error) {
-	slice := pre.Events
 	t0 := time.Now()
-	report, err := ml.TrainPrepared(pre, params)
+	report, err := ml.Learn(pre, params)
 	if err != nil {
 		return Retraining{}, err
 	}
+	rt := revise(ml, repo, pre, report, params)
+	rt.Total = time.Since(t0)
+	return rt, nil
+}
+
+// view is the first step of a pass: it slides st's sufficient statistics
+// to [from, to) and returns the window's training view with them
+// installed, plus what the slide did.
+func view(st *incr.State, events []preprocess.TaggedEvent, from, to int64, params learner.Params) (*learner.Prepared, *IncrInfo) {
+	t0 := time.Now()
+	d := st.Advance(events, from, to, params)
+	info := &IncrInfo{Applied: d.Applied, Expired: d.Expired,
+		Rebuild: d.Rebuild, Reason: d.Reason, AdvanceDuration: time.Since(t0)}
+	pre := learner.Prepare(events[searchTime(events, from):searchTime(events, to)])
+	st.Install(pre)
+	return pre, info
+}
+
+// trainView is the view step of TrainWindow and Run. It is a variable
+// only so that this package's tests can swap in a bare view of the
+// window — the learners' batch pass — as the reference.
+var trainView = view
+
+// revise is the last step of a pass: the reviser over the learned
+// candidates, then the repository swap. It reads only the view's events
+// and the report, never the statistics that served the learners. The
+// record's Total is left to the caller.
+func revise(ml *meta.MetaLearner, repo *meta.Repository, pre *learner.Prepared, report *meta.TrainReport, params learner.Params) Retraining {
+	ml.Revise(report, pre.Events, params)
 	churn := repo.Update(report)
 	return Retraining{
-		TrainEvents:      len(slice),
+		TrainEvents:      len(pre.Events),
 		RepoSize:         repo.Len(),
 		WindowSec:        params.WindowSec,
 		Churn:            churn,
 		LearnerDurations: report.LearnerDurations,
 		ReviseDuration:   report.ReviseDuration,
-		Total:            time.Since(t0),
-	}, nil
+	}
 }
 
 // searchTime returns the index of the first event at or after t.
@@ -225,9 +249,17 @@ func searchTime(events []preprocess.TaggedEvent, t int64) int {
 	return sort.Search(len(events), func(i int) bool { return events[i].Time >= t })
 }
 
-// trainPass is Run's training call. It is a variable only so that this
-// package's tests can swap in the learners' batch pass as the reference.
-var trainPass = TrainWindow
+// learned is one pass of Run with its view and learn steps done: what
+// the caller needs to revise it, and what the steps so far cost.
+type learned struct {
+	week   int
+	params learner.Params // in force after this pass
+	pre    *learner.Prepared
+	report *meta.TrainReport
+	info   *IncrInfo
+	took   time.Duration // tuner, view and learners
+	err    error
+}
 
 // Run executes the framework over a preprocessed, time-sorted event
 // stream spanning [start, start + weeks). Training happens inside the
@@ -246,68 +278,120 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 	}
 	res := &Result{Config: cfg, Start: start, Weeks: weeks, TestFrom: cfg.InitialTrainWeeks}
 	repo := meta.NewRepository()
-	params := cfg.Params
-	// st carries the learners' sufficient statistics across the
-	// overlapping training windows, turning each pass into a delta-apply.
-	st := incr.New(meta.IncrConfig(ml, params))
 
 	weekMs := int64(raslog.MillisPerWeek)
 	at := func(week int) int64 { return start + int64(week)*weekMs }
 
-	train := func(effectiveWeek int) error {
-		var from int64
-		switch cfg.Policy {
-		case Whole:
-			from = start
-		case Sliding:
-			fromWeek := effectiveWeek - cfg.TrainWeeks
-			if fromWeek < 0 {
-				fromWeek = 0
-			}
-			from = at(fromWeek)
-		case Static:
-			from = start
+	// The passes: the initial training, then one every W_R weeks.
+	schedule := []int{cfg.InitialTrainWeeks}
+	if cfg.Policy != Static {
+		for week := cfg.InitialTrainWeeks + cfg.RetrainWeeks; week < weeks; week += cfg.RetrainWeeks {
+			schedule = append(schedule, week)
 		}
-		to := at(effectiveWeek)
+	}
+
+	// learn runs the view and learn steps of the pass at week, in pass
+	// order. It alone touches st, which carries the learners' sufficient
+	// statistics across the overlapping training windows and turns each
+	// pass into a delta-apply, and minedParams, which a Tuner moves.
+	minedParams := cfg.Params
+	st := incr.New(meta.IncrConfig(ml, minedParams))
+	learn := func(week int) learned {
 		t0 := time.Now()
+		from, to := start, at(week)
+		if cfg.Policy == Sliding {
+			from = at(max(week-cfg.TrainWeeks, 0))
+		}
 		if cfg.Tuner != nil {
-			slice := events[searchTime(events, from):searchTime(events, to)]
-			wp, _, err := cfg.Tuner.Choose(slice, ml)
+			wp, _, err := cfg.Tuner.Choose(events[searchTime(events, from):searchTime(events, to)], ml)
 			if err != nil {
-				return err
+				return learned{err: err}
 			}
 			if wp > 0 {
-				params.WindowSec = wp
+				minedParams.WindowSec = wp
 			}
 		}
-		rt, err := trainPass(ml, repo, st, events, from, to, params)
-		if err != nil {
-			cfg.Metrics.RecordError()
-			return err
+		p := learned{week: week, params: minedParams}
+		p.pre, p.info = trainView(st, events, from, to, minedParams)
+		p.report, p.err = ml.Learn(p.pre, minedParams)
+		p.took = time.Since(t0)
+		return p
+	}
+
+	// next hands over the passes in order. Serial, it learns a pass when
+	// the caller asks for it. Otherwise a goroutine learns them one pass
+	// ahead: the unbuffered hand-off lets it start pass k+1 as soon as
+	// the caller takes pass k, so pass k+1's view and learners run while
+	// the caller revises pass k and predicts with it. A pass depends on
+	// no prediction, and the reviser reads only the events and the
+	// candidates, so the overlap changes no result.
+	pass := 0
+	next := func() learned {
+		pass++
+		return learn(schedule[pass-1])
+	}
+	if learner.Workers(ml.Parallelism) > 1 && len(schedule) > 1 {
+		passes := make(chan learned)
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, week := range schedule {
+				p := learn(week)
+				select {
+				case passes <- p:
+				case <-stop:
+					return
+				}
+				if p.err != nil {
+					return
+				}
+			}
+		}()
+		// However Run ends, the learning goroutine ends first.
+		defer func() {
+			close(stop)
+			<-done
+		}()
+		next = func() learned {
+			pass++
+			return <-passes
 		}
-		rt.Week = effectiveWeek
-		rt.Total = time.Since(t0) // include the tuner's share
+	}
+
+	// train revises the next pass and swaps it into the repository.
+	var params learner.Params // in force for prediction
+	train := func() error {
+		p := next()
+		if p.err != nil {
+			if p.pre != nil { // the learners failed, not the tuner
+				cfg.Metrics.RecordError()
+			}
+			return p.err
+		}
+		t0 := time.Now()
+		rt := revise(ml, repo, p.pre, p.report, p.params)
+		rt.Week = p.week
+		rt.Incr = p.info
+		// The pass's own work, not the time it waited to be handed over.
+		rt.Total = p.took + time.Since(t0)
 		cfg.Metrics.Record(rt)
 		res.Retrainings = append(res.Retrainings, rt)
+		params = p.params
 		return nil
 	}
 
 	// Initial training.
-	if err := train(cfg.InitialTrainWeeks); err != nil {
+	if err := train(); err != nil {
 		return nil, err
 	}
 
 	// Prediction with periodic retraining.
 	pr := newPredictor(repo, cfg, params)
-	testStart := at(cfg.InitialTrainWeeks)
-	nextRetrain := cfg.InitialTrainWeeks + cfg.RetrainWeeks
-	if cfg.Policy == Static {
-		nextRetrain = weeks + 1 // never
-	}
-	i := searchTime(events, testStart)
+	i := searchTime(events, at(cfg.InitialTrainWeeks))
 	for week := cfg.InitialTrainWeeks; week < weeks; week++ {
-		if week == nextRetrain {
-			if err := train(week); err != nil {
+		if pass < len(schedule) && week == schedule[pass] {
+			if err := train(); err != nil {
 				return nil, err
 			}
 			lastFatal := pr.LastFatal()
@@ -318,7 +402,6 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 			// (SeedLastFatal) while forgetting it just fired would let it
 			// re-warn immediately after every swap.
 			pr.SeedLastWarn(lastWarn)
-			nextRetrain += cfg.RetrainWeeks
 		}
 		weekEnd := at(week + 1)
 		t0 := time.Now()

@@ -8,22 +8,26 @@ import (
 
 	"repro/internal/learner"
 	"repro/internal/learner/incr"
-	"repro/internal/meta"
 	"repro/internal/obsv"
 	"repro/internal/preprocess"
 )
+
+// swapView installs v as the view step of TrainWindow and Run and
+// returns the function that puts the real one back.
+func swapView(v func(*incr.State, []preprocess.TaggedEvent, int64, int64, learner.Params) (*learner.Prepared, *IncrInfo)) func() {
+	prev := trainView
+	trainView = v
+	return func() { trainView = prev }
+}
 
 // batchRun runs the engine with every pass trained by the learners' batch
 // scans over a bare view of the window: the reference that TrainWindow's
 // maintained statistics must reproduce.
 func batchRun(t *testing.T, events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) *Result {
 	t.Helper()
-	prev := trainPass
-	defer func() { trainPass = prev }()
-	trainPass = func(ml *meta.MetaLearner, repo *meta.Repository, _ *incr.State, events []preprocess.TaggedEvent, from, to int64, p learner.Params) (Retraining, error) {
-		pre := learner.Prepare(events[searchTime(events, from):searchTime(events, to)])
-		return TrainStepPrepared(ml, repo, pre, p)
-	}
+	defer swapView(func(_ *incr.State, events []preprocess.TaggedEvent, from, to int64, _ learner.Params) (*learner.Prepared, *IncrInfo) {
+		return learner.Prepare(events[searchTime(events, from):searchTime(events, to)]), nil
+	})()
 	res, err := Run(events, start, weeks, cfg)
 	if err != nil {
 		t.Fatal(err)

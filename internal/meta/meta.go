@@ -109,6 +109,21 @@ func (m *MetaLearner) Train(events []preprocess.TaggedEvent, p learner.Params) (
 // TrainPrepared is Train over a prepared training view — callers that
 // maintain derived state across retrainings (engine.TrainWindow's
 // sufficient statistics) prepare the view themselves and come in here.
+// It is Learn followed by Revise.
+func (m *MetaLearner) TrainPrepared(tr *learner.Prepared, p learner.Params) (*TrainReport, error) {
+	report, err := m.Learn(tr, p)
+	if err != nil {
+		return nil, err
+	}
+	m.Revise(report, tr.Events, p)
+	return report, nil
+}
+
+// Learn is the first half of a training pass: it runs the base learners
+// and merges and dedupes their candidates. The report's Kept and Scores
+// stay empty until Revise. The candidates share no memory with tr, so
+// Revise needs only the view's events, and whatever serves tr's counts
+// may move on to the next window once Learn returns.
 //
 // The base learners run concurrently, bounded by the Parallelism knob;
 // results are collected into per-learner slots and merged in the fixed
@@ -116,7 +131,7 @@ func (m *MetaLearner) Train(events []preprocess.TaggedEvent, p learner.Params) (
 // revision downstream of it — is identical to the serial pass. Error
 // semantics also match: the first non-ignorable error in learner order is
 // returned.
-func (m *MetaLearner) TrainPrepared(tr *learner.Prepared, p learner.Params) (*TrainReport, error) {
+func (m *MetaLearner) Learn(tr *learner.Prepared, p learner.Params) (*TrainReport, error) {
 	passStart := time.Now()
 	report := &TrainReport{
 		CandidatesByLearner: make(map[string][]learner.Rule, 3),
@@ -170,16 +185,23 @@ func (m *MetaLearner) TrainPrepared(tr *learner.Prepared, p learner.Params) (*Tr
 		report.Candidates = append(report.Candidates, slots[i].rules...)
 	}
 	report.Candidates = dedupe(report.Candidates)
+	report.TotalDuration = time.Since(passStart)
+	return report, nil
+}
 
+// Revise is the second half of a training pass: it replays the report's
+// candidates against the training events (Algorithm 1) and fills Kept and
+// Scores, or keeps every candidate when the reviser is off. It adds its
+// own time to the report's TotalDuration.
+func (m *MetaLearner) Revise(report *TrainReport, events []preprocess.TaggedEvent, p learner.Params) {
 	start := time.Now()
 	if m.UseReviser && m.Reviser != nil {
-		report.Kept, report.Scores = m.Reviser.Revise(report.Candidates, tr.Events, p)
+		report.Kept, report.Scores = m.Reviser.Revise(report.Candidates, events, p)
 	} else {
 		report.Kept = report.Candidates
 	}
 	report.ReviseDuration = time.Since(start)
-	report.TotalDuration = time.Since(passStart)
-	return report, nil
+	report.TotalDuration += report.ReviseDuration
 }
 
 // dedupe removes rules with duplicate IDs, keeping the first (stable).

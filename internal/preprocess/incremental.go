@@ -33,9 +33,10 @@ type TemporalStage struct {
 	sliding     bool
 	// syms interns the key strings once; last then keys on a pointer-free
 	// struct the GC never scans (see symTable).
-	syms       *symTable
-	last       map[tempIKey]int64
-	sinceSweep int
+	syms             *symTable
+	locMemo, entMemo symMemo
+	last             map[tempIKey]int64
+	sinceSweep       int
 }
 
 // tempIKey is the interned form of the temporal key
@@ -64,7 +65,7 @@ func (t *TemporalStage) Observe(e raslog.Event) bool {
 		return true
 	}
 	t.maybeSweep(e.Time)
-	k := tempIKey{loc: t.syms.id(e.Location), entry: t.syms.id(e.Entry), jobID: e.JobID}
+	k := tempIKey{loc: t.syms.idAt(&t.locMemo, e.Location), entry: t.syms.idAt(&t.entMemo, e.Entry), jobID: e.JobID}
 	if last, seen := t.last[k]; seen && e.Time-last <= t.thresholdMs {
 		if t.sliding {
 			t.last[k] = e.Time
@@ -97,11 +98,12 @@ func (t *TemporalStage) maybeSweep(now int64) {
 // Threshold. Its state is global, so exactly one instance must see the
 // merged, time-ordered survivor stream of the temporal stage.
 type SpatialStage struct {
-	thresholdMs int64
-	sliding     bool
-	syms        *symTable
-	last        map[spatIKey]spatState
-	sinceSweep  int
+	thresholdMs      int64
+	sliding          bool
+	syms             *symTable
+	locMemo, entMemo symMemo
+	last             map[spatIKey]spatState
+	sinceSweep       int
 }
 
 // spatIKey is the interned form of the spatial key (job, entry).
@@ -133,8 +135,8 @@ func (s *SpatialStage) Observe(e raslog.Event) bool {
 		return true
 	}
 	s.maybeSweep(e.Time)
-	k := spatIKey{entry: s.syms.id(e.Entry), jobID: e.JobID}
-	loc := s.syms.id(e.Location)
+	k := spatIKey{entry: s.syms.idAt(&s.entMemo, e.Entry), jobID: e.JobID}
+	loc := s.syms.idAt(&s.locMemo, e.Location)
 	if st, seen := s.last[k]; seen && e.Time-st.time <= s.thresholdMs && st.loc != loc {
 		if s.sliding {
 			s.last[k] = spatState{e.Time, st.loc}

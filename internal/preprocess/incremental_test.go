@@ -163,6 +163,35 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 	}
 }
 
+// TestIncrementalEquivalenceEmptyFields holds the stages to the oracle on
+// a stream that opens with an empty Location and Entry and keeps
+// repeating them: the stages' last-lookup memos must tell "" apart from
+// a memo that holds nothing yet.
+func TestIncrementalEquivalenceEmptyFields(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := raslog.NewLog("empty", 0)
+		l.Append(raslog.Event{Location: "", Entry: ""})
+		l.Append(raslog.Event{RecordID: 1, Location: "R0", Entry: ""})
+		l.Append(raslog.Event{RecordID: 2, Location: "", Entry: "e0"})
+		timeMs := int64(0)
+		for i := 3; i < 2000; i++ {
+			timeMs += int64(rng.Intn(120_000))
+			e := raslog.Event{RecordID: int64(i), Time: timeMs, JobID: int64(rng.Intn(2))}
+			if rng.Intn(3) > 0 { // runs of one location or entry, as in real logs
+				e.Location, e.Entry = l.Events[i-1].Location, l.Events[i-1].Entry
+			} else {
+				e.Location = []string{"", "R0", "R1"}[rng.Intn(3)]
+				e.Entry = []string{"", "e0", "e1"}[rng.Intn(3)]
+			}
+			l.Append(e)
+		}
+		for _, f := range []preprocess.Filter{{Threshold: 300}, {Threshold: 300, Sliding: true}} {
+			checkEquivalence(t, l, f)
+		}
+	}
+}
+
 // TestIncrementalBoundedState checks the eviction sweep: streaming an
 // unbounded sequence of one-shot keys must not accumulate unbounded
 // filter state.

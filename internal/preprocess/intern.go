@@ -30,5 +30,25 @@ func (t *symTable) id(s string) uint32 {
 	return id
 }
 
+// symMemo is one call site's last symTable lookup. Consecutive events
+// mostly repeat their Entry, and the decoder hands strings over
+// interned, so a repeat costs a length and pointer compare instead of a
+// hash.
+type symMemo struct {
+	s  string
+	id uint32
+	ok bool
+}
+
+// idAt is id behind the call site's memo m.
+func (t *symTable) idAt(m *symMemo, s string) uint32 {
+	if m.ok && m.s == s {
+		return m.id
+	}
+	id := t.id(s)
+	*m = symMemo{s: s, id: id, ok: true}
+	return id
+}
+
 // str is the reverse mapping, for snapshot export.
 func (t *symTable) str(id uint32) string { return t.strs[id] }

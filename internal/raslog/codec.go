@@ -2,6 +2,7 @@ package raslog
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -79,18 +80,17 @@ func ParseLineBytes(line []byte, in *Interner) (Event, error) {
 		line = line[:n-1]
 	}
 	// Split at the first codecFields-1 separators; the final field is the
-	// remainder (Entry may itself contain no '|' — sanitize ensures it —
-	// but the split must match strings.SplitN's counting exactly).
+	// remainder, exactly as strings.SplitN(line, "|", codecFields) counts.
 	var f [codecFields][]byte
-	n, start := 0, 0
-	for i := 0; i < len(line) && n < codecFields-1; i++ {
-		if line[i] == '|' {
-			f[n] = line[start:i]
-			n++
-			start = i + 1
+	n := 0
+	for ; n < codecFields-1; n++ {
+		i := bytes.IndexByte(line, '|')
+		if i < 0 {
+			break
 		}
+		f[n], line = line[:i], line[i+1:]
 	}
-	f[n] = line[start:]
+	f[n] = line
 	n++
 	if n != codecFields {
 		return Event{}, fmt.Errorf("want %d fields, got %d", codecFields, n)
@@ -114,9 +114,9 @@ func ParseLineBytes(line []byte, in *Interner) (Event, error) {
 	if e.Severity, err = parseSeverityBytes(f[6]); err != nil {
 		return Event{}, err
 	}
-	e.Type = intern(in, f[1])
-	e.Location = intern(in, f[4])
-	e.Entry = intern(in, f[7])
+	e.Type = intern(in, typeField, f[1])
+	e.Location = intern(in, locationField, f[4])
+	e.Entry = intern(in, entryField, f[7])
 	return e, nil
 }
 
@@ -151,23 +151,49 @@ func parseIntBytes(b []byte) (int64, error) {
 	return strconv.ParseInt(string(b), 10, 64)
 }
 
-// parseFacilityBytes is ParseFacility without the string conversion (the
-// == comparison against each name does not allocate).
+// parseFacilityBytes is ParseFacility without the string conversion: a
+// switch on string(b) neither allocates nor walks the names one by one.
 func parseFacilityBytes(b []byte) (Facility, error) {
-	for i := range facilityNames {
-		if string(b) == facilityNames[i] {
-			return Facility(i), nil
-		}
+	switch string(b) {
+	case "APP":
+		return App, nil
+	case "BGLMASTER":
+		return BGLMaster, nil
+	case "CMCS":
+		return CMCS, nil
+	case "DISCOVERY":
+		return Discovery, nil
+	case "HARDWARE":
+		return Hardware, nil
+	case "KERNEL":
+		return Kernel, nil
+	case "LINKCARD":
+		return LinkCard, nil
+	case "MMCS":
+		return MMCS, nil
+	case "MONITOR":
+		return Monitor, nil
+	case "SERV_NET":
+		return ServNet, nil
 	}
 	return 0, fmt.Errorf("raslog: unknown facility %q", b)
 }
 
 // parseSeverityBytes is ParseSeverity without the string conversion.
 func parseSeverityBytes(b []byte) (Severity, error) {
-	for i := range severityNames {
-		if string(b) == severityNames[i] {
-			return Severity(i), nil
-		}
+	switch string(b) {
+	case "INFO":
+		return Info, nil
+	case "WARNING":
+		return Warning, nil
+	case "SEVERE":
+		return Severe, nil
+	case "ERROR":
+		return Error, nil
+	case "FATAL":
+		return Fatal, nil
+	case "FAILURE":
+		return Failure, nil
 	}
 	return 0, fmt.Errorf("raslog: unknown severity %q", b)
 }

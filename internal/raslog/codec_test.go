@@ -2,6 +2,8 @@ package raslog
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -151,5 +153,125 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if back.Events[i] != l.Events[i] {
 			t.Fatalf("event %d mangled:\n%v\n%v", i, l.Events[i], back.Events[i])
 		}
+	}
+}
+
+// splitNLine is the codec's specification written with the standard
+// library: strings.SplitN into eight fields, strconv for the integers,
+// ParseFacility and ParseSeverity for the enums.
+func splitNLine(line string) (Event, error) {
+	f := strings.SplitN(strings.TrimSuffix(line, "\r"), "|", codecFields)
+	if len(f) != codecFields {
+		return Event{}, fmt.Errorf("want %d fields, got %d", codecFields, len(f))
+	}
+	var e Event
+	var err error
+	if e.RecordID, err = strconv.ParseInt(f[0], 10, 64); err != nil {
+		return Event{}, fmt.Errorf("record id: %w", err)
+	}
+	if e.Time, err = strconv.ParseInt(f[2], 10, 64); err != nil {
+		return Event{}, fmt.Errorf("event time: %w", err)
+	}
+	e.Time *= 1000
+	if e.JobID, err = strconv.ParseInt(f[3], 10, 64); err != nil {
+		return Event{}, fmt.Errorf("job id: %w", err)
+	}
+	if e.Facility, err = ParseFacility(f[5]); err != nil {
+		return Event{}, err
+	}
+	if e.Severity, err = ParseSeverity(f[6]); err != nil {
+		return Event{}, err
+	}
+	e.Type, e.Location, e.Entry = f[1], f[4], f[7]
+	return e, nil
+}
+
+// TestParseLineBytesMatchesSplitN holds ParseLineBytes, with and without
+// an Interner, to splitNLine: the same event or the same error text.
+func TestParseLineBytesMatchesSplitN(t *testing.T) {
+	lines := []string{
+		benchLine,
+		"1|RAS|1106281621|0|R00-M0|KERNEL|ERROR|entry with | pipe",
+		"1|RAS|1106281621|0|R00-M0|KERNEL|ERROR|a|b|c|",
+		"1|RAS|1106281621|0|R00-M0|KERNEL|ERROR",             // 7 fields
+		"1|RAS|1106281621|0|R00-M0|KERNEL|ERROR|x|y",         // 9 fields
+		"1||1106281621|0||KERNEL|ERROR|",                     // empty strings
+		"|RAS|1|0|L|APP|INFO|e",                              // empty id
+		"1|RAS|1106281621|0|R00-M0|KERNEL|ERROR|crlf\r",      // trailing CR
+		"1|RAS|1106281621|0|R00-M0|KERNEL|ERROR|two crs\r\r", // only one stripped
+		"1|RAS|1|0|L|KERNEL|INF|e",
+		"1|RAS|1|0|L|KERNEL|INFOX|e",
+		"1|RAS|1|0|L|kernel|INFO|e",
+		"1|RAS|1|0|L|KERNE|INFO|e",
+		"1|RAS|1|0|L||INFO|e",
+		"1|RAS|1|0|L|APP||e",
+		"x|RAS|1|2|l|APP|INFO|e",
+		"1|RAS|999999999999999999999|2|l|APP|INFO|overflow",
+		"1|RAS|+7|2|l|APP|INFO|plus sign",
+		"-5|RAS|-3|-9|L|APP|INFO|negative numbers",
+		"a|b",
+		"",
+		"|||||||",
+	}
+	for _, f := range Facilities() {
+		for s := Info; s < numSeverities; s++ {
+			lines = append(lines, fmt.Sprintf("7|RAS|1|0|L|%s|%s|e", f, s))
+		}
+	}
+	in := NewInterner()
+	for _, line := range lines {
+		want, werr := splitNLine(line)
+		for _, withInterner := range []*Interner{nil, in} {
+			got, gerr := ParseLineBytes([]byte(line), withInterner)
+			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+				t.Fatalf("%q: err %v, SplitN reference err %v", line, gerr, werr)
+			}
+			if got != want {
+				t.Fatalf("%q: got %+v, SplitN reference %+v", line, got, want)
+			}
+		}
+	}
+}
+
+// TestInternerFieldMemo feeds one reused buffer through every interned
+// field: repeated and fresh values alternate, the empty string comes and
+// goes, and the Interner fills up to maxInternEntries. Every string
+// returned must equal the bytes it was given, and still equal them once
+// the buffer has been overwritten.
+func TestInternerFieldMemo(t *testing.T) {
+	in := NewInterner()
+	buf := make([]byte, 0, 32)
+	var got, want string
+	feed := func(field int, v string) {
+		buf = append(buf[:0], v...)
+		if got != want {
+			t.Fatalf("interned %q changed to %q with the buffer", want, got)
+		}
+		got, want = intern(in, field, buf), v
+		if got != want {
+			t.Fatalf("field %d: interned %q, want %q", field, got, want)
+		}
+	}
+	for i := 0; in.Len() < maxInternEntries; i++ {
+		fresh := strconv.Itoa(i)
+		for field := typeField; field < numFields; field++ {
+			feed(field, fresh)
+			feed(field, fresh)
+			feed(field, "")
+			feed(field, "")
+			feed(field, fresh)
+			feed(field, "same")
+		}
+	}
+	for i := 0; i < 100; i++ { // a full table copies fresh values
+		for field := typeField; field < numFields; field++ {
+			feed(field, "beyond-"+strconv.Itoa(i))
+			feed(field, "beyond-"+strconv.Itoa(i))
+			feed(field, "")
+		}
+	}
+	feed(typeField, "")
+	if in.Len() != maxInternEntries {
+		t.Fatalf("interner holds %d entries, want the cap %d", in.Len(), maxInternEntries)
 	}
 }

@@ -12,7 +12,20 @@ package raslog
 // its own (Scanner does).
 type Interner struct {
 	m map[string]string
+	// last memoizes, per field of ParseLineBytes, the value interned
+	// last. A RAS stream repeats its Type on every line and its Entry on
+	// most, and a length and memory compare is cheaper than the map's hash.
+	last [numFields]string
 }
+
+// The fields of ParseLineBytes that go through an Interner, indexing
+// Interner.last.
+const (
+	typeField = iota
+	locationField
+	entryField
+	numFields
+)
 
 // maxInternEntries caps resident entries so adversarial input with
 // unbounded vocabulary degrades to plain copying instead of growing the
@@ -51,10 +64,16 @@ func (in *Interner) InternString(v string) string {
 // Len returns the number of resident entries (for tests).
 func (in *Interner) Len() int { return len(in.m) }
 
-// intern handles the optional-interner case of ParseLineBytes.
-func intern(in *Interner, b []byte) string {
+// intern interns one field of ParseLineBytes, checking the field's last
+// value before the map. A nil Interner copies.
+func intern(in *Interner, field int, b []byte) string {
 	if in == nil {
 		return string(b)
 	}
-	return in.Intern(b)
+	if s := in.last[field]; s == string(b) {
+		return s
+	}
+	s := in.Intern(b)
+	in.last[field] = s
+	return s
 }

@@ -246,13 +246,23 @@ func scoreChunk(rules []learner.Rule, events []preprocess.TaggedEvent,
 	totalFatals := 0
 
 	open := make([]int, 0, 64) // rule indexes with an open warning
+	// earliest never exceeds an open deadline, so while now <= earliest
+	// no warning can have expired and the sweep is skipped. A re-trigger
+	// moves a deadline later and leaves earliest low, which costs at most
+	// one extra sweep.
+	earliest := int64(math.MaxInt64)
 
 	closeExpired := func(now int64) {
+		if earliest >= now {
+			return
+		}
+		earliest = math.MaxInt64
 		kept := open[:0]
 		for _, idx := range open {
 			st := &states[idx]
 			if st.openDeadline >= now {
 				kept = append(kept, idx)
+				earliest = min(earliest, st.openDeadline)
 				continue
 			}
 			if st.openHit {
@@ -286,6 +296,7 @@ func scoreChunk(rules []learner.Rule, events []preprocess.TaggedEvent,
 		st.openStart = now
 		st.openDeadline = now + windowMs
 		st.openHit = false
+		earliest = min(earliest, st.openDeadline)
 	}
 
 	for i := range events {

@@ -1,8 +1,10 @@
 package reviser
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/learner"
 	"repro/internal/preprocess"
 	"repro/internal/raslog"
@@ -171,5 +173,106 @@ func TestScoreAllWideWindowNoDoubleCounting(t *testing.T) {
 	}
 	if o.Captured > o.Fatals {
 		t.Fatalf("captured %d of %d fatals", o.Captured, o.Fatals)
+	}
+}
+
+// replayRule is Algorithm 1 for one rule, written out literally: the rule
+// replays the stream alone, looks back over the events within W_P of
+// each event, and holds at most one open warning.
+func replayRule(r learner.Rule, events []preprocess.TaggedEvent, p learner.Params) eval.Outcome {
+	windowMs := p.Window()
+	dedupMs := min(windowMs, 300_000)
+	var o eval.Outcome
+	lastWarn, lastFatal := int64(-1), int64(-1)
+	open, hit := false, false
+	var openStart, deadline int64
+	settle := func() {
+		if hit {
+			o.TP++
+		} else {
+			o.FP++
+		}
+		open = false
+	}
+	for i, e := range events {
+		now := e.Time
+		if open && deadline < now {
+			settle()
+		}
+		if e.Fatal {
+			o.Fatals++
+			if open && openStart < now && now <= deadline {
+				o.Captured++
+				hit = true
+			}
+		}
+		lo := i
+		for lo > 0 && now-events[lo-1].Time <= windowMs {
+			lo--
+		}
+		prior := events[lo:i]
+		fires := false
+		switch r.Kind {
+		case learner.Statistical:
+			run := 1
+			for _, q := range prior {
+				if q.Fatal {
+					run++
+				}
+			}
+			fires = e.Fatal && r.Count <= run
+		case learner.Association:
+			fires = !e.Fatal && slices.Contains(r.Body, e.Class)
+			for _, c := range r.Body {
+				if c != e.Class && !slices.ContainsFunc(prior, func(q preprocess.TaggedEvent) bool { return q.Class == c }) {
+					fires = false
+				}
+			}
+		case learner.Distribution:
+			fires = lastFatal >= 0 && (now-lastFatal)/1000 > r.ElapsedSec
+		}
+		if fires && (lastWarn < 0 || now-lastWarn >= dedupMs) {
+			if open {
+				settle()
+			}
+			open, hit = true, false
+			lastWarn, openStart, deadline = now, now, now+windowMs
+		}
+		if e.Fatal {
+			lastFatal = now
+		}
+	}
+	if open {
+		settle()
+	}
+	o.FN = o.Fatals - o.Captured
+	return o
+}
+
+// TestScoreAllMatchesPerRuleReplay pins the single-pass scorer, with its
+// shared window and its skipped sweeps, to the rule-by-rule replay over
+// random streams, with windows narrower than, equal to and wider than the
+// 300 s alarm spacing.
+func TestScoreAllMatchesPerRuleReplay(t *testing.T) {
+	rules := ruleZoo()
+	streams := [][]preprocess.TaggedEvent{goodAndBadStream()}
+	for _, seed := range []uint64{3, 8, 21} {
+		streams = append(streams, denseStream(seed, 2000))
+	}
+	for si, events := range streams {
+		for _, p := range []learner.Params{{WindowSec: 60}, p300, {WindowSec: 3600}} {
+			got := ScoreAll(rules, events, p)
+			fired := 0
+			for i, r := range rules {
+				want := replayRule(r, events, p)
+				if got[i] != want {
+					t.Errorf("stream %d W %d rule %s: scored %+v, replayed %+v", si, p.WindowSec, r.ID(), got[i], want)
+				}
+				fired += want.TP + want.FP
+			}
+			if fired == 0 {
+				t.Fatalf("stream %d W %d: no rule fired", si, p.WindowSec)
+			}
+		}
 	}
 }
