@@ -111,12 +111,12 @@ var client = &http.Client{
 	Transport: &http.Transport{MaxIdleConnsPerHost: 8},
 }
 
-// postFeed posts feed lines [from, from+n) to base's /ingest/batch and
+// postFeed posts feed lines [from, from+n) to the ingest endpoint url and
 // returns once all of them are acked. On 429 or 503 it waits out
 // Retry-After and resumes from the first line the daemon did not accept.
-func postFeed(base string, from, n int64) error {
+func postFeed(url string, from, n int64) error {
 	for sent := int64(0); sent < n; {
-		resp, err := client.Post(base+"/ingest/batch", "text/plain",
+		resp, err := client.Post(url, "text/plain",
 			bytes.NewReader(theFeed.encode(from+sent, n-sent)))
 		if err != nil {
 			return err
@@ -167,9 +167,10 @@ func fetchJSON(url string, v any) error {
 	return json.Unmarshal(body, v)
 }
 
+// mustPost posts feed lines [from, from+n) to base's /ingest/batch.
 func mustPost(t *testing.T, base string, from, n int64) {
 	t.Helper()
-	if err := postFeed(base, from, n); err != nil {
+	if err := postFeed(base+"/ingest/batch", from, n); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -309,12 +310,13 @@ func (d *daemon) kill() {
 
 // sweep is the closed-loop client of the mid-sweep phases. Each round,
 // conns connections post the next conns batches of the feed from one
-// shared cursor. Once every batch is acked and no request is in flight,
-// it reads sequenced from /stats into the ledger. On the batch route
-// every event counted there was released by a batch whose 200 followed
-// the covering fsync, so a crash may not lose any of them.
+// shared cursor to route. Once every batch is acked and no request is in
+// flight, it reads sequenced from /stats into the ledger. On either
+// ingest route every event counted there was released by a request whose
+// 200 followed the covering fsync, so a crash may not lose any of them.
 type sweep struct {
 	base   string
+	route  string // /ingest or /ingest/batch
 	conns  int
 	batch  int64
 	cursor int64 // first line of the next round; only run moves it
@@ -332,7 +334,7 @@ func (s *sweep) run() error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[i] = postFeed(s.base, s.cursor+int64(i)*s.batch, s.batch)
+				errs[i] = postFeed(s.base+s.route, s.cursor+int64(i)*s.batch, s.batch)
 			}()
 		}
 		wg.Wait()
@@ -456,10 +458,14 @@ func TestCrashIncrementalRestore(t *testing.T) {
 }
 
 // TestCrashMidSweep kills -9 in the middle of a sweep, at one connection
-// and at eight. The recovered daemon must hold the whole ledger.
+// and at eight, and on the /ingest route at one. The recovered daemon
+// must hold the whole ledger.
 func TestCrashMidSweep(t *testing.T) {
 	t.Run("conns=1", func(t *testing.T) {
-		midSweep(t, &sweep{conns: 1, batch: 128}, 2048)
+		midSweep(t, &sweep{route: "/ingest/batch", conns: 1, batch: 128}, 2048)
+	})
+	t.Run("route=/ingest", func(t *testing.T) {
+		midSweep(t, &sweep{route: "/ingest", conns: 1, batch: 128}, 2048)
 	})
 	// Eight connections interleave their batches at the wire, so the
 	// daemon gets a reorder tolerance far beyond the feed's span, and
@@ -467,7 +473,7 @@ func TestCrashMidSweep(t *testing.T) {
 	// mechanism. The floor makes the sweep push well past that cap before
 	// the kill; below it, sequenced stays 0 and the check proves nothing.
 	t.Run("conns=8", func(t *testing.T) {
-		midSweep(t, &sweep{conns: 8, batch: 256}, 8192, "-reorder", "2000000000")
+		midSweep(t, &sweep{route: "/ingest/batch", conns: 8, batch: 256}, 8192, "-reorder", "2000000000")
 	})
 }
 
@@ -587,7 +593,7 @@ func TestCrashFailover(t *testing.T) {
 		t.Fatalf("standby ingest returned HTTP %d, want 503", resp.StatusCode)
 	}
 
-	sw := &sweep{base: leader.url, conns: 1, batch: 128}
+	sw := &sweep{base: leader.url, route: "/ingest/batch", conns: 1, batch: 128}
 	sw.start()
 	waitFor(t, 60*time.Second, "a ledger of 2048 events", func() bool {
 		return sw.reached(t, 2048)

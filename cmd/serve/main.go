@@ -16,7 +16,8 @@
 //
 // API:
 //
-//	POST /ingest    text-codec RAS lines (batched, one per line)
+//	POST /ingest    text-codec RAS lines, one per line, admitted in
+//	                1024-line chunks (POST /ingest/batch is the same)
 //	GET  /warnings  recent warnings with trigger rules (?n=50)
 //	GET  /stats     ingest counts, compression, rules, retrain history
 //	GET  /metrics   the same counters plus per-stage latencies and the
@@ -65,8 +66,8 @@
 // the directory and every sequenced event is written to a CRC-checked
 // write-ahead log, so a crashed or killed process restarts where it left
 // off (newest valid snapshot + WAL tail replay — DESIGN.md §9). Without
-// it the service is purely in-memory, as before. Batch ingest acks are
-// released only after the covering fsync; concurrent batches share one
+// it the service is purely in-memory, as before. Every ingest ack is
+// released only after the covering fsync; concurrent requests share one
 // fsync through the WAL commit pipeline (DESIGN.md §15). -sync-max-wait
 // adds a deliberate coalescing delay on top of the self-clocking
 // pipeline, and in fleet mode -sync-parallel bounds concurrent fsyncs

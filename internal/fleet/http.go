@@ -14,8 +14,9 @@ import (
 // NewMux returns the fleet's HTTP API. Every per-tenant route of
 // stream.NewMux is reachable under a tenant prefix:
 //
-//	POST /t/{tenant}/ingest        ingest into one tenant (created lazily)
-//	POST /t/{tenant}/ingest/batch  group-committed batch ingest
+//	POST /t/{tenant}/ingest        group-committed ingest into one tenant
+//	                               (created lazily)
+//	POST /t/{tenant}/ingest/batch  the same handler
 //	GET  /t/{tenant}/warnings      that tenant's recent warnings
 //	GET  /t/{tenant}/stats         that tenant's counters
 //	GET  /t/{tenant}/metrics       that tenant's registry, unlabeled

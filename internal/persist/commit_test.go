@@ -94,13 +94,13 @@ func TestTicketsCoalesceIntoOneRound(t *testing.T) {
 			t.Fatalf("ticket %d resolved before any fsync could have run (SyncMaxWait=1m)", i)
 		}
 	}
-	// The inline sync (Sync/snapshot/Close path) completes the round.
-	if err := st.Sync(); err != nil {
+	// The inline sync (snapshot/rotation/Close path) completes the round.
+	if _, err := st.WriteSnapshot(&Snapshot{Seq: seq}); err != nil {
 		t.Fatal(err)
 	}
 	for i, tk := range tickets {
 		if err := tk.Wait(context.Background()); err != nil {
-			t.Fatalf("ticket %d after Sync: %v", i, err)
+			t.Fatalf("ticket %d after WriteSnapshot: %v", i, err)
 		}
 	}
 }

@@ -2,11 +2,13 @@ package persist_test
 
 // Backward compatibility with pre-batch state directories. The files
 // under testdata/prebatch were written by the writer as it was before
-// AppendBatch existed (one event per WAL frame); these tests pin that
-// today's reader loads them unchanged, and that a store can append —
-// batched or not — on top of such a directory.
+// AppendBatch existed (one event per WAL frame, genFixtureEvents, then a
+// snapshot at seq 6); these tests pin that today's reader loads them
+// unchanged, that a store can append on top of such a directory, and
+// that one-event batches still write exactly those frames.
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -114,7 +116,7 @@ func TestPreBatchWALReplays(t *testing.T) {
 
 func TestAppendBatchOnPreBatchDirectory(t *testing.T) {
 	dir := copyFixture(t)
-	st, err := persist.Open(dir, persist.Options{FlushEvery: 1})
+	st, err := persist.Open(dir, persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestAppendBatchOnPreBatchDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A batch frame and a single-event frame, appended after the
+	// A two-event frame and a one-event frame, appended after the
 	// pre-batch records in the same segment chain.
 	extra := []raslog.Event{
 		{RecordID: 11, Type: "RAS", Time: 1136074600000, JobID: 9, Location: "R00-M1-N8-C:J05-U11", Entry: "ciod: Error reading message prefix", Facility: raslog.App, Severity: raslog.Failure},
@@ -138,7 +140,7 @@ func TestAppendBatchOnPreBatchDirectory(t *testing.T) {
 	if _, _, err := st.AppendBatch(next, extra[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Append(next+2, extra[2]); err != nil {
+	if _, _, err := st.AppendBatch(next+2, extra[2:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -162,7 +164,7 @@ func TestAppendBatchOnPreBatchDirectory(t *testing.T) {
 
 func TestAppendBatchRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st, err := persist.Open(dir, persist.Options{FlushEvery: 1})
+	st, err := persist.Open(dir, persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,15 +173,15 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	}
 
 	events := genFixtureEvents()
-	// Mixed shapes: batch of 3, empty batch (a no-op), single append,
-	// batch of 1, batch of the rest.
+	// Mixed shapes: batch of 3, empty batch (a no-op), two batches of 1,
+	// batch of the rest.
 	if _, _, err := st.AppendBatch(0, events[:3]); err != nil {
 		t.Fatal(err)
 	}
 	if n, _, err := st.AppendBatch(3, nil); err != nil || n != 0 {
 		t.Fatalf("empty batch: n=%d err=%v, want 0, nil", n, err)
 	}
-	if _, err := st.Append(3, events[3]); err != nil {
+	if _, _, err := st.AppendBatch(3, events[3:4]); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st.AppendBatch(4, events[4:5]); err != nil {
@@ -221,7 +223,7 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 
 func TestAppendBatchRotatesSegments(t *testing.T) {
 	dir := t.TempDir()
-	st, err := persist.Open(dir, persist.Options{FlushEvery: 1, RotateBytes: 64})
+	st, err := persist.Open(dir, persist.Options{RotateBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,5 +278,56 @@ func TestAppendBatchAfterCloseFails(t *testing.T) {
 	}
 	if _, _, err := st.AppendBatch(0, genFixtureEvents()[:1]); !errors.Is(err, persist.ErrClosed) {
 		t.Fatalf("AppendBatch after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// TestOneEventFramesMatchPreBatchFixture pins the WAL format: one-event
+// AppendBatch calls write the pre-batch fixture's segment byte for byte.
+func TestOneEventFramesMatchPreBatchFixture(t *testing.T) {
+	const name = "wal-0000000000000000-00000001.log"
+	want, err := os.ReadFile(filepath.Join("testdata/prebatch", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.StartAppend(0); err != nil {
+		t.Fatal(err)
+	}
+	events := genFixtureEvents()
+	for i := range events {
+		if _, _, err := st.AppendBatch(uint64(i), events[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("one-event frames differ from the pre-batch segment: %d bytes, want %d", len(got), len(want))
+	}
+}
+
+// genFixtureEvents returns the events testdata/prebatch's WAL holds.
+func genFixtureEvents() []raslog.Event {
+	base := int64(1136073600000) // 2006-01-01 00:00:00 UTC
+	return []raslog.Event{
+		{RecordID: 1, Type: "RAS", Time: base, JobID: 7, Location: "R01-M0-N4-C:J12-U01", Entry: "ddr error", Facility: raslog.Kernel, Severity: raslog.Error},
+		{RecordID: 2, Type: "RAS", Time: base + 1000, JobID: 7, Location: "R01-M0-N4-C:J12-U01", Entry: "ddr error", Facility: raslog.Kernel, Severity: raslog.Error},
+		{RecordID: 3, Type: "RAS", Time: base + 2000, JobID: 0, Location: "R23-M1-NC-I:J18-U11", Entry: "link fault", Facility: raslog.LinkCard, Severity: raslog.Warning},
+		{RecordID: 4, Type: "RAS", Time: base + 400000, JobID: 7, Location: "R01-M0-N4-C:J12-U01", Entry: "rts panic", Facility: raslog.Kernel, Severity: raslog.Fatal},
+		{RecordID: 5, Type: "RAS", Time: base + 401000, JobID: 7, Location: "R01-M0-N4-C:J12-U01", Entry: "ddr error", Facility: raslog.Kernel, Severity: raslog.Error},
+		{RecordID: 6, Type: "RAS", Time: base + 402000, JobID: 0, Location: "R23-M1-NC-I:J18-U11", Entry: "link fault", Facility: raslog.LinkCard, Severity: raslog.Warning},
+		{RecordID: 7, Type: "RAS", Time: base + 800000, JobID: 9, Location: "R00-M1-N8-C:J05-U11", Entry: "idoproxydb hit ASSERT condition", Facility: raslog.MMCS, Severity: raslog.Severe},
+		{RecordID: 8, Type: "RAS", Time: base + 801000, JobID: 9, Location: "R00-M1-N8-C:J05-U11", Entry: "", Facility: raslog.App, Severity: raslog.Info},
+		{RecordID: 9, Type: "RAS", Time: base + 802000, JobID: 0, Location: "", Entry: "power module status fault", Facility: raslog.Monitor, Severity: raslog.Failure},
+		{RecordID: 10, Type: "RAS", Time: base + 900000, JobID: 9, Location: "R00-M1-N8-C:J05-U11", Entry: "ciod: LOGIN chdir failed", Facility: raslog.App, Severity: raslog.Failure},
 	}
 }

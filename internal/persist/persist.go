@@ -14,18 +14,18 @@
 // sequence the torn tail of the old one stopped at). Both are ordered so
 // a plain lexical directory listing is also the logical order.
 //
-// Durability model: Append buffers; the buffer reaches the OS every
-// FlushEvery records and is fsynced at snapshot, rotation and Close.
-// AppendBatch enqueues a group-committed frame and returns a commit
-// Ticket; a background syncer fsyncs once for every ticket that queued
-// behind the previous fsync (commit.go), so concurrent batches share a
-// flush and a ticket's Wait returning nil means its frames are on
-// stable storage. A snapshot is written atomically (temp file + fsync +
-// rename + directory fsync) *after* syncing the WAL, so a snapshot at
-// position S implies the WAL is durable through S and recovery = load
-// newest valid snapshot + replay the WAL tail from S. A torn or corrupt
-// frame marks where the durable records of the final segment end —
-// exactly what a crash mid-write leaves behind.
+// Durability model: AppendBatch is the only writer. It buffers one
+// frame and returns a commit Ticket; a background syncer flushes the
+// buffer and fsyncs once for every ticket that queued behind the
+// previous fsync (commit.go), so concurrent batches share a flush and a
+// ticket's Wait returning nil means its frames are on stable storage.
+// Rotation, snapshots and Close flush and fsync inline. A snapshot is
+// written atomically (temp file + fsync + rename + directory fsync)
+// *after* syncing the WAL, so a snapshot at position S implies the WAL
+// is durable through S and recovery = load newest valid snapshot +
+// replay the WAL tail from S. A torn or corrupt frame marks where the
+// durable records of the final segment end — exactly what a crash
+// mid-write leaves behind.
 package persist
 
 import (
@@ -47,11 +47,6 @@ type Options struct {
 	// RotateBytes starts a new WAL segment once the current one exceeds
 	// this size. Zero means 8 MiB.
 	RotateBytes int64
-	// FlushEvery pushes the WAL write buffer to the OS every this many
-	// records. Zero means 64; 1 makes every appended record durable
-	// against process death (fsync — durability against OS crash —
-	// happens at snapshot, rotation and Close).
-	FlushEvery int
 	// KeepSnapshots bounds how many snapshot files are retained: the
 	// newest plus fallbacks in case the newest is unreadable. Zero
 	// means 2.
@@ -78,9 +73,6 @@ func (o Options) withDefaults() Options {
 	if o.RotateBytes <= 0 {
 		o.RotateBytes = 8 << 20
 	}
-	if o.FlushEvery <= 0 {
-		o.FlushEvery = 64
-	}
 	if o.KeepSnapshots <= 0 {
 		o.KeepSnapshots = 2
 	}
@@ -105,11 +97,10 @@ type Store struct {
 	f         *os.File
 	bw        *bufio.Writer
 	segBytes  int64
-	unflushed int
 	nextSeq   uint64
 	appending bool
-	scratch   []byte // frame encoding buffer, reused across Appends
-	payload   []byte // event encoding buffer, reused across Appends
+	scratch   []byte // frame encoding buffer, reused across appends
+	payload   []byte // event encoding buffer, reused across appends
 
 	// Asynchronous commit pipeline (commit.go). pending is the round the
 	// next background fsync will cover; syncing marks an fsync in flight
@@ -156,10 +147,10 @@ func Open(dir string, opt Options) (*Store, error) {
 // Dir returns the state directory path.
 func (st *Store) Dir() string { return st.dir }
 
-// StartAppend positions the WAL so the next Append must carry sequence
-// seq — call it once, after Replay, with the sequence Replay returned. A
-// fresh segment is created lazily on the first Append, so a restart that
-// never ingests anything leaves the directory untouched.
+// StartAppend positions the WAL so the next AppendBatch must start at
+// sequence seq — call it once, after Replay, with the sequence Replay
+// returned. A fresh segment is created lazily on the first append, so a
+// restart that never ingests anything leaves the directory untouched.
 func (st *Store) StartAppend(seq uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -175,62 +166,23 @@ func (st *Store) StartAppend(seq uint64) error {
 	return nil
 }
 
-// Append writes one event frame to the WAL and returns the bytes
-// appended. seq must be exactly the next sequence (the stream assigns
-// them densely; a skip would silently corrupt replay positioning, so it
-// is rejected loudly instead).
-func (st *Store) Append(seq uint64, e raslog.Event) (int, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.dead {
-		return 0, nil
-	}
-	if st.closed {
-		return 0, ErrClosed
-	}
-	if !st.appending {
-		return 0, errors.New("persist: Append before StartAppend")
-	}
-	if seq != st.nextSeq {
-		return 0, fmt.Errorf("persist: out-of-order append: seq %d, want %d", seq, st.nextSeq)
-	}
-	if st.f == nil || st.segBytes >= st.opt.RotateBytes {
-		if err := st.rotateLocked(seq); err != nil {
-			return 0, err
-		}
-	}
-	st.payload = appendEvent(st.payload[:0], e)
-	st.scratch = appendFrame(st.scratch[:0], st.payload)
-	n, err := st.bw.Write(st.scratch)
-	st.segBytes += int64(n)
-	if err != nil {
-		return n, err
-	}
-	st.nextSeq++
-	st.unflushed++
-	if st.unflushed >= st.opt.FlushEvery {
-		st.unflushed = 0
-		if err := st.bw.Flush(); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
 // AppendBatch writes events as one group-committed WAL record occupying
-// sequences seq..seq+len(events)-1: the frame payload is the events'
-// encodings back to back, so the whole batch becomes durable with one
-// fsync — the per-batch durability cost is constant where per-event
-// Append pays it per record (given FlushEvery 1). The fsync itself is
-// asynchronous (commit.go): AppendBatch enqueues the frame, wakes the
-// background syncer, and returns a Ticket that resolves when the
-// covering fsync lands, so concurrent batches share one disk flush
-// instead of serializing behind each other's. Callers that need the old
-// synchronous behavior just Wait on the ticket.
+// sequences seq..seq+len(events)-1, and is the only call that writes WAL
+// frames. The frame payload is the events' encodings back to back, so
+// the whole batch becomes durable with one fsync. seq must be exactly
+// the next sequence (the stream assigns them densely; a skip would
+// silently corrupt replay positioning, so it is rejected loudly
+// instead). The fsync itself is asynchronous (commit.go): AppendBatch
+// buffers the frame, wakes the background syncer, and returns a Ticket
+// that resolves when the covering flush + fsync lands, so concurrent
+// batches share one disk flush instead of serializing behind each
+// other's. Nothing flushes the buffer at append time: a caller that
+// needs the frame durable waits on the ticket.
 //
-// A one-event batch produces a byte-identical frame to Append, and
-// Replay decodes either shape, so batched and unbatched segments
-// interleave freely in one directory. Returns the bytes appended.
+// A one-event batch is byte-identical to the pre-batch single-record
+// frame (testdata/prebatch), and Replay decodes either shape, so old and
+// new segments interleave freely in one directory. Returns the bytes
+// appended.
 func (st *Store) AppendBatch(seq uint64, events []raslog.Event) (int, Ticket, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -267,19 +219,6 @@ func (st *Store) AppendBatch(seq uint64, events []raslog.Event) (int, Ticket, er
 		return n, FailedTicket(err), err
 	}
 	st.nextSeq += uint64(len(events))
-	// Honor FlushEvery at append time even though the fsync is deferred:
-	// callers that do not Wait on the ticket (the non-acked single-event
-	// path) rely on the PR 4 contract that a record counted into the
-	// store survives a process kill once the write buffer reaches the OS.
-	// The background syncer flushes too, but only when its round runs —
-	// this keeps the flush horizon deterministic per the option.
-	st.unflushed += len(events)
-	if st.unflushed >= st.opt.FlushEvery {
-		st.unflushed = 0
-		if err := st.bw.Flush(); err != nil {
-			return n, FailedTicket(err), err
-		}
-	}
 	return n, st.enqueueCommitLocked(), nil
 }
 
@@ -306,32 +245,11 @@ func (st *Store) rotateLocked(firstSeq uint64) error {
 	st.f = f
 	st.bw = bufio.NewWriterSize(f, 1<<16)
 	st.segBytes = 0
-	st.unflushed = 0
 	return syncDir(st.dir)
 }
 
-// Flush pushes buffered WAL bytes to the OS (no fsync).
-func (st *Store) Flush() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.dead || st.bw == nil {
-		return nil
-	}
-	return st.bw.Flush()
-}
-
-// Sync flushes and fsyncs the current WAL segment.
-func (st *Store) Sync() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.dead {
-		return nil
-	}
-	return st.syncLocked()
-}
-
 // syncLocked is the inline (synchronous) flush + fsync used by
-// rotation, snapshots, Sync and Close. It first waits out any fsync the
+// rotation, snapshots and Close. It first waits out any fsync the
 // background syncer has in flight (the file handle must not be rotated
 // or closed under it), then completes the pending commit round — its
 // tickets are covered by this fsync exactly as they would have been by

@@ -3,12 +3,14 @@ package persist
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/learner"
 	"repro/internal/raslog"
@@ -31,7 +33,7 @@ func testEvent(i int) raslog.Event {
 func TestEventFrameRoundTrip(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e := testEvent(i)
-		frame := appendEventFrame(nil, e)
+		frame := appendFrame(nil, appendEvent(nil, e))
 		payload, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
 		if err != nil {
 			t.Fatalf("event %d: readFrame: %v", i, err)
@@ -50,6 +52,19 @@ func TestDecodeEventRejectsTrailingBytes(t *testing.T) {
 	b := appendEvent(nil, testEvent(1))
 	if _, err := decodeEvent(append(b, 0)); err == nil {
 		t.Fatal("decodeEvent accepted a record with trailing bytes")
+	}
+}
+
+// appendOne writes e as a one-event frame at seq and waits for the
+// covering fsync.
+func appendOne(t *testing.T, st *Store, seq uint64, e raslog.Event) {
+	t.Helper()
+	_, tk, err := st.AppendBatch(seq, []raslog.Event{e})
+	if err != nil {
+		t.Fatalf("AppendBatch %d: %v", seq, err)
+	}
+	if err := tk.Wait(context.Background()); err != nil {
+		t.Fatalf("commit %d: %v", seq, err)
 	}
 }
 
@@ -82,9 +97,7 @@ func TestAppendCloseReplay(t *testing.T) {
 	}
 	const n = 100
 	for i := 0; i < n; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -116,16 +129,17 @@ func TestAppendRejectsOutOfOrderSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := st.Append(0, testEvent(0)); err == nil {
-		t.Fatal("Append before StartAppend succeeded")
+	one := []raslog.Event{testEvent(0)}
+	if _, _, err := st.AppendBatch(0, one); err == nil {
+		t.Fatal("AppendBatch before StartAppend succeeded")
 	}
 	if err := st.StartAppend(5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Append(7, testEvent(0)); err == nil {
-		t.Fatal("out-of-order Append succeeded")
+	if _, _, err := st.AppendBatch(7, one); err == nil {
+		t.Fatal("out-of-order AppendBatch succeeded")
 	}
-	if _, err := st.Append(5, testEvent(0)); err != nil {
+	if _, _, err := st.AppendBatch(5, one); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -148,16 +162,14 @@ func TestTornTailEndsReplayCleanly(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := Open(dir, Options{FlushEvery: 1})
+			st, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			st.StartAppend(0)
 			const n = 20
 			for i := 0; i < n; i++ {
-				if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-					t.Fatal(err)
-				}
+				appendOne(t, st, uint64(i), testEvent(i))
 			}
 			st.Close()
 
@@ -200,9 +212,7 @@ func TestRotationSnapshotPrune(t *testing.T) {
 	st.StartAppend(0)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	segs, _ := st.listRefs(walPrefix)
 	if len(segs) < 3 {
@@ -245,9 +255,7 @@ func TestWALGapFailsLoudly(t *testing.T) {
 	}
 	st.StartAppend(0)
 	for i := 0; i < 50; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	st.Close()
 	segs, _ := st.listRefs(walPrefix)
@@ -315,20 +323,22 @@ func TestLoadSnapshotEmptyDir(t *testing.T) {
 
 func TestAbandonDiscardsUnflushedTail(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{FlushEvery: 1000})
+	// The syncer lingers a minute before it flushes, and nothing here
+	// waits for a ticket: the appended frames are still in the buffer.
+	st, err := Open(dir, Options{SyncMaxWait: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.StartAppend(0)
 	for i := 0; i < 10; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
+		if _, _, err := st.AppendBatch(uint64(i), []raslog.Event{testEvent(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st.Abandon()
 	// Everything after Abandon must be a silent no-op.
-	if n, err := st.Append(10, testEvent(10)); n != 0 || err != nil {
-		t.Fatalf("Append after Abandon: %d, %v", n, err)
+	if n, _, err := st.AppendBatch(10, []raslog.Event{testEvent(10)}); n != 0 || err != nil {
+		t.Fatalf("AppendBatch after Abandon: %d, %v", n, err)
 	}
 	if n, err := st.WriteSnapshot(&Snapshot{Seq: 10}); n != 0 || err != nil {
 		t.Fatalf("WriteSnapshot after Abandon: %d, %v", n, err)
@@ -352,19 +362,19 @@ func TestAbandonDiscardsUnflushedTail(t *testing.T) {
 
 func TestStartAppendAfterReplayContinuesSegmentChain(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{FlushEvery: 1})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.StartAppend(0)
 	for i := 0; i < 10; i++ {
-		st.Append(uint64(i), testEvent(i))
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	st.Abandon() // simulated crash
 	st.Close()
 
 	// Restart: replay, then append more from where the durable log ends.
-	st2, err := Open(dir, Options{FlushEvery: 1})
+	st2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,9 +383,7 @@ func TestStartAppendAfterReplayContinuesSegmentChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := end; i < end+10; i++ {
-		if _, err := st2.Append(i, testEvent(int(i))); err != nil {
-			t.Fatalf("Append %d after restart: %v", i, err)
-		}
+		appendOne(t, st2, i, testEvent(int(i)))
 	}
 	st2.Close()
 

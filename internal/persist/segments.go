@@ -84,7 +84,7 @@ func (st *Store) Segments() ([]SegmentInfo, uint64, error) {
 	return out, next, nil
 }
 
-// NextSeq returns the sequence the next Append will carry.
+// NextSeq returns the sequence the next AppendBatch must start at.
 func (st *Store) NextSeq() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()

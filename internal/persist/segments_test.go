@@ -41,7 +41,7 @@ func copyDecode(t *testing.T, st *Store, name string, from uint64, maxBytes int6
 // so far as a clean end — and a retry from that position picks up the
 // extension. This is exactly a follower tailing a leader's open segment.
 func TestReadActiveSegmentExtends(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{FlushEvery: 1})
+	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +49,7 @@ func TestReadActiveSegmentExtends(t *testing.T) {
 	st.StartAppend(0)
 	const first, second = 25, 40
 	for i := 0; i < first; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 
 	segs, next, err := st.Segments()
@@ -69,9 +67,7 @@ func TestReadActiveSegmentExtends(t *testing.T) {
 	// The segment grows underneath the reader; a retry from the previous
 	// durable end sees only the extension.
 	for i := first; i < second; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	evs, got = copyDecode(t, st, segs[0].Name, first, 1<<20)
 	if got != second || len(evs) != second-first {
@@ -88,7 +84,7 @@ func TestReadActiveSegmentExtends(t *testing.T) {
 // died, the connection dropped) decodes as a clean end at the last whole
 // frame — the follower applies the prefix and re-requests the rest.
 func TestDecodeFramesTornTransfer(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{FlushEvery: 1})
+	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +92,7 @@ func TestDecodeFramesTornTransfer(t *testing.T) {
 	st.StartAppend(0)
 	const n = 20
 	for i := 0; i < n; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	segs, _, err := st.Segments()
 	if err != nil {
@@ -133,7 +127,7 @@ func TestDecodeFramesTornTransfer(t *testing.T) {
 // older segment to zero events, and the newer segment starts exactly
 // there — no duplicate, no gap.
 func TestCopySegmentFromRotationBoundary(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{FlushEvery: 1, RotateBytes: 256})
+	st, err := Open(t.TempDir(), Options{RotateBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +135,7 @@ func TestCopySegmentFromRotationBoundary(t *testing.T) {
 	st.StartAppend(0)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	segs, next, err := st.Segments()
 	if err != nil {
@@ -189,7 +181,7 @@ func TestCopySegmentFromRotationBoundary(t *testing.T) {
 // segments a snapshot would otherwise prune; dropping the follower (or
 // its TTL lapsing) releases them at the next snapshot.
 func TestPruneSparesFollowerAndPinnedSegments(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{FlushEvery: 1, RotateBytes: 256, KeepSnapshots: 1, FollowerTTL: time.Hour})
+	st, err := Open(t.TempDir(), Options{RotateBytes: 256, KeepSnapshots: 1, FollowerTTL: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +189,7 @@ func TestPruneSparesFollowerAndPinnedSegments(t *testing.T) {
 	st.StartAppend(0)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	segs, _, err := st.Segments()
 	if err != nil {
@@ -276,7 +266,7 @@ func TestPruneSparesFollowerAndPinnedSegments(t *testing.T) {
 // TestFollowerTTLExpiry: a follower that stops polling ages out of the
 // retention guard instead of growing the WAL forever.
 func TestFollowerTTLExpiry(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{FlushEvery: 1, RotateBytes: 256, KeepSnapshots: 1, FollowerTTL: 5 * time.Millisecond})
+	st, err := Open(t.TempDir(), Options{RotateBytes: 256, KeepSnapshots: 1, FollowerTTL: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,9 +274,7 @@ func TestFollowerTTLExpiry(t *testing.T) {
 	st.StartAppend(0)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := st.Append(uint64(i), testEvent(i)); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	st.RetainFollower("ghost", 0)
 	if got := st.Followers(); len(got) != 1 || got["ghost"] != 0 {

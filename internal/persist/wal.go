@@ -72,11 +72,6 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// appendEventFrame encodes e and frames it in one pass into dst.
-func appendEventFrame(dst []byte, e raslog.Event) []byte {
-	return appendFrame(dst, appendEvent(nil, e))
-}
-
 // appendEvent encodes e in the WAL's binary form: varints (zigzag for
 // the signed fields) plus length-prefixed strings. Unlike the text
 // codec — which records whole seconds — this is lossless at millisecond
@@ -224,9 +219,9 @@ func replaySegment(path string, firstSeq, from, stop uint64, fn func(seq uint64,
 		if err != nil {
 			return 0, fmt.Errorf("persist: %s: %w", path, err)
 		}
-		// A frame holds one event (Append) or a whole batch's worth
-		// back-to-back (AppendBatch); a single-record frame is the
-		// degenerate batch, so pre-batch segments decode identically.
+		// A frame holds a batch's events back to back (AppendBatch); a
+		// single-record frame is the degenerate batch, so pre-batch
+		// segments decode identically.
 		d := eventDecoder{buf: payload}
 		for len(d.buf) > 0 && seq < stop {
 			e, derr := d.event()

@@ -139,7 +139,7 @@ func TestFollowerPromotionEquivalence(t *testing.T) {
 		t.Fatalf("second Promote: %v", err)
 	}
 
-	// Per-record flush and an in-order feed mean sequence i is input
+	// An in-order feed means sequence i is input
 	// index i, so resuming the stream at the replicated position covers
 	// both the never-ingested tail and the reorder buffer's losses.
 	ingestAll(t, standby, &raslog.Log{Name: l.Name, Events: events[durable:]})

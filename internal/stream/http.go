@@ -17,10 +17,11 @@ import (
 
 // NewMux returns the service's HTTP API:
 //
-//	POST /ingest        text-codec RAS lines, ingested one event at a time
-//	POST /ingest/batch  the same wire format, ingested via IngestBatch:
-//	                    whole chunks enter the pipeline together and
-//	                    commit to the WAL with one frame and one fsync
+//	POST /ingest        text-codec RAS lines, one event per line, ingested
+//	POST /ingest/batch  via IngestBatch (the two routes are one handler):
+//	                    1024-line chunks enter the pipeline together,
+//	                    commit to the WAL with one frame and one fsync,
+//	                    and are acked after it
 //	GET  /warnings  recent warnings with their trigger rules (?n=50)
 //	GET  /stats     counters, compression, rule counts, retrain history
 //	GET  /metrics   the same counters in Prometheus text exposition
@@ -36,7 +37,7 @@ import (
 //	POST /backfill            body = raw text log, fed behind live traffic
 func NewMux(s *Service) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", s.handleIngest)
+	mux.HandleFunc("POST /ingest", s.handleIngestBatch)
 	mux.HandleFunc("POST /ingest/batch", s.handleIngestBatch)
 	mux.HandleFunc("GET /warnings", s.handleWarnings)
 	mux.HandleFunc("GET /stats", s.handleStats)
@@ -50,10 +51,11 @@ func NewMux(s *Service) *http.ServeMux {
 	return mux
 }
 
-// ingestResponse reports one POST /ingest batch. On error, Line is the
-// 1-based input line the batch failed at: every line before it was
-// accepted, so a client can resume the batch from Line (decode errors)
-// or retry from Line (backpressure timeouts, shutdown).
+// ingestResponse reports one POST /ingest or /ingest/batch request. On
+// error, Line is the 1-based input line the request failed at: every
+// line before it was accepted, so a client can resume the request from
+// Line (decode errors) or retry from Line (backpressure timeouts,
+// shutdown).
 type ingestResponse struct {
 	Accepted int    `json:"accepted"`
 	Line     int    `json:"line,omitempty"`
@@ -87,31 +89,6 @@ var chunkPool = sync.Pool{New: func() any {
 	return &chunk
 }}
 
-func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
-	scr := scratchPool.Get().(*ingestScratch)
-	defer scratchPool.Put(scr) // Ingest copies each event: nothing outlives the request
-	sc := scr.sc
-	sc.Reset(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	accepted := 0
-	var err error
-	for sc.Scan() {
-		if ierr := s.Ingest(r.Context(), sc.Event()); ierr != nil {
-			err = fmt.Errorf("ingest line %d: %w", sc.Line(), ierr)
-			break
-		}
-		accepted++
-	}
-	if err == nil {
-		err = sc.Err()
-	}
-	if err != nil {
-		resp := ingestResponse{Accepted: accepted, Line: sc.Line(), Error: err.Error()}
-		writeJSON(w, ingestStatus(w, err), resp)
-		return
-	}
-	writeAccepted(w, accepted)
-}
-
 // ingestStatus maps an ingest failure to its HTTP status, setting any
 // status-specific headers on w (before the status is written). Malformed
 // input is the client's fault (400). A saturated pipeline is overload:
@@ -143,22 +120,22 @@ func ingestStatus(w http.ResponseWriter, err error) int {
 }
 
 // ingestBatchChunk caps one IngestBatch call (and therefore one WAL
-// frame) from the batch endpoint, and with it the memory a request holds
+// frame) from the ingest endpoints, and with it the memory a request holds
 // however large its body. Chunking also gives the 429/503 resume
 // protocol its granularity: a batch that fails against backpressure or
 // shutdown reports the first line of the first unconsumed chunk, and
 // everything before it is already accepted.
 const ingestBatchChunk = 1024
 
-// handleIngestBatch serves POST /ingest/batch: the same
-// newline-delimited text codec as /ingest, but events are parsed and
-// handed to the pipeline a chunk at a time, so each chunk shares one WAL
-// group commit instead of paying the log write per event. The response
-// protocol matches /ingest exactly — on error, Line is the 1-based input
-// line to resume from: lines before it were accepted, whether the
-// failure was a decode error (400), a saturated pipeline (429), or an
-// unavailable service (503). A decode error mid-body still ingests every
-// line parsed before it.
+// handleIngestBatch serves POST /ingest and POST /ingest/batch: the
+// newline-delimited text codec, parsed and handed to the pipeline a
+// chunk at a time, so each chunk shares one WAL group commit and, with
+// durable state on, is admitted and acked only once that commit is on
+// disk. On error, Line is the 1-based input line to resume from: lines
+// before it were accepted, whether the failure was a decode error (400),
+// a saturated pipeline (429), or an unavailable service (503). Admission
+// is per chunk, so a 429 or 503 resumes at a chunk boundary; a decode
+// error mid-body still ingests every line parsed before it.
 func (s *Service) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	scr := scratchPool.Get().(*ingestScratch)
 	sc := scr.sc
@@ -186,7 +163,7 @@ func (s *Service) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		msg.batch = chunk
-		n, ierr := s.submit(r.Context(), msg, len(chunk))
+		n, ierr := s.submit(r.Context(), msg)
 		resp.Accepted += n
 		if ierr != nil {
 			err = fmt.Errorf("ingest line %d: %w", first, ierr)

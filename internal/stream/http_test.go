@@ -157,9 +157,10 @@ func TestHTTPIngestClosedService(t *testing.T) {
 	}
 }
 
-// TestHTTPIngestBackpressureTimeout pins the other retryable case: a
-// request whose context expires against a saturated pipeline gets a 503
-// and the line to retry from, not a 400.
+// TestHTTPIngestBackpressureTimeout pins the other retryable case on the
+// /ingest route: a request whose context expires against a saturated
+// pipeline gets a 503 and the line to retry from, not a 400. Admission
+// is per chunk, so the retry line sits at a chunk boundary.
 func TestHTTPIngestBackpressureTimeout(t *testing.T) {
 	cfg := Defaults()
 	cfg.InitialTrain = 10000 * week
@@ -170,20 +171,20 @@ func TestHTTPIngestBackpressureTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wedge the pipeline: the first applied event takes s.mu to start the
-	// retrain schedule, so holding it stalls the pipeline goroutine and
-	// Ingest soon blocks on backpressure.
+	// retrain schedule, so holding it stalls the pipeline goroutine on the
+	// first chunk, the second fills the length-1 queue, and the third
+	// cannot be admitted.
 	s.mu.Lock()
-	evs := make([]raslog.Event, 64)
+	evs := make([]raslog.Event, 3*ingestBatchChunk)
 	for i := range evs {
-		evs[i] = raslog.Event{Time: int64(i+1) * 1000, Location: "L", Entry: "e",
-			Facility: raslog.Kernel, Severity: raslog.Info}
+		evs[i] = pipelineEvent(i)
 	}
 	body := encodeLog(t, &raslog.Log{Events: evs})
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	req := httptest.NewRequest("POST", "/ingest", bytes.NewReader(body)).WithContext(ctx)
 	w := httptest.NewRecorder()
-	s.handleIngest(w, req)
+	NewMux(s).ServeHTTP(w, req)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503 on backpressure timeout: %s", w.Code, w.Body)
 	}
@@ -191,8 +192,8 @@ func TestHTTPIngestBackpressureTimeout(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Accepted == 0 || out.Accepted >= len(evs) {
-		t.Errorf("accepted %d of %d; want a partial batch", out.Accepted, len(evs))
+	if out.Accepted == 0 || out.Accepted >= len(evs) || out.Accepted%ingestBatchChunk != 0 {
+		t.Errorf("accepted %d of %d; want a partial batch of whole %d-line chunks", out.Accepted, len(evs), ingestBatchChunk)
 	}
 	if out.Line != out.Accepted+1 {
 		t.Errorf("failed at line %d with %d accepted; want line = accepted+1", out.Line, out.Accepted)
@@ -223,14 +224,14 @@ func TestHTTPRetrain(t *testing.T) {
 	s, srv := newTestServer(t, cfg)
 	postIngest(t, srv.URL, encodeLog(t, l))
 
-	// Wait until the accepted events are visible in history.
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Stats().Processed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no events processed")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// Wait until the pipeline has applied every accepted event it can
+	// release. The stream clock TrainNow checks is published once per
+	// applied batch, after the batch's events reach history, so a
+	// nonzero processed count alone can still precede it.
+	waitFor(t, 30*time.Second, func() bool {
+		st := s.Stats()
+		return st.Processed > 0 && st.Sequenced+st.LateDropped+int64(st.Queues.Reorder) == st.Ingested
+	})
 
 	resp, err := http.Post(srv.URL+"/retrain", "", nil)
 	if err != nil {

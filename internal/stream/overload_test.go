@@ -180,7 +180,8 @@ func TestHTTPSaturationReturns429WithResume(t *testing.T) {
 		t.Fatalf("Line = %d, want Accepted+1 = %d (resume contract)", resp.Line, resp.Accepted+1)
 	}
 
-	// The single-event endpoint rejects the same way, with Retry-After.
+	// A one-event request on /ingest is rejected the same way, with
+	// Retry-After.
 	extra := raslog.NewLog("extra", 1)
 	extra.Append(pipelineEvent(batchLines))
 	extraBody := encodeLog(t, extra)

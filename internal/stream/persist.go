@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/learner"
 	"repro/internal/persist"
 	"repro/internal/predictor"
 	"repro/internal/preprocess"
@@ -44,7 +45,6 @@ func (s *Service) recover() error {
 	t0 := time.Now()
 	store, err := persist.Open(s.cfg.StateDir, persist.Options{
 		RotateBytes: s.cfg.WALRotateBytes,
-		FlushEvery:  s.cfg.WALFlushEvery,
 		SyncMaxWait: s.cfg.SyncMaxWait,
 		SyncExec:    s.cfg.WALSyncExec,
 	})
@@ -179,7 +179,16 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 // every counter below moves only on that goroutine, so all of them are
 // exact at the cut.
 func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
-	rules, err := persist.EncodeRules(s.repo.Rules())
+	// The rules come from the live predictor, not the repository: a
+	// background pass may be rewriting the repository right now, while
+	// the predictor's rule set never changes and matches the predictor
+	// state exported with it below.
+	pr := s.pr.Load()
+	var live []learner.Rule
+	if pr != nil {
+		live = pr.Rules()
+	}
+	rules, err := persist.EncodeRules(live)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +210,7 @@ func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
 		Temporal: s.temporal.Export(),
 		Spatial:  s.spatial.Export(),
 	}
-	if pr := s.pr.Load(); pr != nil {
+	if pr != nil {
 		st := pr.ExportState()
 		snap.Predictor = &st
 	}

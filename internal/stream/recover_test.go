@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,9 +21,10 @@ import (
 
 // durableConfig is the deterministic configuration the recovery tests
 // share: synchronous retraining (so the predictor swap lands at a fixed
-// stream position), per-record WAL flushing (so everything sequenced
-// before a kill is durable), and an oversized warnings ring (so full
-// warning histories can be compared, not just tails).
+// stream position) and an oversized warnings ring (so full warning
+// histories can be compared, not just tails). Ingest returns only once
+// what its event released is fsynced, so everything sequenced before a
+// kill is durable.
 func durableConfig(dir string) Config {
 	cfg := Defaults()
 	cfg.InitialTrain = 3 * week
@@ -30,7 +33,6 @@ func durableConfig(dir string) Config {
 	cfg.SyncRetrain = true
 	cfg.WarningsKeep = 1 << 20
 	cfg.StateDir = dir
-	cfg.WALFlushEvery = 1
 	return cfg
 }
 
@@ -150,8 +152,8 @@ func TestCrashRestartEquivalence(t *testing.T) {
 				t.Fatalf("recovery failed: %v", err)
 			}
 			rec := second.Recovery()
-			// Per-record flush means every sequenced event was durable, and
-			// an in-order feed means sequence i is input index i — so the
+			// Every sequenced event was acked and so durable, and an
+			// in-order feed means sequence i is input index i — so the
 			// resume position is exactly the count of sequenced events, and
 			// re-feeding events[ResumeSeq:] covers both the never-ingested
 			// tail and the events the reorder buffer lost.
@@ -522,6 +524,75 @@ func TestCrashMidCoalesceDurability(t *testing.T) {
 	}
 }
 
+// TestSnapshotCutDuringBackgroundRetrain runs snapshot cuts on the
+// pipeline goroutine while background passes retrain back to back (a
+// one-day cadence over a fast feed makes each pass start the next as its
+// catch-up). A cut must not read the rule repository a pass is
+// rewriting: under -race any such read is reported, and without it the
+// daemon could die of a concurrent map access.
+func TestSnapshotCutDuringBackgroundRetrain(t *testing.T) {
+	l := genLog(t, 11, 8)
+	cfg := durableConfig(t.TempDir())
+	cfg.SyncRetrain = false
+	cfg.RetrainEvery = 24 * time.Hour
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < l.Len(); i += 256 {
+		batch := append([]raslog.Event(nil), l.Events[i:min(i+256, l.Len())]...)
+		if _, err := s.IngestBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, snaps := len(s.Stats().Retrains), s.m.snapshots.Value(); n < 10 || snaps < 2 {
+		t.Fatalf("%d retrains, %d snapshots; want several of each", n, snaps)
+	}
+}
+
+// TestIngestRouteAckImpliesDurable pins ack-implies-durable on both
+// ingest routes, with the WAL at its defaults: once a POST returns 200,
+// every event it released is on disk. Events one second apart under a
+// 1 ms tolerance release all but the newest, so a crash right after the
+// 200 must recover at least 99 of the 100.
+func TestIngestRouteAckImpliesDurable(t *testing.T) {
+	const n = 100
+	evs := make([]raslog.Event, n)
+	for i := range evs {
+		evs[i] = pipelineEvent(i)
+	}
+	for _, route := range []string{"/ingest", "/ingest/batch"} {
+		t.Run("route="+route, func(t *testing.T) {
+			cfg := Defaults()
+			cfg.StateDir = t.TempDir()
+			cfg.ReorderWindow = time.Millisecond
+			s, srv := newTestServer(t, cfg)
+			resp, err := http.Post(srv.URL+route, "text/plain", bytes.NewReader(encodeLog(t, &raslog.Log{Events: evs})))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST %s: status %d, want 200", route, resp.StatusCode)
+			}
+			s.crash()
+
+			second, err := New(cfg)
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			defer second.Close()
+			if rec := second.Recovery(); rec.ResumeSeq < n-1 {
+				t.Fatalf("recovered %d events after a 200 that released %d: an acked event was lost", rec.ResumeSeq, n-1)
+			}
+		})
+	}
+}
+
 // TestCrashMidCoalesceNeverFalseAcks pins the other direction: a batch
 // that was sequenced and staged in the WAL but whose round never reached
 // an fsync (SyncMaxWait parks the syncer for a minute) must NOT be
@@ -587,8 +658,9 @@ func TestReplayTailKeepsTemporalAnchors(t *testing.T) {
 	thrMs := cfg.Filter.Threshold * 1000
 	base := int64(1136073600000)
 
-	// A is sequenced (and, per-record flush, durable) but no snapshot ever
-	// covers it: the crash leaves a WAL-only tail for recovery to replay.
+	// A is sequenced and durable (the pusher's ack waited for its commit)
+	// but no snapshot ever covers it: the crash leaves a WAL-only tail for
+	// recovery to replay.
 	// The pusher event advances the sequencer's high-water mark past the
 	// reorder tolerance so A is released; the pusher itself stays in the
 	// reorder buffer and dies with the crash.

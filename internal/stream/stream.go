@@ -148,11 +148,6 @@ type Config struct {
 	// position. Requires StateDir (the replica keeps its own durable WAL so
 	// a promoted leader can itself recover).
 	Standby bool
-	// WALFlushEvery pushes the WAL write buffer to the OS every this many
-	// records (persist.Options.FlushEvery). Zero means 64; 1 makes every
-	// sequenced event durable against process death at an obvious
-	// throughput cost.
-	WALFlushEvery int
 	// WALRotateBytes is the WAL segment rotation size. Zero means 8 MiB.
 	WALRotateBytes int64
 	// SyncMaxWait is the WAL commit pipeline's coalescing delay
@@ -389,13 +384,13 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Ingest feeds one raw event. It blocks while the pipeline is saturated
-// (backpressure) for at most Config.AdmitWait, then fails with
-// ErrSaturated (or earlier with ctx's error); the event is accepted iff
-// the return is nil. Events may arrive modestly out of order (within
-// ReorderWindow); later ones are dropped and counted.
+// Ingest feeds one raw event: it is a one-event IngestBatch, with the
+// same backpressure bound, errors and, with durable state on, the same
+// ack-implies-durable receipt. The event is accepted iff the return is
+// nil. Events may arrive modestly out of order (within ReorderWindow);
+// later ones are dropped and counted.
 func (s *Service) Ingest(ctx context.Context, e raslog.Event) error {
-	_, err := s.submit(ctx, ingestMsg{e: e}, 1)
+	_, err := s.IngestBatch(ctx, []raslog.Event{e})
 	return err
 }
 
@@ -448,15 +443,16 @@ func (s *Service) IngestBatch(ctx context.Context, events []raslog.Event) (int, 
 		// allocation-free (BenchmarkIngestBatch).
 		msg.ack = make(chan persist.Ticket, 1)
 	}
-	return s.submit(ctx, msg, len(events))
+	return s.submit(ctx, msg)
 }
 
-// submit admits msg, which carries n events, and returns how many were
-// accepted: n or none. With msg.ack set — a batch into a service that has
-// a store — it returns only once the commit ticket coming back on ack has
-// resolved: after a nil error the channel is empty and the caller's
-// again, after an error the pipeline may still hold every part of msg.
-func (s *Service) submit(ctx context.Context, msg ingestMsg, n int) (int, error) {
+// submit admits msg and returns how many of its events were accepted:
+// all or none. With msg.ack set — a service that has a store — it
+// returns only once the commit ticket coming back on ack has resolved:
+// after a nil error the channel is empty and the caller's again, after
+// an error the pipeline may still hold every part of msg.
+func (s *Service) submit(ctx context.Context, msg ingestMsg) (int, error) {
+	n := len(msg.batch)
 	if n == 0 {
 		return 0, nil
 	}
@@ -525,15 +521,14 @@ func (s *Service) Close() error {
 // The pipeline goroutine: reorder, log, apply.
 // ---------------------------------------------------------------------------
 
-// ingestMsg travels Ingest/IngestBatch → pipeline; batch == nil is the
-// single-event form. A batch is sequenced as one unit, so everything it
-// releases shares one WAL group commit. ack, when non-nil, receives
-// exactly one commit ticket, covering the events the batch released,
-// once those are in the WAL. recycle, when non-nil, is the chunkPool
-// entry backing batch: the pipeline puts it back once the events are
-// copied into the reorder buffer, the last time it reads batch.
+// ingestMsg travels IngestBatch → pipeline. A batch is sequenced as one
+// unit, so everything it releases shares one WAL group commit. ack, when
+// non-nil, receives exactly one commit ticket, covering the events the
+// batch released, once those are in the WAL. recycle, when non-nil, is
+// the chunkPool entry backing batch: the pipeline puts it back once the
+// events are copied into the reorder buffer, the last time it reads
+// batch.
 type ingestMsg struct {
-	e       raslog.Event
 	batch   []raslog.Event
 	ack     chan persist.Ticket
 	recycle *[]raslog.Event
@@ -560,19 +555,15 @@ func (s *Service) pipeline() {
 	var release []raslog.Event // this round's releases, committed together
 	for msg := range s.seqCh {
 		t0 := time.Now()
-		if msg.batch != nil {
-			for i := range msg.batch {
-				buf.push(msg.batch[i])
-			}
-			if msg.recycle != nil {
-				chunkPool.Put(msg.recycle)
-			}
-		} else {
-			buf.push(msg.e)
+		for i := range msg.batch {
+			buf.push(msg.batch[i])
+		}
+		if msg.recycle != nil {
+			chunkPool.Put(msg.recycle)
 		}
 		var late, overflow int64
 		release, late, overflow = buf.release(release[:0], false)
-		t := s.logReleases(release, msg.ack != nil)
+		t := s.logReleases(release)
 		if msg.ack != nil {
 			msg.ack <- t // buffered: never blocks the pipeline
 		}
@@ -583,28 +574,18 @@ func (s *Service) pipeline() {
 	// Intake closed: flush the buffer in order.
 	var late int64
 	release, late, _ = buf.release(release[:0], true)
-	s.logReleases(release, false)
+	s.logReleases(release)
 	s.applyBatch(release, late, 0, 0, time.Now())
 }
 
 // logReleases appends one round of releases to the WAL at sequences
-// s.next on: one frame whatever its size (group commit), or the buffered
-// single-record path for a lone release nobody awaits a ticket for. The
-// returned ticket resolves with the covering fsync.
-func (s *Service) logReleases(release []raslog.Event, wantTicket bool) persist.Ticket {
+// s.next on as one frame whatever its size (group commit). The returned
+// ticket resolves with the covering fsync.
+func (s *Service) logReleases(release []raslog.Event) persist.Ticket {
 	if s.store == nil || len(release) == 0 {
 		return persist.Ticket{}
 	}
-	var (
-		n   int
-		t   persist.Ticket
-		err error
-	)
-	if len(release) == 1 && !wantTicket {
-		n, err = s.store.Append(s.next, release[0])
-	} else {
-		n, t, err = s.store.AppendBatch(s.next, release)
-	}
+	n, t, err := s.store.AppendBatch(s.next, release)
 	if err != nil {
 		s.m.walErrors.Inc()
 		return persist.FailedTicket(err)

@@ -78,10 +78,11 @@ echo "== group-commit gate (-race -count=1)"
 # The asynchronous commit pipeline re-proven fresh every run: ticket
 # resolution and coalescing (one fsync covers many tickets), abandon and
 # close semantics, the fleet-shared sync executor, rotation under
-# pending tickets, batch ≡ sequential ingest equivalence, and the
-# crash-mid-coalesce pins (no acked batch lost, no false acks).
+# pending tickets, batch ≡ sequential ingest equivalence, the
+# crash-mid-coalesce pins (no acked batch lost, no false acks), and a
+# 200 from either ingest route surviving a crash right after it.
 go test -race -count=1 \
-    -run 'Ticket|Coalesce|SharedSyncExecutor|RotationPreserves|IngestBatch|DurableBatch' \
+    -run 'Ticket|Coalesce|SharedSyncExecutor|RotationPreserves|IngestBatch|DurableBatch|AckImpliesDurable' \
     ./internal/persist ./internal/stream
 echo "== training-path equivalence gate (-race -count=1)"
 # engine.TrainWindow ≡ the learners' batch passes, re-proven fresh on
@@ -137,8 +138,9 @@ go test -race ./...
 echo "== crash harness (-tags crash, -race -count=3)"
 # The real cmd/serve binary under kill -9, on ephemeral ports: resume
 # after a crash, incremental state restored, no acked batch lost to a
-# mid-sweep kill at 1 and 8 connections, a two-tenant fleet, and standby
-# failover (cmd/serve/crash_test.go).
+# mid-sweep kill at 1 and 8 connections on /ingest/batch and at 1 on
+# /ingest, a two-tenant fleet, and standby failover
+# (cmd/serve/crash_test.go).
 go vet -tags crash ./cmd/serve
 run_selected -count=3 -tags=crash '^TestCrash' ./cmd/serve
 echo "verify: OK"
