@@ -4,15 +4,12 @@
 // Usage:
 //
 //	serve [-addr :8080] [-filter 300] [-window 300] [-train 26] [-retrain 4]
-//	      [-policy sliding|whole|static] [-reorder 60] [-queue 1024]
-//	      [-parallelism 0] [-pprof] [-state-dir DIR]
-//	      [-admit-wait 2s] [-read-header-timeout 10s] [-read-timeout 5m]
-//	      [-idle-timeout 2m] [-sync-max-wait 0]
-//	      [-fleet] [-default-tenant default] [-max-active 0]
-//	      [-idle-evict 0] [-retrain-workers 0] [-ingest-slots 0]
-//	      [-sync-parallel 0]
+//	      [-policy sliding|whole|static] [-reorder 60] [-pprof]
+//	      [-state-dir DIR] [-read-header-timeout 10s] [-read-timeout 5m]
+//	      [-idle-timeout 2m]
+//	      [-fleet] [-default-tenant default] [-max-active 0] [-idle-evict 0]
 //	      [-follow URL] [-follower-id standby] [-follow-poll 250ms]
-//	      [-promote-after 0] [-backfill FILE] [-backfill-workers 0]
+//	      [-promote-after 0] [-backfill FILE]
 //
 // API:
 //
@@ -28,34 +25,33 @@
 // -fleet multiplexes many independent tenants — one full pipeline each —
 // in this one process (DESIGN.md §11). Every route above is then also
 // available per tenant under /t/{tenant}/..., the unprefixed routes
-// alias the default tenant, GET /tenants lists the fleet, GET
-// /warnings?all=1 merges every active tenant's warnings, and GET
-// /metrics aggregates all tenants with tenant="<id>" labels. With
+// alias the default tenant (-default-tenant), GET /tenants lists the
+// fleet, GET /warnings?all=1 merges every active tenant's warnings, and
+// GET /metrics aggregates all tenants with tenant="<id>" labels. With
 // -state-dir each tenant persists under <state-dir>/tenants/<id>/.
-// -max-active softly caps resident tenants (LRU eviction), -idle-evict
-// evicts tenants idle that long (0 = never), and -retrain-workers bounds
-// concurrent background training passes fleet-wide (0 = GOMAXPROCS,
-// negative = unlimited).
+// -max-active softly caps resident tenants (LRU eviction) and
+// -idle-evict evicts tenants idle that long (0 = never). Background
+// training passes are bounded fleet-wide at GOMAXPROCS.
 //
 // Overload behavior (DESIGN.md §13): when the pipeline is saturated an
-// ingest request waits up to -admit-wait for a slot, then gets a 429
-// with Retry-After and the first-unaccepted line number, so a client
-// backs off and resumes exactly where it stopped — nothing admitted is
-// ever dropped or reordered. In fleet mode -ingest-slots additionally
-// caps each tenant's concurrent ingest requests (0 = 4, negative =
-// uncapped) so one storming tenant cannot camp every admission slot.
-// The -read-header-timeout/-read-timeout/-idle-timeout flags bound how
-// long a stalled or idle connection may hold server resources.
+// ingest request waits up to 2s for a slot, then gets a 429 with
+// Retry-After and the first-unaccepted line number, so a client backs
+// off and resumes exactly where it stopped — nothing admitted is ever
+// dropped or reordered. In fleet mode each tenant additionally holds at
+// most 4 concurrent ingest requests, so one storming tenant cannot camp
+// every admission slot. The -read-header-timeout/-read-timeout/
+// -idle-timeout flags bound how long a stalled or idle connection may
+// hold server resources.
 //
 // -follow runs this daemon as a hot standby of another (DESIGN.md §14):
-// it tails the leader's WAL over GET /wal/segments + /wal/segment/{name},
-// replays every record through the live stage logic, and refuses direct
-// ingest (503) until promoted — POST /promote, or automatically once the
-// leader has been unreachable for -promote-after. The leader's pruning
-// retains any segment a registered follower (-follower-id) has not acked.
-// -backfill feeds a historical raw log through the pipeline with bounded
-// memory, parsed in parallel but submitted in order behind live traffic
-// (POST /backfill does the same with the request body).
+// it tails the leader's WAL over GET /wal/segments + /wal/segment/{name}
+// every -follow-poll, replays every record through the live stage logic,
+// and refuses direct ingest (503) until promoted — POST /promote, or
+// automatically once the leader has been unreachable for -promote-after.
+// The leader's pruning retains any segment a registered follower
+// (-follower-id) has not acked. -backfill feeds a historical raw log
+// through the pipeline with bounded memory, in file order, behind live
+// traffic (POST /backfill does the same with the request body).
 //
 // -pprof additionally mounts net/http/pprof under /debug/pprof/ for
 // CPU/heap/goroutine profiling of the live service. It is opt-in: the
@@ -68,10 +64,8 @@
 // off (newest valid snapshot + WAL tail replay — DESIGN.md §9). Without
 // it the service is purely in-memory, as before. Every ingest ack is
 // released only after the covering fsync; concurrent requests share one
-// fsync through the WAL commit pipeline (DESIGN.md §15). -sync-max-wait
-// adds a deliberate coalescing delay on top of the self-clocking
-// pipeline, and in fleet mode -sync-parallel bounds concurrent fsyncs
-// across all tenant stores on the shared disk.
+// fsync through the WAL commit pipeline (DESIGN.md §15), and in fleet
+// mode at most two fsyncs run at once across all tenant stores.
 //
 // Retraining follows *stream time* (event timestamps), so replayed or
 // time-compressed feeds retrain on their own timeline. Try it end to end:
@@ -99,49 +93,12 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	filter := flag.Int64("filter", 300, "preprocessing filter threshold in seconds (0 disables)")
-	window := flag.Int64("window", 300, "prediction window W_P in seconds")
-	train := flag.Float64("train", 26, "initial/sliding training window in stream-time weeks")
-	retrain := flag.Float64("retrain", 4, "retraining cadence W_R in stream-time weeks")
-	policy := flag.String("policy", "sliding", "training policy: sliding, whole or static")
-	reorder := flag.Int64("reorder", 60, "out-of-order tolerance in stream-time seconds")
-	queue := flag.Int("queue", 1024, "intake queue length: admitted batches awaiting the pipeline before ingest blocks (see -admit-wait)")
-	parallelism := flag.Int("parallelism", 0, "background-training workers (0 = GOMAXPROCS, 1 = serial)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in)")
-	stateDir := flag.String("state-dir", "", "directory for durable state (snapshots + WAL); empty = in-memory only")
-	fleetOn := flag.Bool("fleet", false, "serve many tenants from this process (routes under /t/{tenant}/)")
-	defaultTenant := flag.String("default-tenant", "default", "tenant backing the unprefixed routes in fleet mode")
-	maxActive := flag.Int("max-active", 0, "fleet: soft cap on resident tenants, LRU-evicted (0 = uncapped)")
-	idleEvict := flag.Duration("idle-evict", 0, "fleet: evict tenants idle this long, e.g. 30m (0 = never)")
-	retrainWorkers := flag.Int("retrain-workers", 0, "fleet: concurrent background training passes (0 = GOMAXPROCS, negative = unlimited)")
-	admitWait := flag.Duration("admit-wait", 2*time.Second, "max time an ingest request waits for a pipeline slot before a 429")
-	syncMaxWait := flag.Duration("sync-max-wait", 0, "WAL group-commit coalescing delay: how long the background syncer lingers so more batches share one fsync (0 = sync as soon as the disk is free)")
-	syncParallel := flag.Int("sync-parallel", 0, "fleet: concurrent WAL fsyncs across all tenant stores (0 = 2, negative = unbounded per store)")
-	ingestSlots := flag.Int("ingest-slots", 0, "fleet: per-tenant concurrent ingest request cap (0 = 4, negative = uncapped)")
-	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second, "close connections whose request header stalls this long")
-	readTimeout := flag.Duration("read-timeout", 5*time.Minute, "close connections whose request body stalls this long")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "close keep-alive connections idle this long")
-	follow := flag.String("follow", "", "run as hot standby of this leader URL (requires -state-dir, excludes -fleet)")
-	followerID := flag.String("follower-id", "standby", "stable follower name for the leader's retention guard")
-	followPoll := flag.Duration("follow-poll", 250*time.Millisecond, "standby: leader poll interval")
-	promoteAfter := flag.Duration("promote-after", 0, "standby: auto-promote after the leader is unreachable this long (0 = manual POST /promote only)")
-	backfill := flag.String("backfill", "", "raw text log to backfill through the pipeline behind live traffic")
-	backfillWorkers := flag.Int("backfill-workers", 0, "backfill parser workers (0 = half the CPUs)")
-	flag.Parse()
-
-	opts := serveOpts{
-		addr: *addr, filter: *filter, window: *window, train: *train,
-		retrain: *retrain, policy: *policy, reorder: *reorder,
-		queue: *queue, parallelism: *parallelism, pprofOn: *pprofOn,
-		stateDir: *stateDir, fleetOn: *fleetOn, defaultTenant: *defaultTenant,
-		maxActive: *maxActive, idleEvict: *idleEvict, retrainWorkers: *retrainWorkers,
-		admitWait: *admitWait, ingestSlots: *ingestSlots,
-		syncMaxWait: *syncMaxWait, syncParallel: *syncParallel,
-		readHeaderTimeout: *readHeaderTimeout, readTimeout: *readTimeout,
-		idleTimeout: *idleTimeout,
-		follow:      *follow, followerID: *followerID, followPoll: *followPoll,
-		promoteAfter: *promoteAfter, backfill: *backfill, backfillWorkers: *backfillWorkers,
+	opts, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has already printed the error and usage
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
@@ -149,36 +106,67 @@ func main() {
 	}
 }
 
+// admitWait bounds how long an ingest request waits for a pipeline slot
+// before a 429: well under the library's 30s backstop, so an overdriven
+// daemon sheds load while clients still hold their connections.
+const admitWait = 2 * time.Second
+
 type serveOpts struct {
 	addr           string
 	filter, window int64
 	train, retrain float64
 	policy         string
 	reorder        int64
-	queue          int
-	parallelism    int
 	pprofOn        bool
 	stateDir       string
 	fleetOn        bool
 	defaultTenant  string
 	maxActive      int
 	idleEvict      time.Duration
-	retrainWorkers int
-	admitWait      time.Duration
-	ingestSlots    int
-	syncMaxWait    time.Duration
-	syncParallel   int
 
 	readHeaderTimeout time.Duration
 	readTimeout       time.Duration
 	idleTimeout       time.Duration
 
-	follow          string
-	followerID      string
-	followPoll      time.Duration
-	promoteAfter    time.Duration
-	backfill        string
-	backfillWorkers int
+	follow       string
+	followerID   string
+	followPoll   time.Duration
+	promoteAfter time.Duration
+	backfill     string
+}
+
+// parseFlags parses the command line into serveOpts.
+func parseFlags(args []string) (serveOpts, error) {
+	var o serveOpts
+	err := flagSet(&o).Parse(args)
+	return o, err
+}
+
+// flagSet registers every serve flag, each bound to its field of o.
+func flagSet(o *serveOpts) *flag.FlagSet {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.Int64Var(&o.filter, "filter", 300, "preprocessing filter threshold in seconds (0 disables)")
+	fs.Int64Var(&o.window, "window", 300, "prediction window W_P in seconds")
+	fs.Float64Var(&o.train, "train", 26, "initial/sliding training window in stream-time weeks")
+	fs.Float64Var(&o.retrain, "retrain", 4, "retraining cadence W_R in stream-time weeks")
+	fs.StringVar(&o.policy, "policy", "sliding", "training policy: sliding, whole or static")
+	fs.Int64Var(&o.reorder, "reorder", 60, "out-of-order tolerance in stream-time seconds")
+	fs.BoolVar(&o.pprofOn, "pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in)")
+	fs.StringVar(&o.stateDir, "state-dir", "", "directory for durable state (snapshots + WAL); empty = in-memory only")
+	fs.BoolVar(&o.fleetOn, "fleet", false, "serve many tenants from this process (routes under /t/{tenant}/)")
+	fs.StringVar(&o.defaultTenant, "default-tenant", "default", "tenant backing the unprefixed routes in fleet mode")
+	fs.IntVar(&o.maxActive, "max-active", 0, "fleet: soft cap on resident tenants, LRU-evicted (0 = uncapped)")
+	fs.DurationVar(&o.idleEvict, "idle-evict", 0, "fleet: evict tenants idle this long, e.g. 30m (0 = never)")
+	fs.DurationVar(&o.readHeaderTimeout, "read-header-timeout", 10*time.Second, "close connections whose request header stalls this long")
+	fs.DurationVar(&o.readTimeout, "read-timeout", 5*time.Minute, "close connections whose request body stalls this long")
+	fs.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "close keep-alive connections idle this long")
+	fs.StringVar(&o.follow, "follow", "", "run as hot standby of this leader URL (requires -state-dir, excludes -fleet)")
+	fs.StringVar(&o.followerID, "follower-id", "standby", "stable follower name for the leader's retention guard")
+	fs.DurationVar(&o.followPoll, "follow-poll", 250*time.Millisecond, "standby: leader poll interval")
+	fs.DurationVar(&o.promoteAfter, "promote-after", 0, "standby: auto-promote after the leader is unreachable this long (0 = manual POST /promote only)")
+	fs.StringVar(&o.backfill, "backfill", "", "raw text log to backfill through the pipeline behind live traffic")
+	return fs
 }
 
 func streamConfig(o serveOpts) (stream.Config, error) {
@@ -190,10 +178,7 @@ func streamConfig(o serveOpts) (stream.Config, error) {
 	cfg.TrainWindow = time.Duration(o.train * float64(week))
 	cfg.RetrainEvery = time.Duration(o.retrain * float64(week))
 	cfg.ReorderWindow = time.Duration(o.reorder) * time.Second
-	cfg.QueueLen = o.queue
-	cfg.Parallelism = o.parallelism
-	cfg.AdmitWait = o.admitWait
-	cfg.SyncMaxWait = o.syncMaxWait
+	cfg.AdmitWait = admitWait
 	switch o.policy {
 	case "sliding":
 		cfg.Policy = engine.Sliding
@@ -217,7 +202,7 @@ func promoteMode(d time.Duration) string {
 // runBackfill feeds -backfill's raw log through the pipeline behind live
 // traffic, logging the outcome. Errors are operational news, not fatal:
 // the daemon keeps serving either way.
-func runBackfill(svc *stream.Service, path string, workers int) {
+func runBackfill(svc *stream.Service, path string) {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: backfill: %v\n", err)
@@ -226,7 +211,7 @@ func runBackfill(svc *stream.Service, path string, workers int) {
 	defer f.Close()
 	t0 := time.Now()
 	fmt.Fprintf(os.Stderr, "serve: backfill of %s started\n", path)
-	res, err := svc.Backfill(context.Background(), f, workers)
+	res, err := svc.Backfill(context.Background(), f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: backfill: %v (%d lines fed first)\n", err, res.Lines)
 		return
@@ -275,14 +260,11 @@ func run(o serveOpts) error {
 	)
 	if o.fleetOn {
 		reg, err := fleet.New(fleet.Config{
-			Stream:             cfg, // StateDir stays empty; tenants derive theirs from Root
-			Root:               o.stateDir,
-			DefaultTenant:      o.defaultTenant,
-			MaxActive:          o.maxActive,
-			IdleAfter:          o.idleEvict,
-			RetrainConcurrency: o.retrainWorkers,
-			IngestSlots:        o.ingestSlots,
-			SyncParallel:       o.syncParallel,
+			Stream:        cfg, // StateDir stays empty; tenants derive theirs from Root
+			Root:          o.stateDir,
+			DefaultTenant: o.defaultTenant,
+			MaxActive:     o.maxActive,
+			IdleAfter:     o.idleEvict,
 		})
 		if err != nil {
 			return err
@@ -328,7 +310,7 @@ func run(o serveOpts) error {
 				o.follow, o.followPoll, promoteMode(o.promoteAfter))
 		}
 		if o.backfill != "" {
-			go runBackfill(svc, o.backfill, o.backfillWorkers)
+			go runBackfill(svc, o.backfill)
 		}
 		mux = stream.NewMux(svc)
 		shutdown = func() error {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -91,4 +94,56 @@ func TestServerStillServesWithTimeouts(t *testing.T) {
 		body, _ := bufio.NewReader(resp.Body).ReadString('\n')
 		t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
 	}
+}
+
+// TestFlagsDocumented pins serve's flag surface: exactly 21 flags, each
+// named in the package usage comment and in README's flag table, and
+// none of the retired tuning flags (now constants) named in either.
+func TestFlagsDocumented(t *testing.T) {
+	var names []string
+	flagSet(&serveOpts{}).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if len(names) != 21 {
+		t.Errorf("serve registers %d flags, want 21: %v", len(names), names)
+	}
+	retired := []string{"queue", "parallelism", "admit-wait", "sync-max-wait",
+		"sync-parallel", "ingest-slots", "retrain-workers", "backfill-workers"}
+
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	usage, _, ok := strings.Cut(string(src), "\npackage main")
+	if !ok {
+		t.Fatal("main.go: no package clause")
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(readme), "\n### Flags\n")
+	if !ok {
+		t.Fatal("README.md: no ### Flags section")
+	}
+	list, _, _ = strings.Cut(list, "\n#")
+
+	for _, doc := range []struct{ name, text string }{
+		{"usage comment", usage}, {"README flag list", list},
+	} {
+		for _, n := range names {
+			if !namesFlag(doc.text, n) {
+				t.Errorf("%s does not mention -%s", doc.name, n)
+			}
+		}
+		for _, n := range retired {
+			if namesFlag(doc.text, n) {
+				t.Errorf("%s still mentions the retired -%s", doc.name, n)
+			}
+		}
+	}
+}
+
+// namesFlag reports whether text names -name on its own, not as the
+// prefix of a longer flag (-follow vs -follow-poll).
+func namesFlag(text, name string) bool {
+	return regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `($|[^\w-])`).MatchString(text)
 }

@@ -60,7 +60,7 @@ func TestStormingTenantCannotStarveQuietTenant(t *testing.T) {
 	scfg.QueueLen = 1
 	scfg.ReorderWindow = time.Millisecond
 	scfg.AdmitWait = 300 * time.Millisecond
-	reg, err := New(Config{Stream: scfg, IngestSlots: 2})
+	reg, err := New(Config{Stream: scfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,27 +88,27 @@ type Config struct {
 	IdleAfter time.Duration
 	// SweepEvery is the janitor period (default IdleAfter/4, min 1s).
 	SweepEvery time.Duration
-	// RetrainConcurrency bounds concurrent background training passes
-	// across the whole fleet: 0 means GOMAXPROCS, negative unlimited.
-	RetrainConcurrency int
-	// IngestSlots caps concurrently-admitted ingest requests *per
+}
+
+// The registry's fixed concurrency bounds. Background training passes
+// are bounded fleet-wide at GOMAXPROCS by one shared limiter.
+const (
+	// ingestSlots caps concurrently-admitted ingest requests *per
 	// tenant*. Requests over the cap are refused immediately (HTTP 429 +
 	// Retry-After) instead of queueing, so a storming tenant saturates
 	// only its own slots — it cannot pile up goroutines that sit in the
 	// shared admission wait and starve quieter tenants of CPU and
 	// connections (TestStormingTenantCannotStarveQuietTenant). Non-ingest
-	// routes are never throttled. 0 means 4; negative disables the cap.
-	IngestSlots int
-	// SyncParallel bounds concurrent WAL fsyncs across the whole fleet:
-	// the registry builds one persist.SyncExecutor and installs it in
-	// every tenant's stream config (like the retrain limiter), so tenant
-	// stores sharing a disk queue behind a few device flushes — and the
-	// queueing deepens each store's own commit coalescing — instead of
-	// issuing a flush storm. 0 means 2; negative disables the shared
-	// executor (each store fsyncs independently). Ignored without Root
-	// (no durability, no fsyncs).
-	SyncParallel int
-}
+	// routes are never throttled.
+	ingestSlots = 4
+	// syncParallel bounds concurrent WAL fsyncs across the whole fleet:
+	// with a Root, the registry builds one persist.SyncExecutor and
+	// installs it in every tenant's stream config (like the retrain
+	// limiter), so tenant stores sharing a disk queue behind a few device
+	// flushes — and the queueing deepens each store's own commit
+	// coalescing — instead of issuing a flush storm.
+	syncParallel = 2
+)
 
 // Registry owns the fleet's tenants. Lock order: Registry.mu is never
 // held while acquiring a tenant.mu, and cross-tenant sweeps (eviction
@@ -135,9 +135,9 @@ type Registry struct {
 type tenant struct {
 	id string
 
-	// ingestSem is the tenant's ingest-slot semaphore (nil when the cap
-	// is disabled). It outlives eviction — slots gate *requests*, which
-	// exist whether or not the pipeline is currently active.
+	// ingestSem is the tenant's ingest-slot semaphore. It outlives
+	// eviction — slots gate *requests*, which exist whether or not the
+	// pipeline is currently active.
 	ingestSem chan struct{}
 
 	mu   sync.Mutex
@@ -153,30 +153,13 @@ type tenant struct {
 // newTenant mints a registry slot for id. Called with Registry.mu held
 // (or before the registry is shared).
 func (r *Registry) newTenant(id string) *tenant {
-	tn := &tenant{id: id}
-	if n := r.ingestSlots(); n > 0 {
-		tn.ingestSem = make(chan struct{}, n)
-	}
-	return tn
-}
-
-func (r *Registry) ingestSlots() int {
-	switch {
-	case r.cfg.IngestSlots == 0:
-		return 4
-	case r.cfg.IngestSlots > 0:
-		return r.cfg.IngestSlots
-	}
-	return 0
+	return &tenant{id: id, ingestSem: make(chan struct{}, ingestSlots)}
 }
 
 // admitIngest reserves one of the tenant's ingest slots; ok=false means
 // the tenant is already at its concurrency cap and the request should be
 // refused with 429. release must be called exactly once when ok.
 func (tn *tenant) admitIngest() (release func(), ok bool) {
-	if tn.ingestSem == nil {
-		return func() {}, true
-	}
 	select {
 	case tn.ingestSem <- struct{}{}:
 		return func() { <-tn.ingestSem }, true
@@ -206,21 +189,13 @@ func New(cfg Config) (*Registry, error) {
 	if !persist.ValidTenantID(cfg.DefaultTenant) {
 		return nil, fmt.Errorf("%w: default tenant %q", ErrBadTenantID, cfg.DefaultTenant)
 	}
-	r := &Registry{cfg: cfg, tenants: make(map[string]*tenant)}
-	switch {
-	case cfg.RetrainConcurrency == 0:
-		r.limiter = stream.NewRetrainLimiter(runtime.GOMAXPROCS(0))
-	case cfg.RetrainConcurrency > 0:
-		r.limiter = stream.NewRetrainLimiter(cfg.RetrainConcurrency)
-	}
-	if cfg.Root != "" && cfg.SyncParallel >= 0 {
-		n := cfg.SyncParallel
-		if n == 0 {
-			n = 2
-		}
-		r.syncExec = persist.NewSyncExecutor(n)
+	r := &Registry{
+		cfg:     cfg,
+		limiter: stream.NewRetrainLimiter(runtime.GOMAXPROCS(0)),
+		tenants: make(map[string]*tenant),
 	}
 	if cfg.Root != "" {
+		r.syncExec = persist.NewSyncExecutor(syncParallel)
 		ids, err := persist.ListTenantDirs(cfg.Root)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: scanning %s: %w", cfg.Root, err)
@@ -596,5 +571,5 @@ func (r *Registry) Firehose(n int) []TenantWarning {
 // DefaultTenant returns the tenant ID backing the unprefixed routes.
 func (r *Registry) DefaultTenant() string { return r.cfg.DefaultTenant }
 
-// Limiter exposes the shared retrain limiter (nil when unlimited).
+// Limiter exposes the shared retrain limiter.
 func (r *Registry) Limiter() *stream.RetrainLimiter { return r.limiter }

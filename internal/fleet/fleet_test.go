@@ -467,16 +467,19 @@ func TestMaxActiveEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestSharedRetrainLimiter pins the bounded retrain scheduler: with
-// RetrainConcurrency=1 and asynchronous retraining, many tenants
-// triggering passes at once must serialize through the shared limiter —
-// the peak never exceeds the cap, and passes do complete.
+// TestSharedRetrainLimiter pins the bounded retrain scheduler: with a
+// one-slot limiter and asynchronous retraining, many tenants triggering
+// passes at once must serialize through the shared limiter — the peak
+// never exceeds the cap, and passes do complete.
 func TestSharedRetrainLimiter(t *testing.T) {
 	l := genLog(t, 13, 6)
 	scfg := tenantStreamConfig()
 	scfg.SyncRetrain = false
-	reg := mustFleet(t, Config{Stream: scfg, RetrainConcurrency: 1})
+	reg := mustFleet(t, Config{Stream: scfg})
 	defer reg.Close()
+	// The fleet bounds passes at GOMAXPROCS; one slot makes any overlap
+	// visible on every host. Tenants pick the limiter up on activation.
+	reg.limiter = stream.NewRetrainLimiter(1)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -502,9 +505,6 @@ func TestSharedRetrainLimiter(t *testing.T) {
 	wg.Wait()
 
 	lim := reg.Limiter()
-	if lim == nil {
-		t.Fatal("RetrainConcurrency=1 did not install a limiter")
-	}
 	if p := lim.Peak(); p != 1 {
 		t.Errorf("limiter peak = %d, want exactly 1", p)
 	}

@@ -70,17 +70,15 @@ func newMetrics(r *Registry) *metrics {
 	m.reg.CounterFunc("fleet_fatals_total",
 		"Fatal events observed across all tenants, including evicted ones.",
 		func() int64 { return r.liveTotals().Fatals + m.retiredFatals.Load() })
-	if r.limiter != nil {
-		m.reg.GaugeFunc("fleet_retrain_active",
-			"Background training passes holding a limiter slot.",
-			func() float64 { return float64(r.limiter.Active()) })
-		m.reg.GaugeFunc("fleet_retrain_peak",
-			"High-water mark of concurrent background training passes.",
-			func() float64 { return float64(r.limiter.Peak()) })
-		m.reg.GaugeFunc("fleet_retrain_limit",
-			"Admission bound of the shared retrain limiter.",
-			func() float64 { return float64(r.limiter.Cap()) })
-	}
+	m.reg.GaugeFunc("fleet_retrain_active",
+		"Background training passes holding a limiter slot.",
+		func() float64 { return float64(r.limiter.Active()) })
+	m.reg.GaugeFunc("fleet_retrain_peak",
+		"High-water mark of concurrent background training passes.",
+		func() float64 { return float64(r.limiter.Peak()) })
+	m.reg.GaugeFunc("fleet_retrain_limit",
+		"Admission bound of the shared retrain limiter.",
+		func() float64 { return float64(r.limiter.Cap()) })
 	return m
 }
 

@@ -1,35 +1,27 @@
 package stream
 
 // Historical backfill (DESIGN.md §14): feed a multi-gigabyte raw text
-// log through the live pipeline with bounded memory, parsing in parallel
-// but submitting in file order, behind live traffic at lower priority.
+// log through the live pipeline in file order, with bounded memory,
+// behind live traffic at lower priority.
 //
-// Shape: a reader goroutine slices the input into ~1 MiB chunks on line
-// boundaries; a bounded worker pool parses each chunk (ParseLineBytes is
-// a few hundred ns/line with an interner, so a handful of workers
-// saturate disk read speed); the caller's goroutine merges the parsed
-// chunks back in order and hands them to IngestBatch. In-flight memory
-// is capped by the channel depths — a fixed number of chunks exist at
-// once no matter how large the input — and ordering is preserved because
-// chunks are *submitted* in order even though they *parse* out of order.
+// One decode goroutine scans and parses the input into
+// ingestBatchChunk-event chunks; the caller's goroutine submits them. In
+// flight at once: one line buffer (at most 1 MiB) and three chunks — one
+// being filled, one queued, one being submitted.
 //
-// Priority: before each submission the merger yields while the sequencer
-// queue is busy with live traffic, and ErrSaturated backs off instead of
-// hammering; the yield is time-bounded, so backfill degrades to a slow
-// trickle under sustained live load rather than starving forever.
-// Backfilled events enter the same reorder/late-drop discipline as any
-// ingest — history older than the live watermark minus the reorder
-// tolerance is late-dropped by design (run backfill before or alongside
-// traffic from the same epoch; see README).
+// Before each submission the caller yields while live traffic keeps the
+// sequencer queue busy, and ErrSaturated backs off instead of hammering;
+// the yield is time-bounded, so backfill trickles under sustained load
+// rather than starving. Backfilled events take the same reorder/late-drop
+// path as any ingest: history older than the live watermark minus the
+// reorder tolerance is late-dropped by design (see README).
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -39,11 +31,6 @@ import (
 // ErrBackfillBusy is returned by Backfill while another backfill runs;
 // one at a time keeps the memory bound and the ordering story simple.
 var ErrBackfillBusy = errors.New("stream: a backfill is already running")
-
-// backfillChunkBytes is the nominal chunk size the reader slices the
-// input into (extended to the next line boundary). A variable so tests
-// can shrink it and force many chunk seams on a small input.
-var backfillChunkBytes = 1 << 20
 
 // backfillState tracks the singleton run (Service.backfill).
 type backfillState struct {
@@ -80,153 +67,85 @@ type BackfillResult struct {
 	DurationMs int64 `json:"duration_ms"`
 }
 
-// parsedChunk carries one chunk's parse result back to the merger.
-type parsedChunk struct {
+// backfillChunk is one hand-off from the decode goroutine: up to
+// ingestBatchChunk events in file order, plus the lines skipped since
+// the previous chunk.
+type backfillChunk struct {
 	events  []raslog.Event
 	skipped int64
-}
-
-// backfillChunk is one slice of the input: raw bytes in, parse result
-// out. The out channel has capacity 1, so a worker never blocks on a
-// merger that has moved on (cancellation).
-type backfillChunk struct {
-	data []byte
-	out  chan parsedChunk
 }
 
 // Backfill streams a raw text log (the raslog text codec, one event per
 // line) from r into the pipeline. It blocks until the whole input is
 // ingested or ctx/an error stops it, returning how many lines were fed
 // and skipped. Unparseable lines are counted and skipped, never fatal —
-// a decade-old log with a few mangled lines should still backfill.
-// workers <= 0 means half the CPUs (min 1). Standby services refuse
-// (ErrStandby): a replica's stream comes from its leader alone.
-func (s *Service) Backfill(ctx context.Context, r io.Reader, workers int) (BackfillResult, error) {
+// a decade-old log with a few mangled lines should still backfill. A
+// read error, or a line longer than 1 MiB, ends the run with an error
+// naming the line; everything before it stays fed. Standby services
+// refuse (ErrStandby): a replica's stream comes from its leader alone.
+func (s *Service) Backfill(ctx context.Context, r io.Reader) (res BackfillResult, err error) {
 	if s.standby.Load() {
-		return BackfillResult{}, ErrStandby
+		return res, ErrStandby
 	}
 	if !s.backfill.active.CompareAndSwap(false, true) {
-		return BackfillResult{}, ErrBackfillBusy
+		return res, ErrBackfillBusy
 	}
 	defer s.backfill.active.Store(false)
 	s.backfill.ran.Store(true)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) / 2
-		if workers < 1 {
-			workers = 1
-		}
-	}
 
 	t0 := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Buffer the source so the line-seam byte reads after each chunk stay
-	// cheap regardless of what r is (a raw *os.File, an HTTP body).
-	br := bufio.NewReaderSize(r, 64<<10)
-
-	var (
-		work    = make(chan *backfillChunk, workers)
-		orderq  = make(chan *backfillChunk, 2*workers)
-		readErr error
-	)
-	// Reader: slice on line boundaries. Every chunk enters orderq (the
-	// merge order) before work (the parse queue); total in-flight chunks
-	// are bounded by the channel capacities, which is the memory bound.
-	go func() {
-		defer close(work)
-		defer close(orderq)
-		for {
-			buf := make([]byte, backfillChunkBytes)
-			n, err := io.ReadFull(br, buf)
-			buf = buf[:n]
-			if err == nil {
-				rest := readLine(br)
-				buf = append(buf, rest...)
-			}
-			if n > 0 {
-				c := &backfillChunk{data: buf, out: make(chan parsedChunk, 1)}
-				select {
-				case orderq <- c:
-				case <-ctx.Done():
-					return
-				}
-				select {
-				case work <- c:
-				case <-ctx.Done():
-					return
-				}
-			}
-			if err != nil {
-				if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
-					readErr = err
-				}
-				return
-			}
-		}
-	}()
-	for i := 0; i < workers; i++ {
-		go backfillWorker(work)
-	}
-
-	// Merger: in chunk order, yield to live traffic, then submit. The
-	// merger selects on ctx itself: the reader goroutine may be parked
-	// inside r.Read (where cancellation cannot reach it) and so never
-	// close orderq — it unblocks and exits whenever r next returns.
-	finish := func(res BackfillResult, err error) (BackfillResult, error) {
+	defer func() {
 		res.Duration = time.Since(t0)
 		res.DurationMs = res.Duration.Milliseconds()
-		return res, err
-	}
-	var res BackfillResult
+	}()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	chunks := make(chan backfillChunk, 1)
+	var readErr error // written before chunks closes, read after
+	go func() {
+		defer close(chunks)
+		readErr = decodeBackfill(ctx, r, chunks)
+	}()
+
+	// Submit in file order, yielding to live traffic. The loop selects on
+	// ctx itself: the decode goroutine may be parked inside r.Read (where
+	// cancellation cannot reach it) and so never close chunks — it
+	// unblocks and exits whenever r next returns.
 	for {
-		var c *backfillChunk
+		var c backfillChunk
+		ok := true
 		select {
-		case got, ok := <-orderq:
-			if !ok {
-				if readErr != nil {
-					return finish(res, fmt.Errorf("stream: backfill read: %w", readErr))
-				}
-				return finish(res, ctx.Err())
+		case c, ok = <-chunks:
+		case <-ctx.Done():
+			return res, ctx.Err()
+		}
+		if !ok {
+			if readErr != nil {
+				return res, fmt.Errorf("stream: backfill read: %w", readErr)
 			}
-			c = got
-		case <-ctx.Done():
-			return finish(res, ctx.Err())
+			return res, ctx.Err()
 		}
-		var pc parsedChunk
-		select {
-		case pc = <-c.out:
-		case <-ctx.Done():
-			// The chunk entered orderq but cancellation cut the reader off
-			// before the work send: no worker will ever parse it.
-			return finish(res, ctx.Err())
-		}
-		res.Skipped += pc.skipped
-		s.m.backfillSkipped.Add(pc.skipped)
-		events := pc.events
-		for len(events) > 0 {
+		res.Skipped += c.skipped
+		s.m.backfillSkipped.Add(c.skipped)
+		for events := c.events; len(events) > 0; {
 			s.backfillYield(ctx)
-			n := len(events)
-			if n > ingestBatchChunk {
-				n = ingestBatchChunk
-			}
-			m, err := s.IngestBatch(ctx, events[:n])
+			m, err := s.IngestBatch(ctx, events)
 			res.Lines += int64(m)
 			s.m.backfillLines.Add(int64(m))
-			if errors.Is(err, ErrSaturated) {
-				continue // yield loop above backs off before the retry
+			if err != nil && !errors.Is(err, ErrSaturated) {
+				return res, fmt.Errorf("stream: backfill: %w", err)
 			}
-			if err != nil {
-				return finish(res, fmt.Errorf("stream: backfill: %w", err))
-			}
-			events = events[n:]
+			// Admission is all or none: a saturated submit took nothing and
+			// retries once the yield above has backed off.
+			events = events[m:]
 		}
 	}
 }
 
 // backfillYield holds backfill submissions back while live traffic keeps
 // the sequencer queue busy. Time-bounded: after ~100ms of sustained
-// occupancy the merger submits anyway, so backfill trickles under load
-// instead of starving.
+// occupancy the submit loop goes ahead anyway, so backfill trickles under
+// load instead of starving.
 func (s *Service) backfillYield(ctx context.Context) {
 	threshold := s.cfg.QueueLen / 4
 	for i := 0; i < 50 && len(s.seqCh) > threshold; i++ {
@@ -238,51 +157,42 @@ func (s *Service) backfillYield(ctx context.Context) {
 	}
 }
 
-// backfillWorker parses chunks off the work queue. Each worker keeps its
-// own interner so repeated vocabulary parses allocation-free.
-func backfillWorker(work <-chan *backfillChunk) {
+// decodeBackfill is Backfill's decode goroutine. It scans r under
+// raslog.Scanner's line limits (64 KiB buffer, growing to 1 MiB), parses
+// each line with one interner so repeated vocabulary parses
+// allocation-free, and sends the events on out a chunk at a time. A read
+// error, an overlong line included, is returned once every chunk before
+// it is sent; a canceled ctx stops it quietly.
+func decodeBackfill(ctx context.Context, r io.Reader, out chan<- backfillChunk) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	in := raslog.NewInterner()
-	for c := range work {
-		var pc parsedChunk
-		pc.events = make([]raslog.Event, 0, 4096)
-		data := c.data
-		for len(data) > 0 {
-			var line []byte
-			if i := bytes.IndexByte(data, '\n'); i >= 0 {
-				line, data = data[:i], data[i+1:]
-			} else {
-				line, data = data, nil
+	line := 0
+	for more := true; more; {
+		c := backfillChunk{events: make([]raslog.Event, 0, ingestBatchChunk)}
+		for len(c.events) < ingestBatchChunk {
+			if more = sc.Scan(); !more {
+				break
 			}
-			if len(line) == 0 {
+			line++
+			if len(sc.Bytes()) == 0 {
 				continue
 			}
-			e, err := raslog.ParseLineBytes(line, in)
+			e, err := raslog.ParseLineBytes(sc.Bytes(), in)
 			if err != nil {
-				pc.skipped++
+				c.skipped++
 				continue
 			}
-			pc.events = append(pc.events, e)
+			c.events = append(c.events, e)
 		}
-		c.data = nil
-		c.out <- pc
-	}
-}
-
-// readLine reads up to and including the next '\n' from r one byte at a
-// time (it runs once per megabyte, on the chunk seam).
-func readLine(r io.Reader) []byte {
-	var out []byte
-	var b [1]byte
-	for {
-		n, err := r.Read(b[:])
-		if n > 0 {
-			out = append(out, b[0])
-			if b[0] == '\n' {
-				return out
-			}
-		}
-		if err != nil {
-			return out
+		select {
+		case out <- c:
+		case <-ctx.Done():
+			return nil
 		}
 	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("line %d: %w", line+1, err)
+	}
+	return nil
 }

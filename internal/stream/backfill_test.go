@@ -34,21 +34,17 @@ func parseLog(t *testing.T, data []byte) *raslog.Log {
 }
 
 // TestBackfillMatchesDirectIngest is the backfill acceptance test: a
-// raw text log fed through Backfill (parallel parse, ordered submit,
+// raw text log fed through Backfill (decode goroutine, ordered submit,
 // many chunk seams) must leave the service in exactly the state direct
 // in-order ingest of the same events leaves it.
 func TestBackfillMatchesDirectIngest(t *testing.T) {
-	old := backfillChunkBytes
-	backfillChunkBytes = 8 << 10
-	defer func() { backfillChunkBytes = old }()
-
-	l := genLog(t, 31, 8)
+	l := genLog(t, 31, 14)
+	if len(l.Events) < 4*ingestBatchChunk {
+		t.Fatalf("log has %d events — too few to exercise chunk seams", len(l.Events))
+	}
 	var buf bytes.Buffer
 	if _, err := raslog.WriteLog(&buf, l); err != nil {
 		t.Fatal(err)
-	}
-	if buf.Len() < 4*backfillChunkBytes {
-		t.Fatalf("log text is %d bytes — too small to exercise chunk seams", buf.Len())
 	}
 	ref := referenceRun(t, parseLog(t, buf.Bytes()))
 	if len(ref.Rules()) == 0 || len(ref.Warnings(0)) == 0 {
@@ -60,7 +56,7 @@ func TestBackfillMatchesDirectIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Backfill(context.Background(), &buf, 4)
+	res, err := s.Backfill(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +105,7 @@ func TestBackfillSkipsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Backfill(context.Background(), &dirty, 2)
+	res, err := s.Backfill(context.Background(), &dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,18 +140,18 @@ func TestBackfillSingleton(t *testing.T) {
 	g := &gateReader{release: make(chan struct{})}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s.Backfill(context.Background(), g, 1)
+		_, err := s.Backfill(context.Background(), g)
 		errCh <- err
 	}()
 	waitFor(t, 10*time.Second, func() bool { return s.backfill.active.Load() })
-	if _, err := s.Backfill(context.Background(), strings.NewReader(""), 1); !errors.Is(err, ErrBackfillBusy) {
+	if _, err := s.Backfill(context.Background(), strings.NewReader("")); !errors.Is(err, ErrBackfillBusy) {
 		t.Fatalf("concurrent Backfill: %v, want ErrBackfillBusy", err)
 	}
 	close(g.release)
 	if err := <-errCh; err != nil {
 		t.Fatalf("first backfill: %v", err)
 	}
-	if _, err := s.Backfill(context.Background(), strings.NewReader(""), 1); err != nil {
+	if _, err := s.Backfill(context.Background(), strings.NewReader("")); err != nil {
 		t.Fatalf("backfill after slot freed: %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -175,7 +171,7 @@ func TestBackfillCancel(t *testing.T) {
 	defer close(g.release)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s.Backfill(ctx, g, 1)
+		_, err := s.Backfill(ctx, g)
 		errCh <- err
 	}()
 	waitFor(t, 10*time.Second, func() bool { return s.backfill.active.Load() })
@@ -197,7 +193,7 @@ func TestBackfillCancel(t *testing.T) {
 // leader alone.
 func TestBackfillOnStandbyRefused(t *testing.T) {
 	s := newStandby(t, t.TempDir())
-	if _, err := s.Backfill(context.Background(), strings.NewReader(""), 1); !errors.Is(err, ErrStandby) {
+	if _, err := s.Backfill(context.Background(), strings.NewReader("")); !errors.Is(err, ErrStandby) {
 		t.Fatalf("standby Backfill: %v, want ErrStandby", err)
 	}
 	if err := s.Close(); err != nil {
@@ -221,7 +217,7 @@ func TestBackfillHTTP(t *testing.T) {
 	if _, err := raslog.WriteLog(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/backfill?workers=2", "text/plain", &buf)
+	resp, err := http.Post(srv.URL+"/backfill", "text/plain", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,5 +233,58 @@ func TestBackfillHTTP(t *testing.T) {
 	if res.Lines != int64(len(l.Events)) || res.Skipped != 0 {
 		t.Fatalf("POST /backfill fed %d lines (skipped %d), want %d (0)",
 			res.Lines, res.Skipped, len(l.Events))
+	}
+}
+
+// TestBackfillRejectsOverlongLine pins backfill's memory bound: a line
+// past the 1 MiB limit (here a 3 MiB body with no newline) ends the run
+// with an error naming that line instead of being read whole into
+// memory. The lines before it stay fed, and POST /backfill answers 400
+// with the lines and skipped counts, as for any read error.
+func TestBackfillRejectsOverlongLine(t *testing.T) {
+	l := genLog(t, 43, 4)
+	var good bytes.Buffer
+	if _, err := raslog.WriteLog(&good, l); err != nil {
+		t.Fatal(err)
+	}
+	body := func() io.Reader {
+		return io.MultiReader(bytes.NewReader(good.Bytes()),
+			bytes.NewReader(bytes.Repeat([]byte("x"), 3<<20)))
+	}
+	overlong := fmt.Sprintf("line %d:", len(l.Events)+1)
+
+	s, err := New(durableConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Backfill(context.Background(), body())
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), overlong) {
+		t.Fatalf("overlong line: %v, want bufio.ErrTooLong naming %q", err, overlong)
+	}
+	if res.Lines != int64(len(l.Events)) || res.Skipped != 0 {
+		t.Fatalf("fed %d lines (skipped %d) before the overlong line, want %d (0)",
+			res.Lines, res.Skipped, len(l.Events))
+	}
+
+	srv := httptest.NewServer(NewMux(s))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/backfill", "text/plain", body())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Error   string `json:"error"`
+		Lines   *int64 `json:"lines"`
+		Skipped *int64 `json:"skipped"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || out.Lines == nil || out.Skipped == nil ||
+		!strings.Contains(out.Error, overlong) {
+		t.Fatalf("POST /backfill with an overlong line: HTTP %d %+v, want 400 with lines, skipped and %q",
+			resp.StatusCode, out, overlong)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/httpx"
 	"repro/internal/persist"
 	"repro/internal/raslog"
 )
@@ -260,8 +259,8 @@ func (f *Follower) listSegments() (*segmentsResponse, error) {
 }
 
 // pullSegment fetches records [from, stop) of one leader segment and
-// applies them. Returns whether the replica advanced. A 429/503 from the
-// leader (saturated, restarting) honors Retry-After like any client.
+// applies them. Returns whether the replica advanced. Any non-200 is an
+// error; run backs off on its own schedule before the next attempt.
 func (f *Follower) pullSegment(name string, from, stop uint64) (bool, error) {
 	s := f.svc
 	u := fmt.Sprintf("%s/wal/segment/%s?from=%d", f.cfg.Leader, url.PathEscape(name), from)
@@ -270,12 +269,7 @@ func (f *Follower) pullSegment(name string, from, stop uint64) (bool, error) {
 		return false, err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		wait := httpx.RetryAfter(resp.Header, f.cfg.Poll, 5*time.Second)
-		return false, fmt.Errorf("GET /wal/segment/%s: HTTP %d (backing off %s)", name, resp.StatusCode, wait)
-	default:
+	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return false, fmt.Errorf("GET /wal/segment/%s: HTTP %d: %s", name, resp.StatusCode, b)
 	}

@@ -329,20 +329,11 @@ func (s *Service) handlePromote(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleBackfill ingests the request body as a raw text log via the
-// bounded-memory parallel backfill path, behind live traffic. The call
-// is synchronous: the response reports lines fed and skipped once the
-// whole body is in the pipeline. ?workers=N overrides the parser pool.
+// bounded-memory backfill path, behind live traffic. The call is
+// synchronous: the response reports lines fed and skipped once the whole
+// body is in the pipeline.
 func (s *Service) handleBackfill(w http.ResponseWriter, r *http.Request) {
-	workers := 0
-	if v := r.URL.Query().Get("workers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, fmt.Sprintf("bad workers=%q", v), http.StatusBadRequest)
-			return
-		}
-		workers = n
-	}
-	res, err := s.Backfill(r.Context(), r.Body, workers)
+	res, err := s.Backfill(r.Context(), r.Body)
 	switch {
 	case errors.Is(err, ErrBackfillBusy):
 		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})

@@ -6,10 +6,10 @@ import "sync/atomic"
 // once across every Service sharing the limiter. One process serving
 // thousands of tenants (internal/fleet) would otherwise rebuild rules
 // for all of them simultaneously whenever their schedules align — each
-// pass is already CPU-parallel internally (Config.Parallelism), so the
-// fleet-wide scheduler needs a queue, not more threads. A service whose
-// pass is waiting for a slot keeps ingesting and predicting on its old
-// rules; only the rebuild is deferred.
+// pass is already CPU-parallel internally (meta.MetaLearner.Parallelism),
+// so the fleet-wide scheduler needs a queue, not more threads. A service
+// whose pass is waiting for a slot keeps ingesting and predicting on its
+// old rules; only the rebuild is deferred.
 //
 // Synchronous passes (SyncRetrain, WAL replay, TrainNow) bypass the
 // limiter: they are serialized on their caller and must not block

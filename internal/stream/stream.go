@@ -97,10 +97,6 @@ type Config struct {
 	RetrainEvery time.Duration
 	// Meta supplies the learners and reviser; nil means meta.New().
 	Meta *meta.MetaLearner
-	// Parallelism bounds background-training concurrency (base learners,
-	// Apriori counting, reviser scoring): 0 means GOMAXPROCS, 1 forces
-	// the serial pipeline. The trained rule set is identical either way.
-	Parallelism int
 	// RetrainLimiter bounds concurrent *background* training passes
 	// across every service sharing it (fleet mode: thousands of tenants
 	// must not rebuild rules simultaneously). Nil means unlimited.
@@ -129,8 +125,7 @@ type Config struct {
 	// still applies — callers wait up to this long for a queue slot — but
 	// a wedged or overdriven service sheds load in bounded time instead of
 	// holding every caller (and its request body) hostage. Zero means 30s,
-	// a library-level backstop; cmd/serve defaults its -admit-wait flag
-	// much lower.
+	// a library-level backstop; cmd/serve sets a much lower 2s.
 	AdmitWait time.Duration
 
 	// StateDir enables durable state — snapshots plus a write-ahead log
@@ -202,9 +197,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Meta == nil {
 		out.Meta = meta.New()
-	}
-	if out.Parallelism != 0 {
-		out.Meta.SetParallelism(out.Parallelism)
 	}
 	if out.QueueLen <= 0 {
 		out.QueueLen = 1024

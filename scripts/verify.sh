@@ -121,12 +121,19 @@ echo "== standby/failover gate (-race -count=1)"
 # promotion byte-equivalence against the single-node oracle, replica
 # crash/resume, auto-promotion, WAL segment serving edge cases (live
 # tail reads, rotation boundaries, prune vs follower acks and in-flight
-# pulls), the parallel backfill path (ordering, garbage tolerance,
-# cancellation, singleton), the shared Retry-After parser, and the
-# monotonic idle clock the failover sweep flushed out.
+# pulls), the backfill path (ordering, garbage tolerance, cancellation,
+# singleton, the overlong-line bound), the shared Retry-After parser,
+# and the monotonic idle clock the failover sweep flushed out.
 go test -race -count=1 \
     -run 'Follower|Promotion|Backfill|Segment|Prune|TornTransfer|RetryAfter|MonotonicClock' \
     ./internal/stream ./internal/persist ./internal/httpx ./internal/fleet
+echo "== backfill hand-off gate (-race -count=10)"
+# Backfill decodes on its own goroutine and hands chunks to the caller's
+# submit loop; its tests (ordering across chunk seams, cancellation while
+# the decoder is parked in Read, the overlong-line error) repeat under the
+# race detector, because the hand-off interleaves differently on every
+# run.
+run_selected -count=10 'Backfill' ./internal/stream
 echo "== go test -race -count=1 ./internal/stream ./internal/predictor ./internal/obsv ./internal/persist ./internal/fleet"
 # -count=1 defeats the test cache: the concurrency-critical packages
 # (pipeline, predictor swap, metrics registry, durable state, tenant
