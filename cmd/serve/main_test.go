@@ -4,10 +4,15 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net"
 	"net/http"
 	"os"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +145,95 @@ func TestFlagsDocumented(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRoutesDocumented pins serve's route surface against README's
+// Routes table, both ways: every pattern registered on an HTTP mux —
+// stream.NewMux, fleet.NewMux, and the -pprof routes in main.go — has
+// a row naming the registering package, and every row names a
+// registered pattern. Patterns are read from source with go/parser.
+func TestRoutesDocumented(t *testing.T) {
+	registered := map[string][]string{} // pattern -> registering packages
+	for _, src := range []struct{ pkg, file string }{
+		{"stream", "../../internal/stream/http.go"},
+		{"fleet", "../../internal/fleet/http.go"},
+		{"serve", "main.go"},
+	} {
+		patterns := muxPatterns(t, src.file)
+		if len(patterns) == 0 {
+			t.Errorf("%s registers no route; has registration moved?", src.file)
+		}
+		for _, p := range patterns {
+			registered[p] = append(registered[p], src.pkg)
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "\n### Routes\n")
+	if !ok {
+		t.Fatal("README.md: no ### Routes section")
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	row := regexp.MustCompile("(?m)^\\| `([^`]+)` \\| ([^|]+) \\|")
+	documented := map[string][]string{}
+	for _, m := range row.FindAllStringSubmatch(table, -1) {
+		if _, dup := documented[m[1]]; dup {
+			t.Errorf("README Routes table lists %s twice", m[1])
+		}
+		documented[m[1]] = strings.Split(m[2], ", ")
+	}
+
+	for p, pkgs := range registered {
+		sort.Strings(pkgs)
+		doc, ok := documented[p]
+		if !ok {
+			t.Errorf("route %q (%s) has no row in README's Routes table", p, strings.Join(pkgs, ", "))
+			continue
+		}
+		sort.Strings(doc)
+		if strings.Join(doc, ", ") != strings.Join(pkgs, ", ") {
+			t.Errorf("README Routes row %q names mux %q, registered by %q", p, strings.Join(doc, ", "), strings.Join(pkgs, ", "))
+		}
+	}
+	for p := range documented {
+		if _, ok := registered[p]; !ok {
+			t.Errorf("README Routes table lists %q, which no mux registers", p)
+		}
+	}
+}
+
+// muxPatterns returns the pattern of every Handle or HandleFunc call in
+// the Go file at path. A pattern that is not a string literal is an
+// error: the route pin could not read it.
+func muxPatterns(t *testing.T, path string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patterns []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Handle" && sel.Sel.Name != "HandleFunc") {
+			return true
+		}
+		lit, ok := call.Args[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			t.Errorf("%s: a %s pattern is not a string literal", path, sel.Sel.Name)
+			return true
+		}
+		p, _ := strconv.Unquote(lit.Value)
+		patterns = append(patterns, p)
+		return true
+	})
+	return patterns
 }
 
 // namesFlag reports whether text names -name on its own, not as the

@@ -146,7 +146,10 @@ func Weekly(warnings []predictor.Warning, fatalTimes []int64, start int64, weeks
 }
 
 // MeanPrecisionRecall averages a weekly series (weeks with no warnings
-// count precision 0 only if they had fatals to predict).
+// count precision 0 only if they had fatals to predict). Nothing outside
+// tests calls it yet: it stays as the offline reference that the
+// daemon's live precision and recall (planned in ROADMAP.md) are to be
+// checked against.
 func MeanPrecisionRecall(series []WeekPoint) (precision, recall float64) {
 	if len(series) == 0 {
 		return 0, 0
@@ -234,6 +237,8 @@ type LeadTimeStats struct {
 // LeadTimes computes, for every captured fatal, the lead time to the
 // earliest warning whose window covers it. Both inputs must be
 // time-sorted. Uncaptured fatals are excluded (recall measures those).
+// Nothing outside tests calls it yet: it stays as the offline reference
+// for the daemon's live lead-time accounting (planned in ROADMAP.md).
 func LeadTimes(warnings []predictor.Warning, fatalTimes []int64) LeadTimeStats {
 	var leads []float64
 	for _, t := range fatalTimes {

@@ -144,11 +144,6 @@ func forEach(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// DefaultSuite loads the full-scale ANL and SDSC presets.
-func DefaultSuite(seed uint64) (*Suite, error) {
-	return NewSuite(bgsim.ANL(seed), bgsim.SDSC(seed))
-}
-
 // QuickSuite loads shortened, duplication-reduced presets for tests and
 // benchmarks: the unique-event structure (and therefore every learner-
 // facing behaviour) is unchanged; only the raw duplicate volume and the

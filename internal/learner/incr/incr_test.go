@@ -61,6 +61,17 @@ func searchTime(stream []preprocess.TaggedEvent, t int64) int {
 	return sort.Search(len(stream), func(i int) bool { return stream[i].Time >= t })
 }
 
+// learnRevise trains over a view whose counts come from incremental
+// state, the way engine.TrainWindow does: Learn, then Revise.
+func learnRevise(ml *meta.MetaLearner, tr *learner.Prepared, p learner.Params) (*meta.TrainReport, error) {
+	report, err := ml.Learn(tr, p)
+	if err != nil {
+		return nil, err
+	}
+	ml.Revise(report, tr.Events, p)
+	return report, nil
+}
+
 // trainStep advances the incremental state to [from, to) and pins its
 // training output — per-learner candidates, merged candidates, revised
 // rules — against a from-scratch batch pass over the same window.
@@ -69,11 +80,11 @@ func trainStep(t *testing.T, ml *meta.MetaLearner, st *incr.State, stream []prep
 	d := st.Advance(stream, from, to, p)
 	window := stream[searchTime(stream, from):searchTime(stream, to)]
 
-	repB, errB := ml.TrainPrepared(learner.Prepare(window), p)
+	repB, errB := ml.Train(window, p)
 
 	preI := learner.Prepare(window)
 	st.Install(preI)
-	repI, errI := ml.TrainPrepared(preI, p)
+	repI, errI := learnRevise(ml, preI, p)
 
 	if (errB == nil) != (errI == nil) {
 		t.Fatalf("window [%d,%d): batch err %v vs incremental err %v", from, to, errB, errI)
@@ -194,10 +205,10 @@ func TestExportRestore(t *testing.T) {
 	// Both the original and the restored state must keep matching batch.
 	trainStep(t, ml, st, stream, from, to, p)
 	window := stream[searchTime(stream, from):searchTime(stream, to)]
-	repB, errB := ml.TrainPrepared(learner.Prepare(window), p)
+	repB, errB := ml.Train(window, p)
 	preR := learner.Prepare(window)
 	restored.Install(preR)
-	repR, errR := ml.TrainPrepared(preR, p)
+	repR, errR := learnRevise(ml, preR, p)
 	if errB != nil || errR != nil {
 		t.Fatalf("train: batch err %v, restored err %v", errB, errR)
 	}

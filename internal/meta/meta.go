@@ -99,23 +99,21 @@ type TrainReport struct {
 }
 
 // Train runs every base learner on the training stream, merges and
-// revises. Learners that legitimately find nothing (e.g. too few failures
-// for a distribution fit) contribute zero rules rather than failing the
-// pass.
+// revises, from scratch: Learn over a fresh view, then Revise. Learners
+// that legitimately find nothing (e.g. too few failures for a
+// distribution fit) contribute zero rules rather than failing the pass.
+//
+// Retraining goes through engine.TrainWindow, which keeps the view's
+// counts across passes. Train serves the two batch callers that must
+// not touch that state: the window tuner's throwaway fit for each
+// candidate W_P (engine/tuner.go), and Table 5's from-scratch training
+// time (exp/tables.go).
 func (m *MetaLearner) Train(events []preprocess.TaggedEvent, p learner.Params) (*TrainReport, error) {
-	return m.TrainPrepared(learner.Prepare(events), p)
-}
-
-// TrainPrepared is Train over a prepared training view — callers that
-// maintain derived state across retrainings (engine.TrainWindow's
-// sufficient statistics) prepare the view themselves and come in here.
-// It is Learn followed by Revise.
-func (m *MetaLearner) TrainPrepared(tr *learner.Prepared, p learner.Params) (*TrainReport, error) {
-	report, err := m.Learn(tr, p)
+	report, err := m.Learn(learner.Prepare(events), p)
 	if err != nil {
 		return nil, err
 	}
-	m.Revise(report, tr.Events, p)
+	m.Revise(report, events, p)
 	return report, nil
 }
 

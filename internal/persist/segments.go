@@ -91,14 +91,14 @@ func (st *Store) NextSeq() uint64 {
 	return st.nextSeq
 }
 
-// ReadSegment streams the named segment's durable records with sequence
+// readSegment streams the named segment's durable records with sequence
 // >= from to fn, in order, returning the sequence after the last record
 // delivered. A torn or truncated tail — the live appender's unflushed
 // frontier, or a crash scar — ends the read cleanly; a later call simply
 // reads further once more bytes are durable. from below the segment's
 // first record is an error (the caller asked for history this segment
 // does not hold).
-func (st *Store) ReadSegment(name string, from uint64, fn func(seq uint64, e raslog.Event) error) (uint64, error) {
+func (st *Store) readSegment(name string, from uint64, fn func(seq uint64, e raslog.Event) error) (uint64, error) {
 	firstSeq, _, ok := parseStateName(name)
 	if !ok || !isWALName(name) {
 		return 0, fmt.Errorf("%w: %q", ErrNoSegment, name)
@@ -145,7 +145,7 @@ func (st *Store) CopySegment(w io.Writer, name string, from uint64, maxBytes int
 		payload, inGroup = payload[:0], 0
 		return werr
 	}
-	next, err = st.ReadSegment(name, from, func(seq uint64, e raslog.Event) error {
+	next, err = st.readSegment(name, from, func(seq uint64, e raslog.Event) error {
 		if maxBytes > 0 && written >= maxBytes {
 			return errCopyFull
 		}
@@ -248,14 +248,6 @@ func (st *Store) RetainFollower(id string, acked uint64) {
 		st.followers = make(map[string]followerAck)
 	}
 	st.followers[id] = followerAck{acked: acked, seen: time.Now()}
-}
-
-// DropFollower deregisters a follower (a promoted or retired standby no
-// longer holds retention back).
-func (st *Store) DropFollower(id string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	delete(st.followers, id)
 }
 
 // Followers returns the registered, unexpired follower acks.

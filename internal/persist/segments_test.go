@@ -219,13 +219,13 @@ func TestPruneSparesFollowerAndPinnedSegments(t *testing.T) {
 	}
 
 	// Prune racing an in-flight pull: a reader mid-segment pins it even
-	// with no follower registered.
-	st.DropFollower("replica-1")
+	// once the follower has caught up and holds nothing back.
+	st.RetainFollower("replica-1", n)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := st.ReadSegment(after[0].Name, after[0].FirstSeq, func(seq uint64, e raslog.Event) error {
+		_, err := st.readSegment(after[0].Name, after[0].FirstSeq, func(seq uint64, e raslog.Event) error {
 			if seq == after[0].FirstSeq {
 				close(started)
 				<-release
@@ -250,7 +250,8 @@ func TestPruneSparesFollowerAndPinnedSegments(t *testing.T) {
 		t.Fatalf("pinned read failed: %v", err)
 	}
 
-	// With the ack dropped and the pin released, the next snapshot prunes.
+	// With the ack past the tail and the pin released, the next snapshot
+	// prunes.
 	if _, err := st.WriteSnapshot(&Snapshot{Seq: 45}); err != nil {
 		t.Fatal(err)
 	}

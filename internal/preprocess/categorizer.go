@@ -73,16 +73,3 @@ func FatalCount(events []TaggedEvent) int {
 	}
 	return n
 }
-
-// SplitFatal partitions a tagged stream into fatal and non-fatal events,
-// preserving order.
-func SplitFatal(events []TaggedEvent) (fatal, nonFatal []TaggedEvent) {
-	for _, e := range events {
-		if e.Fatal {
-			fatal = append(fatal, e)
-		} else {
-			nonFatal = append(nonFatal, e)
-		}
-	}
-	return fatal, nonFatal
-}

@@ -90,11 +90,10 @@ func TestTagAndSplit(t *testing.T) {
 	if FatalCount(tagged) != 2 {
 		t.Errorf("FatalCount = %d, want 2", FatalCount(tagged))
 	}
-	fatal, nonFatal := SplitFatal(tagged)
-	if len(fatal) != 2 || len(nonFatal) != 1 {
-		t.Errorf("split %d/%d, want 2/1", len(fatal), len(nonFatal))
-	}
-	if fatal[0].Time != 1 || fatal[1].Time != 3 {
-		t.Error("split broke ordering")
+	for i, want := range []bool{true, false, true} {
+		if tagged[i].Time != int64(i+1) || tagged[i].Fatal != want {
+			t.Errorf("tagged[%d] = time %d fatal %v, want time %d fatal %v",
+				i, tagged[i].Time, tagged[i].Fatal, i+1, want)
+		}
 	}
 }

@@ -80,25 +80,3 @@ func ThresholdSweep(l *raslog.Log, thresholds []int64) [][]int {
 	}
 	return rows
 }
-
-// ChooseThreshold implements the paper's iterative threshold search: start
-// small and grow the threshold until the compression rate stops changing
-// significantly (relative improvement below epsilon), then return the
-// first such threshold. The candidates must be in increasing order.
-func ChooseThreshold(l *raslog.Log, candidates []int64, epsilon float64) (chosen int64, rates []float64) {
-	rates = make([]float64, len(candidates))
-	for i, th := range candidates {
-		_, st := Filter{Threshold: th}.Apply(l)
-		rates[i] = st.CompressionRate()
-		if i > 0 {
-			prev := rates[i-1]
-			if prev > 0 && (rates[i]-prev)/prev < epsilon {
-				return candidates[i-1], rates[:i+1]
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		return 0, rates
-	}
-	return candidates[len(candidates)-1], rates
-}

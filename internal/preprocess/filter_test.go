@@ -188,27 +188,6 @@ func TestThresholdSweepShape(t *testing.T) {
 	}
 }
 
-func TestChooseThresholdStopsAtPlateau(t *testing.T) {
-	// Duplicates only within 50 s of each other: rates plateau after 60 s.
-	l := logOf(
-		ev(0, "L1", 1, "x"), ev(10, "L1", 1, "x"), ev(50, "L1", 1, "x"),
-		ev(5000, "L1", 1, "x"), ev(5040, "L1", 1, "x"),
-	)
-	cands := []int64{10, 60, 120, 200, 300}
-	chosen, rates := ChooseThreshold(l, cands, 0.01)
-	if chosen != 60 {
-		t.Errorf("chose %d, want 60 (rates %v)", chosen, rates)
-	}
-}
-
-func TestChooseThresholdEmptyCandidates(t *testing.T) {
-	l := logOf(ev(0, "L1", 1, "x"))
-	chosen, rates := ChooseThreshold(l, nil, 0.01)
-	if chosen != 0 || len(rates) != 0 {
-		t.Errorf("empty candidates: chose %d rates %v", chosen, rates)
-	}
-}
-
 func TestCompressionRate(t *testing.T) {
 	st := FilterStats{Input: 100, AfterTemporal: 30, AfterSpatial: 20}
 	if st.Removed() != 80 {

@@ -50,17 +50,6 @@ func (in *Interner) Intern(b []byte) string {
 	return s
 }
 
-// InternString is Intern for a value already held as a string.
-func (in *Interner) InternString(v string) string {
-	if s, ok := in.m[v]; ok {
-		return s
-	}
-	if len(in.m) < maxInternEntries {
-		in.m[v] = v
-	}
-	return v
-}
-
 // Len returns the number of resident entries (for tests).
 func (in *Interner) Len() int { return len(in.m) }
 

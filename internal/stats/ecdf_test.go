@@ -135,39 +135,6 @@ func TestQuantilePanicsOnEmpty(t *testing.T) {
 	Quantile(nil, 0.5)
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 11 {
-		t.Errorf("histogram total = %d, want 11", total)
-	}
-	// Max value lands in the last bin.
-	if h.Counts[4] < 2 {
-		t.Errorf("last bin = %d, expected to include max", h.Counts[4])
-	}
-	if c := h.BinCenter(0); !almostEqual(c, 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %g, want 1", c)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram([]float64{5, 5, 5}, 4)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("degenerate histogram total = %d", total)
-	}
-	h2 := NewHistogram(nil, 0)
-	if len(h2.Counts) != 1 {
-		t.Errorf("empty histogram bins = %d, want 1", len(h2.Counts))
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{2, 4}); got != 3 {
 		t.Errorf("Mean = %g", got)

@@ -78,53 +78,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Histogram bins a sample into nbins equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram with nbins bins spanning the sample range
-// (or [0,1] for an empty/degenerate sample). Values exactly at Max fall into
-// the last bin.
-func NewHistogram(xs []float64, nbins int) Histogram {
-	if nbins <= 0 {
-		nbins = 1
-	}
-	h := Histogram{Counts: make([]int, nbins)}
-	if len(xs) == 0 {
-		h.Max = 1
-		return h
-	}
-	h.Min, h.Max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < h.Min {
-			h.Min = x
-		}
-		if x > h.Max {
-			h.Max = x
-		}
-	}
-	if h.Max == h.Min {
-		h.Max = h.Min + 1
-	}
-	width := (h.Max - h.Min) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - h.Min) / width)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		h.Counts[i]++
-	}
-	return h
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h Histogram) BinCenter(i int) float64 {
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*width
-}

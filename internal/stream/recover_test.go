@@ -305,6 +305,24 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 	if got := s.m.warningsTotal.Value(); got != 1 {
 		t.Fatalf("swapped-in predictor re-warned (total %d) off the pre-swap fatal; dedup state was lost across the swap", got)
 	}
+
+	// The elapsed-failure clock carries too, and carries the latest
+	// fatal. Only the old predictor sees this one (its warning there is
+	// suppressed: 290 s after the last). 30 s after it, with the dedup
+	// interval over, the swapped-in predictor must stay silent, which a
+	// clock still at the first fatal would not; 400 s after it, the
+	// distribution rule must fire, which an unseeded clock would not.
+	fatal2 := warnAt + 290_000
+	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2}, Class: 2, Fatal: true})
+	s.swapPredictor()
+	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2 + 30_000}, Class: 1})
+	if got := s.m.warningsTotal.Value(); got != 1 {
+		t.Fatalf("swapped-in predictor warned 30 s after a pre-swap fatal (total %d); its clock is not at the latest fatal", got)
+	}
+	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2 + 400_000}, Class: 1})
+	if got := s.m.warningsTotal.Value(); got != 2 {
+		t.Fatalf("warnings total %d after an event 400 s past a pre-swap fatal, want 2; the elapsed-failure clock was lost across the swap", got)
+	}
 }
 
 // TestKillRecoverCountersExact pins that every counter a snapshot carries

@@ -29,7 +29,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/learner"
-	"repro/internal/meta"
 	"repro/internal/predictor"
 	"repro/internal/preprocess"
 	"repro/internal/raslog"
@@ -150,81 +149,6 @@ func DefaultOptions() Options { return engine.Defaults() }
 // time-sorted event stream spanning [start, start + weeks·1 week).
 func Run(events []TaggedEvent, start int64, weeks int, opts Options) (*Result, error) {
 	return engine.Run(events, start, weeks, opts)
-}
-
-// Online is a streaming predictor for embedding in monitoring daemons:
-// train it on history, feed it live events, receive warnings. Retrain
-// whenever fresh history accumulates (the paper retrains every 4 weeks).
-// An Online predictor is not safe for concurrent use.
-type Online struct {
-	params learner.Params
-	ml     *meta.MetaLearner
-	repo   *meta.Repository
-	pr     *predictor.Predictor
-}
-
-// NewOnline creates an untrained streaming predictor with the prediction
-// window of opts (other Options fields concern offline runs and are
-// ignored here).
-func NewOnline(opts Options) *Online {
-	params := opts.Params
-	if params.WindowSec <= 0 {
-		params.WindowSec = 300
-	}
-	return &Online{
-		params: params,
-		ml:     meta.New(),
-		repo:   meta.NewRepository(),
-	}
-}
-
-// TrainStats summarizes one (re)training pass.
-type TrainStats struct {
-	Candidates int
-	Kept       int
-	Repo       int
-}
-
-// Train (re)learns rules from a training stream and swaps them into the
-// live predictor; accumulated runtime state (the elapsed-failure clock
-// and the alarm-spacing marks) carries over, and alarms stay spaced at
-// the base window exactly as in Run.
-func (o *Online) Train(history []TaggedEvent) (TrainStats, error) {
-	report, err := o.ml.Train(history, o.params)
-	if err != nil {
-		return TrainStats{}, err
-	}
-	o.repo.Update(report)
-	pr := predictor.New(o.repo.Rules(), o.params)
-	pr.GlobalDedup = true
-	engine.ClampDedup(pr, o.params.WindowSec)
-	if o.pr != nil {
-		pr.SeedLastFatal(o.pr.LastFatal())
-		// Re-arming the distribution expert without its last warning
-		// would let it warn again right after the swap.
-		pr.SeedLastWarn(o.pr.LastWarnTimes())
-	}
-	o.pr = pr
-	return TrainStats{
-		Candidates: len(report.Candidates),
-		Kept:       len(report.Kept),
-		Repo:       o.repo.Len(),
-	}, nil
-}
-
-// Rules returns the current rule set.
-func (o *Online) Rules() []Rule {
-	return o.repo.Rules()
-}
-
-// Observe feeds one live event (events must arrive in time order) and
-// returns any warning it triggers. Before the first Train call it
-// returns nothing.
-func (o *Online) Observe(e TaggedEvent) []Warning {
-	if o.pr == nil {
-		return nil
-	}
-	return o.pr.Observe(e)
 }
 
 // NewCatalog returns the standard Blue Gene/L event catalog.
