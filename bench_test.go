@@ -115,33 +115,22 @@ func BenchmarkFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkMetaTrain measures one full training pass (three base
-// learners + reviser) at both ends of the parallelism knob; the outputs
-// are identical, only the schedule differs (serial = 1 worker,
-// parallel = GOMAXPROCS workers with concurrent learners, sharded
-// Apriori counting and partitioned reviser scoring).
+// BenchmarkMetaTrain measures one full training pass: three base
+// learners, then the reviser.
 func BenchmarkMetaTrain(b *testing.B) {
 	events := benchTagged(b)
 	p := learner.Params{WindowSec: 300}
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ml := meta.New().SetParallelism(tc.workers)
-				if _, err := ml.Train(events, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := meta.New().Train(events, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkReviseParallel isolates the reviser's single-pass scorer over
-// a realistic candidate set, serial vs partitioned across workers.
-func BenchmarkReviseParallel(b *testing.B) {
+// BenchmarkRevise isolates the reviser's single-pass scorer over a
+// realistic candidate set.
+func BenchmarkRevise(b *testing.B) {
 	events := benchTagged(b)
 	p := learner.Params{WindowSec: 300}
 	ml := meta.New()
@@ -153,19 +142,11 @@ func BenchmarkReviseParallel(b *testing.B) {
 	if len(report.Candidates) == 0 {
 		b.Fatal("no candidates to score")
 	}
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(tc.name, func(b *testing.B) {
-			rv := reviser.New()
-			rv.Parallelism = tc.workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rv.Revise(report.Candidates, events, p)
-			}
-		})
+	rv := reviser.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rv.Revise(report.Candidates, events, p)
 	}
 }
 

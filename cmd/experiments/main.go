@@ -14,11 +14,11 @@
 // a few GB of transient memory for the raw ANL log); -quick runs a
 // shortened, duplication-reduced configuration in seconds.
 //
-// -parallelism bounds the worker count everywhere (experiment grids,
-// base learners, Apriori counting, reviser scoring): 0 (the default)
-// means GOMAXPROCS, 1 forces the fully serial pipeline. Results are
-// identical at any setting. -cpuprofile / -memprofile write pprof
-// profiles of the run for performance work.
+// -parallelism bounds how many experiment cells (independent engine runs)
+// execute at once: 0 (the default) means GOMAXPROCS, 1 runs them one at
+// a time. Each run trains on one goroutine, learning one pass ahead of
+// its predictor. Results are identical at any setting. -cpuprofile /
+// -memprofile write pprof profiles of the run for performance work.
 package main
 
 import (
@@ -42,7 +42,7 @@ func main() {
 	quick := flag.Bool("quick", false, "run the reduced quick suite")
 	weeks := flag.Int("weeks", 0, "override log length in weeks (0 = preset)")
 	scale := flag.Float64("scale", -1, "override raw duplication scale (<0 = preset)")
-	parallelism := flag.Int("parallelism", 0, "training/experiment workers (0 = GOMAXPROCS, 1 = serial)")
+	parallelism := flag.Int("parallelism", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = one at a time)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

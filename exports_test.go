@@ -17,7 +17,6 @@ import (
 // "<package>.<Func>", the package as its import path without the
 // leading "repro/" ("repro" itself for the root package).
 var exportAllowlist = map[string]string{
-	"internal/reviser.ScoreAll":         "test oracle: the literal per-rule Algorithm 1 replay the batched reviser is checked against",
 	"internal/raslog.ParseLine":         "test reference: the string parser ParseLineBytes must match",
 	"internal/raslog.ParseFacility":     "test reference: ParseLine's facility parser",
 	"internal/raslog.ParseSeverity":     "test reference: ParseLine's severity parser",

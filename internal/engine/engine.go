@@ -74,10 +74,6 @@ type Config struct {
 	// training set (the paper's adaptive-window future work). Params
 	// then only supplies the initial value.
 	Tuner *WindowTuner
-	// Parallelism bounds training concurrency (base learners, Apriori
-	// counting, reviser scoring): 0 means GOMAXPROCS, 1 forces the serial
-	// pipeline. Results are identical at any setting.
-	Parallelism int
 	// Metrics, when non-nil, records every (re)training pass — duration,
 	// per-learner time, reviser time, rule churn — into an obsv registry:
 	// the live version of Table 5. Nil disables recording.
@@ -273,9 +269,6 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 	if ml == nil {
 		ml = meta.New()
 	}
-	if cfg.Parallelism != 0 {
-		ml.SetParallelism(cfg.Parallelism)
-	}
 	res := &Result{Config: cfg, Start: start, Weeks: weeks, TestFrom: cfg.InitialTrainWeeks}
 	repo := meta.NewRepository()
 
@@ -318,51 +311,41 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 		return p
 	}
 
-	// next hands over the passes in order. Serial, it learns a pass when
-	// the caller asks for it. Otherwise a goroutine learns them one pass
-	// ahead: the unbuffered hand-off lets it start pass k+1 as soon as
-	// the caller takes pass k, so pass k+1's view and learners run while
-	// the caller revises pass k and predicts with it. A pass depends on
-	// no prediction, and the reviser reads only the events and the
+	// A goroutine learns the passes one ahead of the caller: the
+	// unbuffered hand-off lets it start pass k+1 as soon as the caller
+	// takes pass k, so pass k+1's view and learners run while the caller
+	// revises pass k and predicts with it. A pass depends on no
+	// prediction, and the reviser reads only the events and the
 	// candidates, so the overlap changes no result.
-	pass := 0
-	next := func() learned {
-		pass++
-		return learn(schedule[pass-1])
-	}
-	if learner.Workers(ml.Parallelism) > 1 && len(schedule) > 1 {
-		passes := make(chan learned)
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for _, week := range schedule {
-				p := learn(week)
-				select {
-				case passes <- p:
-				case <-stop:
-					return
-				}
-				if p.err != nil {
-					return
-				}
+	passes := make(chan learned)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, week := range schedule {
+			p := learn(week)
+			select {
+			case passes <- p:
+			case <-stop:
+				return
 			}
-		}()
-		// However Run ends, the learning goroutine ends first.
-		defer func() {
-			close(stop)
-			<-done
-		}()
-		next = func() learned {
-			pass++
-			return <-passes
+			if p.err != nil {
+				return
+			}
 		}
-	}
+	}()
+	// However Run ends, the learning goroutine ends first.
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	pass := 0
 
 	// train revises the next pass and swaps it into the repository.
 	var params learner.Params // in force for prediction
 	train := func() error {
-		p := next()
+		p := <-passes
+		pass++
 		if p.err != nil {
 			if p.pre != nil { // the learners failed, not the tuner
 				cfg.Metrics.RecordError()

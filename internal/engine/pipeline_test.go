@@ -46,31 +46,28 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-// TestRunLearnerErrorStopsPipeline fails one pass's learners, serial and
-// one pass ahead: Run returns that error, counts the failed pass, and
-// leaves no goroutine behind.
+// TestRunLearnerErrorStopsPipeline fails one pass's learners on the
+// learning side of the hand-off: Run returns that error, counts the
+// failed pass, and leaves no goroutine behind.
 func TestRunLearnerErrorStopsPipeline(t *testing.T) {
 	events, start := pipeline(t, 101, 20)
-	for _, parallelism := range []int{1, 2} {
-		for _, failAt := range []int32{0, 2} {
-			base := runtime.NumGoroutine()
-			cfg := quickConfig()
-			cfg.Parallelism = parallelism
-			cfg.Meta = meta.New()
-			cfg.Meta.Extra = []learner.Learner{&failingLearner{failAt: failAt}}
-			cfg.Metrics = NewTrainingMetrics(obsv.NewRegistry())
-			_, err := Run(events, start, 20, cfg)
-			if !errors.Is(err, errLearner) {
-				t.Fatalf("parallelism %d, failing pass %d: err = %v, want the learner's", parallelism, failAt, err)
-			}
-			if got := cfg.Metrics.errors.Value(); got != 1 {
-				t.Errorf("parallelism %d, failing pass %d: %d errors recorded, want 1", parallelism, failAt, got)
-			}
-			if got := cfg.Metrics.passes.Value(); got != int64(failAt)+1 {
-				t.Errorf("parallelism %d, failing pass %d: %d passes recorded, want %d", parallelism, failAt, got, failAt+1)
-			}
-			waitGoroutines(t, base, "a failed pass")
+	for _, failAt := range []int32{0, 2} {
+		base := runtime.NumGoroutine()
+		cfg := quickConfig()
+		cfg.Meta = meta.New()
+		cfg.Meta.Extra = []learner.Learner{&failingLearner{failAt: failAt}}
+		cfg.Metrics = NewTrainingMetrics(obsv.NewRegistry())
+		_, err := Run(events, start, 20, cfg)
+		if !errors.Is(err, errLearner) {
+			t.Fatalf("failing pass %d: err = %v, want the learner's", failAt, err)
 		}
+		if got := cfg.Metrics.errors.Value(); got != 1 {
+			t.Errorf("failing pass %d: %d errors recorded, want 1", failAt, got)
+		}
+		if got := cfg.Metrics.passes.Value(); got != int64(failAt)+1 {
+			t.Errorf("failing pass %d: %d passes recorded, want %d", failAt, got, failAt+1)
+		}
+		waitGoroutines(t, base, "a failed pass")
 	}
 }
 
@@ -82,7 +79,6 @@ func TestRunPanicStopsPipeline(t *testing.T) {
 	events, start := pipeline(t, 101, 20)
 	base := runtime.NumGoroutine()
 	cfg := quickConfig()
-	cfg.Parallelism = 2
 	cfg.Metrics = &TrainingMetrics{}
 	func() {
 		defer func() {
@@ -96,36 +92,28 @@ func TestRunPanicStopsPipeline(t *testing.T) {
 }
 
 // TestRunPassOverlap checks the hand-off through the view step: when
-// pass k's view starts, every earlier pass has been revised and recorded
-// if Parallelism is 1, and all but pass k-1 otherwise — the learning side
-// runs at most one pass ahead.
+// pass k's view starts, every pass before k-1 has been revised and
+// recorded — the learning side runs at most one pass ahead.
 func TestRunPassOverlap(t *testing.T) {
 	events, start := pipeline(t, 101, 24)
-	for _, parallelism := range []int{1, 2} {
-		cfg := quickConfig()
-		cfg.Parallelism = parallelism
-		cfg.Metrics = NewTrainingMetrics(obsv.NewRegistry())
-		ahead := int64(0)
-		if parallelism > 1 {
-			ahead = 1
+	cfg := quickConfig()
+	cfg.Metrics = NewTrainingMetrics(obsv.NewRegistry())
+	var views int64 // touched only by the goroutine running the views
+	restore := swapView(func(st *incr.State, events []preprocess.TaggedEvent, from, to int64, p learner.Params) (*learner.Prepared, *IncrInfo) {
+		recorded := cfg.Metrics.passes.Value()
+		if recorded > views || recorded < views-1 {
+			t.Errorf("pass %d's view began with %d passes recorded", views, recorded)
 		}
-		var views int64 // touched only by the goroutine running the views
-		restore := swapView(func(st *incr.State, events []preprocess.TaggedEvent, from, to int64, p learner.Params) (*learner.Prepared, *IncrInfo) {
-			recorded := cfg.Metrics.passes.Value()
-			if recorded > views || recorded < views-ahead {
-				t.Errorf("parallelism %d: pass %d's view began with %d passes recorded", parallelism, views, recorded)
-			}
-			views++
-			return view(st, events, from, to, p)
-		})
-		res, err := Run(events, start, 24, cfg)
-		restore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if views != int64(len(res.Retrainings)) || views < 3 {
-			t.Errorf("parallelism %d: %d views for %d passes", parallelism, views, len(res.Retrainings))
-		}
+		views++
+		return view(st, events, from, to, p)
+	})
+	res, err := Run(events, start, 24, cfg)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if views != int64(len(res.Retrainings)) || views < 3 {
+		t.Errorf("%d views for %d passes", views, len(res.Retrainings))
 	}
 }
 

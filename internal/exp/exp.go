@@ -76,10 +76,12 @@ type Suite struct {
 	Systems []*SystemData
 	Params  learner.Params
 	// Parallelism bounds how many independent engine runs a multi-cell
-	// experiment (Figures 7, 9, 10) executes concurrently, and flows into
-	// every run's training pipeline: 0 means GOMAXPROCS, 1 forces serial.
-	// Each cell is an independent run over read-only system data, so the
-	// reports are identical at any setting.
+	// experiment (Figures 7, 9, 10) executes concurrently: 0 means
+	// GOMAXPROCS, 1 runs the cells one at a time. Each cell is an
+	// independent run over read-only system data, so the reports are
+	// identical at any setting. It is the only parallelism setting: each
+	// run trains on one goroutine, learning one pass ahead of its
+	// predictor.
 	Parallelism int
 	// Metrics, when non-nil, accumulates every engine run's training
 	// passes (per-learner durations, reviser time, rule churn) — the
@@ -194,7 +196,6 @@ func (s *Suite) run(sd *SystemData, cfg engine.Config) (*engine.Result, error) {
 func (s *Suite) engineDefaults(sd *SystemData) engine.Config {
 	cfg := engine.Defaults()
 	cfg.Params = s.Params
-	cfg.Parallelism = s.Parallelism
 	cfg.Metrics = s.Metrics
 	if sd.Cfg.Weeks <= cfg.InitialTrainWeeks+4 {
 		cfg.InitialTrainWeeks = sd.Cfg.Weeks / 2

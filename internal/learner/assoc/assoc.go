@@ -4,17 +4,11 @@
 // confidence. Low thresholds (support 0.01, confidence 0.1) are used on
 // purpose — failures are rare events — and the reviser later discards the
 // rules that do not hold up.
-//
-// Counting — the Apriori hot loop — decomposes by transaction: the event
-// sets are sharded across workers, each worker fills a private count
-// array, and the per-worker arrays are merged in worker order, so the
-// mined rule set is byte-identical to the serial scan at any parallelism.
 package assoc
 
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/learner"
 )
@@ -26,10 +20,6 @@ const (
 	maxClassBits   = 16
 	maxPackedItems = 64 / maxClassBits // 4
 )
-
-// minSetsPerWorker is the smallest shard worth a goroutine; below it the
-// counting runs serially regardless of the Parallelism knob.
-const minSetsPerWorker = 256
 
 // Learner mines association rules {non-fatal classes} => fatal class.
 type Learner struct {
@@ -49,9 +39,6 @@ type Learner struct {
 	// win. Mining with permissive support floods the candidate set with
 	// near-duplicates otherwise. 0 means unlimited.
 	MaxRules int
-	// Parallelism bounds the counting workers: 0 means GOMAXPROCS,
-	// 1 forces the serial scan. Output is identical either way.
-	Parallelism int
 }
 
 // New returns a learner with the paper's parameters.
@@ -103,10 +90,6 @@ func (l *Learner) Mine(sets []learner.EventSet) ([]learner.Rule, error) {
 		minCount = 1
 	}
 	maxBody := l.EffectiveMaxBody()
-	workers := learner.Workers(l.Parallelism)
-	if max := (n + minSetsPerWorker - 1) / minSetsPerWorker; workers > max {
-		workers = max
-	}
 
 	var rules []learner.Rule
 	// Level 1 is ascending, and every later level stays in lexicographic
@@ -117,7 +100,7 @@ func (l *Learner) Mine(sets []learner.EventSet) ([]learner.Rule, error) {
 		level = append(level, itemset{items: []int{it}})
 	}
 	for k := 1; k <= maxBody && len(level) > 0; k++ {
-		counts := countItemsets(sets, level, frequent, workers)
+		counts := countItemsets(sets, level, frequent)
 		var kept []itemset
 		for i := range level {
 			c := counts[i]
@@ -249,15 +232,15 @@ type itemsetCount struct {
 	byTarget []targetCount
 }
 
-// addTarget adds n to the target's count.
-func (c *itemsetCount) addTarget(target, n int) {
+// addTarget counts one more event set preceding target.
+func (c *itemsetCount) addTarget(target int) {
 	for i := range c.byTarget {
 		if c.byTarget[i].target == target {
-			c.byTarget[i].count += n
+			c.byTarget[i].count++
 			return
 		}
 	}
-	c.byTarget = append(c.byTarget, targetCount{target: target, count: n})
+	c.byTarget = append(c.byTarget, targetCount{target: target, count: 1})
 }
 
 // bitset is a dense membership set over class IDs.
@@ -314,10 +297,7 @@ func pack(items []int) uint64 {
 
 // countItemsets counts, for each candidate, how many event sets contain it
 // (global) and how many per target class. Candidates must share a size.
-// With workers > 1 the event sets are sharded into contiguous ranges, each
-// worker counts into a private array, and the arrays are merged in worker
-// order — the result is identical to the serial scan.
-func countItemsets(sets []learner.EventSet, candidates []itemset, frequentItems []int, workers int) []itemsetCount {
+func countItemsets(sets []learner.EventSet, candidates []itemset, frequentItems []int) []itemsetCount {
 	counts := make([]itemsetCount, len(candidates))
 	if len(candidates) == 0 || len(sets) == 0 {
 		return counts
@@ -338,37 +318,6 @@ func countItemsets(sets []learner.EventSet, candidates []itemset, frequentItems 
 		freq.set(it)
 	}
 
-	if workers <= 1 {
-		countRange(sets, k, index, freq, counts)
-		return counts
-	}
-	parts := make([][]itemsetCount, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(sets) / workers
-		hi := (w + 1) * len(sets) / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			part := make([]itemsetCount, len(candidates))
-			countRange(sets[lo:hi], k, index, freq, part)
-			parts[w] = part
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, part := range parts { // merge deterministically, in worker order
-		for i := range part {
-			counts[i].global += part[i].global
-			for _, tc := range part[i].byTarget {
-				counts[i].addTarget(tc.target, tc.count)
-			}
-		}
-	}
-	return counts
-}
-
-// countRange is one worker's serial scan over a shard of the event sets.
-func countRange(sets []learner.EventSet, k int, index map[uint64]int, freq bitset, counts []itemsetCount) {
 	combo := make([]int, k)
 	var trimmed []int
 	for si := range sets {
@@ -387,10 +336,11 @@ func countRange(sets []learner.EventSet, k int, index map[uint64]int, freq bitse
 		enumerate(trimmed, combo, 0, 0, func(c []int) {
 			if i, ok := index[pack(c)]; ok {
 				counts[i].global++
-				counts[i].addTarget(s.Target, 1)
+				counts[i].addTarget(s.Target)
 			}
 		})
 	}
+	return counts
 }
 
 // enumerate visits every size-len(combo) combination of items (which are

@@ -350,3 +350,49 @@ func TestMaxBodyClampedToPackLimit(t *testing.T) {
 		}
 	}
 }
+
+// synthSets builds n synthetic transactions with planted co-occurrence
+// structure plus noise.
+func synthSets(seed uint64, n int) []learner.EventSet {
+	r := stats.NewRNG(seed)
+	sets := make([]learner.EventSet, 0, n)
+	for i := 0; i < n; i++ {
+		var items []int
+		// Planted pattern: {1,2} precedes target 99 in a third of sets.
+		if i%3 == 0 {
+			items = append(items, 1, 2)
+		}
+		if i%5 == 0 {
+			items = append(items, 3, 4, 5)
+		}
+		for j := r.Intn(6); j > 0; j-- {
+			items = append(items, 10+r.Intn(25))
+		}
+		if len(items) == 0 {
+			items = append(items, 10+r.Intn(25))
+		}
+		target := 99
+		if i%4 == 0 {
+			target = 98
+		}
+		sets = append(sets, learner.EventSet{
+			Items:  learner.NormalizeBody(items),
+			Target: target,
+		})
+	}
+	return sets
+}
+
+// BenchmarkMine measures the Apriori hot path with allocation reporting
+// (run with -benchmem).
+func BenchmarkMine(b *testing.B) {
+	sets := synthSets(8, 5000)
+	l := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.Mine(sets); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

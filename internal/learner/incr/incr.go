@@ -29,9 +29,8 @@
 // statistics — pinned by the equivalence tests in this package.
 //
 // Concurrency: Advance, Export and Restore serialize on an internal
-// mutex. The serving interfaces are read-only and safe for the
-// concurrent learner ensemble, provided no Advance runs while the
-// learners do — engine.TrainWindow, the one training call, sequences
+// mutex. The serving interfaces are read-only, provided no Advance runs
+// while the learners do — engine.TrainWindow, the one training call, sequences
 // Advance strictly before them. The learners' rules share no memory with
 // the State, so the reviser may run during the next Advance (engine.Run
 // overlaps them).

@@ -9,8 +9,8 @@ import (
 )
 
 // Workers resolves a parallelism knob to a worker count: values above one
-// are taken literally, one forces the serial path, and zero (the default
-// everywhere) means runtime.GOMAXPROCS(0). Negative values are treated as
+// are taken literally, one forces the serial path, and zero (the default)
+// means runtime.GOMAXPROCS(0). Negative values are treated as
 // zero.
 func Workers(n int) int {
 	if n == 1 {
@@ -27,8 +27,8 @@ func Workers(n int) int {
 // (event sets, fatal timestamps, fatal inter-arrival gaps). One Prepared
 // per training pass means the expensive BuildEventSets scan happens once
 // even when several learners (or several Apriori configurations) ask for
-// it, and the meta-learner can run its base learners concurrently — all
-// accessors are safe for concurrent use.
+// it. The learners of a pass run one after another, so the caches take no
+// lock.
 type Prepared struct {
 	// Events is the raw training stream; read-only.
 	Events []preprocess.TaggedEvent
@@ -50,7 +50,6 @@ type Prepared struct {
 	Itemsets    ItemsetCounts
 	FailureRuns FailureRunCounts
 
-	mu      sync.Mutex
 	sets    map[setsKey][]EventSet
 	gaps    []float64
 	gapsOK  bool
@@ -63,8 +62,7 @@ type setsKey struct {
 	maxItems int
 }
 
-// Prepare wraps a training stream for the learners. Install SetsFor (if
-// any) before handing the Prepared to concurrent consumers.
+// Prepare wraps a training stream for the learners.
 func Prepare(events []preprocess.TaggedEvent) *Prepared {
 	return &Prepared{Events: events}
 }
@@ -74,8 +72,6 @@ func Prepare(events []preprocess.TaggedEvent) *Prepared {
 // returned slice is shared: callers must not mutate it.
 func (tr *Prepared) EventSets(p Params, maxItems int) []EventSet {
 	key := setsKey{windowMs: p.Window(), maxItems: maxItems}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	if sets, ok := tr.sets[key]; ok {
 		return sets
 	}
@@ -94,8 +90,6 @@ func (tr *Prepared) EventSets(p Params, maxItems int) []EventSet {
 
 // FatalTimes returns the fatal timestamps of the stream (cached).
 func (tr *Prepared) FatalTimes() []int64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	if !tr.timesOK {
 		if tr.TimesFor != nil {
 			tr.times = tr.TimesFor()
@@ -110,8 +104,6 @@ func (tr *Prepared) FatalTimes() []int64 {
 // FatalGaps returns the fatal inter-arrival gaps of the stream (cached).
 // The returned slice is shared: callers must not mutate it.
 func (tr *Prepared) FatalGaps() []float64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	if !tr.gapsOK {
 		if tr.GapsFor != nil {
 			tr.gaps = tr.GapsFor()

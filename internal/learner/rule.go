@@ -178,8 +178,7 @@ func (p Params) Window() int64 { return p.WindowSec * 1000 }
 type Learner interface {
 	// Name identifies the learner in reports ("association", ...).
 	Name() string
-	// Learn mines rules from the prepared training view. Learn must be
-	// safe to call concurrently with the other learners of an ensemble
-	// sharing the same Prepared.
+	// Learn mines rules from the prepared training view. The learners of
+	// an ensemble share the Prepared and run one after another.
 	Learn(tr *Prepared, p Params) ([]Rule, error)
 }

@@ -11,8 +11,8 @@ package learner
 // Every interface carries a CanServe guard: the maintainer was configured
 // for one (window, learner-shape) combination, and a learner asking with
 // different parameters must fall back to its batch path. All methods are
-// read-only and safe for the concurrent learner ensemble, provided no
-// Advance runs during the training pass (the retrain flow sequences them).
+// read-only, provided no Advance runs during the training pass (the
+// retrain flow sequences them).
 
 // TargetCount is one (fatal class, count) pair of a per-target tally.
 type TargetCount struct {

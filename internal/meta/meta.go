@@ -13,7 +13,6 @@ package meta
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/learner"
@@ -39,12 +38,6 @@ type MetaLearner struct {
 	// measure its contribution (Figure 11).
 	Reviser    *reviser.Reviser
 	UseReviser bool
-	// Parallelism bounds how many base learners run concurrently: 0 means
-	// GOMAXPROCS, 1 forces the serial pass. Candidates merge in the fixed
-	// learner order either way, so the trained rule set is identical.
-	// SetParallelism propagates the knob into the components that have
-	// internal parallelism of their own.
-	Parallelism int
 }
 
 // New returns a meta-learner with every component at the paper's defaults.
@@ -63,20 +56,6 @@ func New() *MetaLearner {
 // methods are easily incorporated. Returns m for chaining.
 func (m *MetaLearner) AddBayes() *MetaLearner {
 	m.Extra = append(m.Extra, bayes.New())
-	return m
-}
-
-// SetParallelism sets the training parallelism knob on the meta-learner
-// and every component with internal parallelism (Apriori counting,
-// reviser scoring). Returns m for chaining.
-func (m *MetaLearner) SetParallelism(p int) *MetaLearner {
-	m.Parallelism = p
-	if m.Assoc != nil {
-		m.Assoc.Parallelism = p
-	}
-	if m.Reviser != nil {
-		m.Reviser.Parallelism = p
-	}
 	return m
 }
 
@@ -123,12 +102,8 @@ func (m *MetaLearner) Train(events []preprocess.TaggedEvent, p learner.Params) (
 // Revise needs only the view's events, and whatever serves tr's counts
 // may move on to the next window once Learn returns.
 //
-// The base learners run concurrently, bounded by the Parallelism knob;
-// results are collected into per-learner slots and merged in the fixed
-// learner order afterwards, so the candidate set — and the dedupe and
-// revision downstream of it — is identical to the serial pass. Error
-// semantics also match: the first non-ignorable error in learner order is
-// returned.
+// The base learners run one after another in their fixed order, and the
+// first non-ignorable error ends the pass.
 func (m *MetaLearner) Learn(tr *learner.Prepared, p learner.Params) (*TrainReport, error) {
 	passStart := time.Now()
 	report := &TrainReport{
@@ -136,51 +111,18 @@ func (m *MetaLearner) Learn(tr *learner.Prepared, p learner.Params) (*TrainRepor
 		LearnerDurations:    make(map[string]time.Duration, 3),
 	}
 	baseLearners := []learner.Learner{m.Assoc, m.Stat, m.Prob}
-	baseLearners = append(baseLearners, m.Extra...)
-
-	type slot struct {
-		rules []learner.Rule
-		err   error
-		dur   time.Duration
-	}
-	slots := make([]slot, len(baseLearners))
-	workers := learner.Workers(m.Parallelism)
-	if workers > len(baseLearners) {
-		workers = len(baseLearners)
-	}
-	if workers <= 1 {
-		for i, bl := range baseLearners {
-			start := time.Now()
-			slots[i].rules, slots[i].err = bl.Learn(tr, p)
-			slots[i].dur = time.Since(start)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, bl := range baseLearners {
-			wg.Add(1)
-			go func(i int, bl learner.Learner) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				start := time.Now()
-				slots[i].rules, slots[i].err = bl.Learn(tr, p)
-				slots[i].dur = time.Since(start)
-			}(i, bl)
-		}
-		wg.Wait()
-	}
-
-	for i, bl := range baseLearners {
-		report.LearnerDurations[bl.Name()] = slots[i].dur
-		if err := slots[i].err; err != nil {
+	for _, bl := range append(baseLearners, m.Extra...) {
+		start := time.Now()
+		rules, err := bl.Learn(tr, p)
+		report.LearnerDurations[bl.Name()] = time.Since(start)
+		if err != nil {
 			if errors.Is(err, probdist.ErrTooFewFailures) {
 				continue
 			}
 			return nil, fmt.Errorf("meta: %s learner: %w", bl.Name(), err)
 		}
-		report.CandidatesByLearner[bl.Name()] = slots[i].rules
-		report.Candidates = append(report.Candidates, slots[i].rules...)
+		report.CandidatesByLearner[bl.Name()] = rules
+		report.Candidates = append(report.Candidates, rules...)
 	}
 	report.Candidates = dedupe(report.Candidates)
 	report.TotalDuration = time.Since(passStart)

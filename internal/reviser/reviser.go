@@ -11,36 +11,17 @@
 //
 // Every candidate is scored *as if it ran alone* — exactly Algorithm 1 —
 // but all candidates are evaluated in a single pass over the stream, so
-// revision cost grows with the stream, not with (stream × rules). Because
-// scoring state is per-rule, the candidate set also partitions cleanly
-// across workers: each worker replays the shared read-only stream for its
-// rule slice and writes outcomes into its own region of the result, so
-// the parallel scorecard is byte-identical to the serial one.
+// revision cost grows with the stream, not with (stream × rules).
 package reviser
 
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/eval"
 	"repro/internal/learner"
 	"repro/internal/preprocess"
 )
-
-// minRulesPerWorker is the smallest rule partition worth a goroutine;
-// below it ScoreAllN falls back to the serial single pass.
-const minRulesPerWorker = 16
-
-// serialCutoff is the smallest candidate set for which partitioned
-// scoring can pay at all. Every worker replays the *whole* event stream
-// for its rule slice, so each extra worker buys ruleWork/W of
-// parallelism at the price of one more full stream scan plus goroutine
-// startup; with a small rule set the duplicated scans dominate and the
-// "parallel" pass is strictly slower than the serial one (the
-// BenchmarkReviseParallel regression). Below the cutoff ScoreAllN is
-// serial no matter how many workers are offered.
-const serialCutoff = 4 * minRulesPerWorker
 
 // Reviser filters candidate rules by replaying them on training data.
 type Reviser struct {
@@ -55,9 +36,6 @@ type Reviser struct {
 	// isolation and pruning it would leave precursor-less failures
 	// unpredictable. Default true (see DESIGN.md for the discussion).
 	KeepDistribution bool
-	// Parallelism bounds the scoring workers: 0 means GOMAXPROCS,
-	// 1 forces the serial pass. The scorecard is identical either way.
-	Parallelism int
 }
 
 // New returns a reviser with the paper's MinROC.
@@ -76,7 +54,7 @@ type RuleScore struct {
 func (rv *Reviser) Revise(candidates []learner.Rule, events []preprocess.TaggedEvent,
 	p learner.Params) ([]learner.Rule, []RuleScore) {
 
-	outcomes := ScoreAllN(candidates, events, p, learner.Workers(rv.Parallelism))
+	outcomes := ScoreAll(candidates, events, p)
 	kept := make([]learner.Rule, 0, len(candidates))
 	scores := make([]RuleScore, 0, len(candidates))
 	for i, rule := range candidates {
@@ -97,41 +75,6 @@ func roc(o eval.Outcome) float64 {
 	m1 := o.Precision()
 	m2 := o.Recall()
 	return math.Sqrt(m1*m1 + m2*m2)
-}
-
-// ScoreAll scores every rule independently over a time-sorted stream in a
-// single serial pass, returning outcomes parallel to rules.
-func ScoreAll(rules []learner.Rule, events []preprocess.TaggedEvent,
-	p learner.Params) []eval.Outcome {
-	return scoreChunk(rules, events, p)
-}
-
-// ScoreAllN scores the rules with up to `workers` concurrent passes, each
-// replaying the shared read-only stream for a contiguous partition of the
-// rule set. Outcomes land at their rules' input positions, so the result
-// equals ScoreAll exactly.
-func ScoreAllN(rules []learner.Rule, events []preprocess.TaggedEvent,
-	p learner.Params, workers int) []eval.Outcome {
-
-	if max := (len(rules) + minRulesPerWorker - 1) / minRulesPerWorker; workers > max {
-		workers = max
-	}
-	if workers <= 1 || len(rules) < serialCutoff {
-		return scoreChunk(rules, events, p)
-	}
-	outcomes := make([]eval.Outcome, len(rules))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(rules) / workers
-		hi := (w + 1) * len(rules) / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			copy(outcomes[lo:hi], scoreChunk(rules[lo:hi], events, p))
-		}(lo, hi)
-	}
-	wg.Wait()
-	return outcomes
 }
 
 // ruleState is one rule's in-flight scoring state. Each rule carries at
@@ -179,11 +122,9 @@ func (r *eventRing) popFront() {
 	r.n--
 }
 
-// scoreChunk is the serial single-pass scorer over one rule slice — the
-// unit of work ScoreAllN partitions. Per-rule outcomes depend only on the
-// rule and the stream, so scoring a slice in isolation yields the same
-// numbers the full serial pass would.
-func scoreChunk(rules []learner.Rule, events []preprocess.TaggedEvent,
+// ScoreAll scores every rule independently over a time-sorted stream in a
+// single pass, returning outcomes parallel to rules.
+func ScoreAll(rules []learner.Rule, events []preprocess.TaggedEvent,
 	p learner.Params) []eval.Outcome {
 
 	windowMs := p.Window()

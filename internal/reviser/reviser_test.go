@@ -8,6 +8,7 @@ import (
 	"repro/internal/learner"
 	"repro/internal/preprocess"
 	"repro/internal/raslog"
+	"repro/internal/stats"
 )
 
 var p300 = learner.Params{WindowSec: 300}
@@ -275,4 +276,47 @@ func TestScoreAllMatchesPerRuleReplay(t *testing.T) {
 			}
 		}
 	}
+}
+
+// denseStream builds a long mixed stream with many classes, bursts and
+// irregular fatals, so rule scoring exercises window eviction, warning
+// overlap and dedup paths.
+func denseStream(seed uint64, n int) []preprocess.TaggedEvent {
+	r := stats.NewRNG(seed)
+	var events []preprocess.TaggedEvent
+	tm := int64(0)
+	for len(events) < n {
+		tm += int64(3 + r.Intn(90))
+		switch {
+		case r.Intn(9) == 0:
+			events = append(events, mk(tm, 99, true))
+		case r.Intn(17) == 0:
+			events = append(events, mk(tm, 98, true))
+		default:
+			events = append(events, mk(tm, r.Intn(20), false))
+		}
+	}
+	return events
+}
+
+// ruleZoo builds a mixed candidate set: association rules over varied
+// bodies, the statistical ladder, and a few distribution rules.
+func ruleZoo() []learner.Rule {
+	var rules []learner.Rule
+	for a := 0; a < 20; a++ {
+		rules = append(rules, assocRule(99, a))
+		rules = append(rules, assocRule(98, a, (a+1)%20))
+		if a%3 == 0 {
+			rules = append(rules, assocRule(learner.AnyFatal, a, (a+5)%20, (a+11)%20))
+		}
+	}
+	for k := 1; k <= 8; k++ {
+		rules = append(rules, learner.Rule{
+			Kind: learner.Statistical, Count: k, Target: learner.AnyFatal})
+	}
+	for _, gap := range []int64{60, 600, 3600} {
+		rules = append(rules, learner.Rule{
+			Kind: learner.Distribution, Target: learner.AnyFatal, ElapsedSec: gap})
+	}
+	return rules
 }

@@ -108,6 +108,68 @@ func TestStreamIncrementalEquivalence(t *testing.T) {
 	}
 }
 
+// TestSnapshotCopiesOnlyItsWindow stalls the first training pass until
+// the whole feed is applied, so the later passes start weeks behind the
+// stream and the history still holds every event since the stalled
+// boundary. Each pass must get exactly the feed's [from, at) events, in
+// a slice sized to that window rather than to the history.
+func TestSnapshotCopiesOnlyItsWindow(t *testing.T) {
+	l := genLog(t, 17, 10)
+	fed := batchPreprocess(l, preprocess.Filter{Threshold: 300})
+	cfg := Defaults()
+	cfg.InitialTrain = 3 * week
+	cfg.RetrainEvery = 2 * week
+	cfg.TrainWindow = 3 * week
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pass struct {
+		from, at, lag int64
+		snapshot      []preprocess.TaggedEvent
+	}
+	var passes []pass // appended by the training passes, which never overlap
+	release := make(chan struct{})
+	s.trainPass = func(ml *meta.MetaLearner, repo *meta.Repository, st *incr.State, snapshot []preprocess.TaggedEvent, from, at int64, p learner.Params) (engine.Retraining, error) {
+		if len(passes) == 0 {
+			<-release
+		}
+		passes = append(passes, pass{from: from, at: at, lag: s.watermarkMs() - at, snapshot: snapshot})
+		return engine.TrainWindow(ml, repo, st, snapshot, from, at, p)
+	}
+	ingestAll(t, s, l)
+	waitFor(t, 30*time.Second, func() bool {
+		return s.watermarkMs() >= s.streamStartMs()+9*week.Milliseconds()
+	})
+	close(release)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	retrainRecords(t, s)
+
+	lagged := 0
+	for i, p := range passes {
+		var want []preprocess.TaggedEvent
+		for _, te := range fed {
+			if te.Time >= p.from && te.Time < p.at {
+				want = append(want, te)
+			}
+		}
+		if len(want) == 0 || !reflect.DeepEqual(p.snapshot, want) {
+			t.Errorf("pass %d [%d, %d): snapshot of %d events, want the feed's %d", i, p.from, p.at, len(p.snapshot), len(want))
+		}
+		if cap(p.snapshot) != len(p.snapshot) {
+			t.Errorf("pass %d: snapshot cap %d for %d events", i, cap(p.snapshot), len(p.snapshot))
+		}
+		if p.lag >= cfg.RetrainEvery.Milliseconds() {
+			lagged++
+		}
+	}
+	if len(passes) != 4 || lagged < 2 {
+		t.Fatalf("%d passes, %d of them a cadence behind the stream; want 4 and at least 2", len(passes), lagged)
+	}
+}
+
 // TestRecoveryRestoresIncrementalState kills a service after its first
 // retrain (and the snapshot that follows it) and restarts over the same
 // state directory: the incremental sufficient statistics must come back

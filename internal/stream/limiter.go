@@ -5,9 +5,9 @@ import "sync/atomic"
 // RetrainLimiter bounds how many background training passes may run at
 // once across every Service sharing the limiter. One process serving
 // thousands of tenants (internal/fleet) would otherwise rebuild rules
-// for all of them simultaneously whenever their schedules align — each
-// pass is already CPU-parallel internally (meta.MetaLearner.Parallelism),
-// so the fleet-wide scheduler needs a queue, not more threads. A service
+// for all of them simultaneously whenever their schedules align. Each
+// pass runs on one goroutine, so the limiter is the training
+// concurrency: a queue in front of a fixed number of passes. A service
 // whose pass is waiting for a slot keeps ingesting and predicting on its
 // old rules; only the rebuild is deferred.
 //

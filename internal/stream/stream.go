@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -751,7 +752,10 @@ func (s *Service) maybeRetrain(wm int64) {
 
 // snapshotTrainingSet copies the policy's training slice ending at the
 // stream-time boundary `at` (ms), returning the slice and its window
-// start (engine.TrainWindow needs both bounds).
+// start (engine.TrainWindow needs both bounds). The history is
+// time-sorted, so the window's bounds are two binary searches and the
+// copy costs the window, not the history: a lagging trainer leaves a long
+// history behind (the trim follows the training schedule).
 func (s *Service) snapshotTrainingSet(at int64) ([]preprocess.TaggedEvent, int64) {
 	var from int64 = -1 << 62
 	if s.cfg.Policy == engine.Sliding {
@@ -759,13 +763,11 @@ func (s *Service) snapshotTrainingSet(at int64) ([]preprocess.TaggedEvent, int64
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]preprocess.TaggedEvent, 0, len(s.history))
-	for _, te := range s.history {
-		if te.Time >= from && te.Time < at {
-			out = append(out, te)
-		}
+	search := func(t int64) int {
+		return sort.Search(len(s.history), func(i int) bool { return s.history[i].Time >= t })
 	}
-	return out, from
+	window := s.history[search(from):search(at)]
+	return append(make([]preprocess.TaggedEvent, 0, len(window)), window...), from
 }
 
 // retrain runs one training pass (engine.TrainWindow over the snapshot)

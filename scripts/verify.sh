@@ -93,16 +93,15 @@ echo "== training-path equivalence gate (-race -count=1)"
 # golden — all under the race detector, never from the test cache. Build
 # with -tags slow for the long campaign.
 go test -race -count=1 ./internal/learner ./internal/learner/incr
-run_selected 'TestRunIncrementalEquivalence|TestIncrementalMetricsRecorded|TestRunParallelAndCacheMatchSerial|TestPredictionGolden' \
+run_selected 'TestRunIncrementalEquivalence|TestIncrementalMetricsRecorded|TestPredictionGolden' \
     ./internal/engine
 # engine.Run learns pass k+1 on its own goroutine while the caller
 # revises pass k. The hand-off pins (a failed or panicking pass leaves no
-# goroutine, Parallelism 1 never overlaps, the learning side is at most
-# one pass ahead) repeat, because the hand-off interleaves differently on
-# every run.
+# goroutine, the learning side is at most one pass ahead) repeat, because
+# the hand-off interleaves differently on every run.
 run_selected -count=10 'TestRunLearnerErrorStopsPipeline|TestRunPanicStopsPipeline|TestRunPassOverlap' \
     ./internal/engine
-run_selected 'TestStreamIncrementalEquivalence|TestRecoveryRestoresIncrementalState|TestRecoveryWithoutIncrState' \
+run_selected 'TestStreamIncrementalEquivalence|TestSnapshotCopiesOnlyItsWindow|TestRecoveryRestoresIncrementalState|TestRecoveryWithoutIncrState' \
     ./internal/stream
 echo "== kill-and-recover counters (-race -count=10)"
 # Repeated because its snapshot cut depends on goroutine timing: the test
