@@ -115,6 +115,17 @@ func BenchmarkFilter(b *testing.B) {
 	}
 }
 
+// trainFromScratch runs one training pass over a bare view of events:
+// the learners' batch scans, then the reviser.
+func trainFromScratch(ml *meta.MetaLearner, events []preprocess.TaggedEvent, p learner.Params) (*meta.TrainReport, error) {
+	report, err := ml.Learn(learner.Prepare(events), p)
+	if err != nil {
+		return nil, err
+	}
+	ml.Revise(report, events, p)
+	return report, nil
+}
+
 // BenchmarkMetaTrain measures one full training pass: three base
 // learners, then the reviser.
 func BenchmarkMetaTrain(b *testing.B) {
@@ -122,7 +133,7 @@ func BenchmarkMetaTrain(b *testing.B) {
 	p := learner.Params{WindowSec: 300}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := meta.New().Train(events, p); err != nil {
+		if _, err := trainFromScratch(meta.New(), events, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,7 +146,7 @@ func BenchmarkRevise(b *testing.B) {
 	p := learner.Params{WindowSec: 300}
 	ml := meta.New()
 	ml.UseReviser = false
-	report, err := ml.Train(events, p)
+	report, err := trainFromScratch(ml, events, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -153,7 +164,7 @@ func BenchmarkRevise(b *testing.B) {
 func BenchmarkPredictorObserve(b *testing.B) {
 	events := benchTagged(b)
 	p := learner.Params{WindowSec: 300}
-	report, err := meta.New().Train(events, p)
+	report, err := trainFromScratch(meta.New(), events, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,7 +496,7 @@ func BenchmarkRetrainIncremental(b *testing.B) {
 func BenchmarkRuleSwap(b *testing.B) {
 	events := benchTagged(b)
 	p := learner.Params{WindowSec: 300}
-	report, err := meta.New().Train(events, p)
+	report, err := trainFromScratch(meta.New(), events, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -609,70 +620,6 @@ func BenchmarkAblationFilterThreshold(b *testing.B) {
 				kept = out.Len()
 			}
 			b.ReportMetric(float64(kept), "events")
-		})
-	}
-}
-
-// BenchmarkAblationBayesExpert measures the effect of adding the optional
-// naive-Bayes indicator learner (paper future work: more base methods).
-func BenchmarkAblationBayesExpert(b *testing.B) {
-	s := suite(b)
-	sd := s.Systems[0]
-	for _, withBayes := range []bool{false, true} {
-		name := "core3"
-		if withBayes {
-			name = "core3+bayes"
-		}
-		b.Run(name, func(b *testing.B) {
-			var recall, precision float64
-			for i := 0; i < b.N; i++ {
-				cfg := engine.Defaults()
-				cfg.InitialTrainWeeks = sd.Cfg.Weeks / 2
-				cfg.TrainWeeks = cfg.InitialTrainWeeks
-				ml := meta.New()
-				if withBayes {
-					ml.AddBayes()
-				}
-				cfg.Meta = ml
-				res, err := engine.Run(sd.Tagged, sd.Cfg.Start, sd.Cfg.Weeks, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				recall = res.Overall.Recall()
-				precision = res.Overall.Precision()
-			}
-			b.ReportMetric(recall, "recall")
-			b.ReportMetric(precision, "precision")
-		})
-	}
-}
-
-// BenchmarkAblationAdaptiveWindow contrasts the fixed 300 s window with
-// the adaptive tuner (paper future work: window self-tuning).
-func BenchmarkAblationAdaptiveWindow(b *testing.B) {
-	s := suite(b)
-	sd := s.Systems[0]
-	for _, adaptive := range []bool{false, true} {
-		name := "fixed-300s"
-		if adaptive {
-			name = "adaptive"
-		}
-		b.Run(name, func(b *testing.B) {
-			var recall float64
-			for i := 0; i < b.N; i++ {
-				cfg := engine.Defaults()
-				cfg.InitialTrainWeeks = sd.Cfg.Weeks / 2
-				cfg.TrainWeeks = cfg.InitialTrainWeeks
-				if adaptive {
-					cfg.Tuner = engine.NewWindowTuner()
-				}
-				res, err := engine.Run(sd.Tagged, sd.Cfg.Start, sd.Cfg.Weeks, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				recall = res.Overall.Recall()
-			}
-			b.ReportMetric(recall, "recall")
 		})
 	}
 }

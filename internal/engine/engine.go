@@ -69,11 +69,6 @@ type Config struct {
 	// KindFilter, when non-nil, restricts the predictor to rules of one
 	// family — how Figure 7 evaluates each base learner in isolation.
 	KindFilter *learner.Kind
-	// Tuner, when non-nil, re-selects the prediction window W_P at every
-	// (re)training by validating candidate windows on the tail of the
-	// training set (the paper's adaptive-window future work). Params
-	// then only supplies the initial value.
-	Tuner *WindowTuner
 	// Metrics, when non-nil, records every (re)training pass — duration,
 	// per-learner time, reviser time, rule churn — into an obsv registry:
 	// the live version of Table 5. Nil disables recording.
@@ -125,10 +120,7 @@ type Retraining struct {
 	Week        int // zero-based week at which the new rules took effect
 	TrainEvents int
 	RepoSize    int
-	// WindowSec is the prediction window in force after this training
-	// (differs from Config.Params only under a Tuner).
-	WindowSec int64
-	Churn     meta.Churn
+	Churn       meta.Churn
 	// Durations for Table 5.
 	LearnerDurations map[string]time.Duration
 	ReviseDuration   time.Duration
@@ -173,10 +165,10 @@ type Result struct {
 // TrainWindow runs one (re)training pass over the events in [from, to):
 // view → learn → revise. It slides st's sufficient statistics to that
 // window and serves the learners from them, then runs the meta-learner,
-// reviser and repository swap (TrainStepPrepared). It is the one
-// training call of both deployment modes — Run, which overlaps the
-// halves of consecutive passes, and the streaming service
-// (internal/stream) — so the paper's retrain-every-W_R step has a single
+// reviser and repository swap (TrainStepPrepared). The streaming service
+// (internal/stream) calls it for every retrain, and Run runs the same
+// three steps with the next pass's view and learners overlapping this
+// pass's revise, so the paper's retrain-every-W_R step has a single
 // implementation. events must be time-sorted and agree with what st was
 // fed before on any shared time range; st rebuilds from scratch when it
 // cannot slide (first pass, W_P change, window moving backwards, drift).
@@ -196,7 +188,7 @@ func TrainWindow(ml *meta.MetaLearner, repo *meta.Repository, st *incr.State, ev
 // statistics are pinned against.
 func TrainStepPrepared(ml *meta.MetaLearner, repo *meta.Repository, pre *learner.Prepared, params learner.Params) (Retraining, error) {
 	t0 := time.Now()
-	report, err := ml.Learn(pre, params)
+	report, err := learnPass(ml, pre, params)
 	if err != nil {
 		return Retraining{}, err
 	}
@@ -223,6 +215,11 @@ func view(st *incr.State, events []preprocess.TaggedEvent, from, to int64, param
 // window — the learners' batch pass — as the reference.
 var trainView = view
 
+// learnPass is the learn step of TrainStepPrepared and Run, a variable
+// for the same reason as trainView: this package's tests swap in a step
+// that fails on a chosen pass.
+var learnPass = (*meta.MetaLearner).Learn
+
 // revise is the last step of a pass: the reviser over the learned
 // candidates, then the repository swap. It reads only the view's events
 // and the report, never the statistics that served the learners. The
@@ -233,7 +230,6 @@ func revise(ml *meta.MetaLearner, repo *meta.Repository, pre *learner.Prepared, 
 	return Retraining{
 		TrainEvents:      len(pre.Events),
 		RepoSize:         repo.Len(),
-		WindowSec:        params.WindowSec,
 		Churn:            churn,
 		LearnerDurations: report.LearnerDurations,
 		ReviseDuration:   report.ReviseDuration,
@@ -249,11 +245,10 @@ func searchTime(events []preprocess.TaggedEvent, t int64) int {
 // the caller needs to revise it, and what the steps so far cost.
 type learned struct {
 	week   int
-	params learner.Params // in force after this pass
 	pre    *learner.Prepared
 	report *meta.TrainReport
 	info   *IncrInfo
-	took   time.Duration // tuner, view and learners
+	took   time.Duration // view and learners
 	err    error
 }
 
@@ -286,27 +281,17 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 	// learn runs the view and learn steps of the pass at week, in pass
 	// order. It alone touches st, which carries the learners' sufficient
 	// statistics across the overlapping training windows and turns each
-	// pass into a delta-apply, and minedParams, which a Tuner moves.
-	minedParams := cfg.Params
-	st := incr.New(meta.IncrConfig(ml, minedParams))
+	// pass into a delta-apply.
+	st := incr.New(meta.IncrConfig(ml, cfg.Params))
 	learn := func(week int) learned {
 		t0 := time.Now()
 		from, to := start, at(week)
 		if cfg.Policy == Sliding {
 			from = at(max(week-cfg.TrainWeeks, 0))
 		}
-		if cfg.Tuner != nil {
-			wp, _, err := cfg.Tuner.Choose(events[searchTime(events, from):searchTime(events, to)], ml)
-			if err != nil {
-				return learned{err: err}
-			}
-			if wp > 0 {
-				minedParams.WindowSec = wp
-			}
-		}
-		p := learned{week: week, params: minedParams}
-		p.pre, p.info = trainView(st, events, from, to, minedParams)
-		p.report, p.err = ml.Learn(p.pre, minedParams)
+		p := learned{week: week}
+		p.pre, p.info = trainView(st, events, from, to, cfg.Params)
+		p.report, p.err = learnPass(ml, p.pre, cfg.Params)
 		p.took = time.Since(t0)
 		return p
 	}
@@ -342,25 +327,21 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 	pass := 0
 
 	// train revises the next pass and swaps it into the repository.
-	var params learner.Params // in force for prediction
 	train := func() error {
 		p := <-passes
 		pass++
 		if p.err != nil {
-			if p.pre != nil { // the learners failed, not the tuner
-				cfg.Metrics.RecordError()
-			}
+			cfg.Metrics.RecordError()
 			return p.err
 		}
 		t0 := time.Now()
-		rt := revise(ml, repo, p.pre, p.report, p.params)
+		rt := revise(ml, repo, p.pre, p.report, cfg.Params)
 		rt.Week = p.week
 		rt.Incr = p.info
 		// The pass's own work, not the time it waited to be handed over.
 		rt.Total = p.took + time.Since(t0)
 		cfg.Metrics.Record(rt)
 		res.Retrainings = append(res.Retrainings, rt)
-		params = p.params
 		return nil
 	}
 
@@ -370,7 +351,7 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 	}
 
 	// Prediction with periodic retraining.
-	pr := newPredictor(repo, cfg, params)
+	pr := newPredictor(repo, cfg)
 	i := searchTime(events, at(cfg.InitialTrainWeeks))
 	for week := cfg.InitialTrainWeeks; week < weeks; week++ {
 		if pass < len(schedule) && week == schedule[pass] {
@@ -379,7 +360,7 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 			}
 			lastFatal := pr.LastFatal()
 			lastWarn := pr.LastWarnTimes()
-			pr = newPredictor(repo, cfg, params)
+			pr = newPredictor(repo, cfg)
 			pr.SeedLastFatal(lastFatal)
 			// Carry the dedup marks too: re-arming the distribution expert
 			// (SeedLastFatal) while forgetting it just fired would let it
@@ -403,8 +384,8 @@ func Run(events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) (*
 }
 
 // newPredictor loads the repository's rules (optionally filtered to one
-// family) into a fresh predictor using the currently effective params.
-func newPredictor(repo *meta.Repository, cfg Config, params learner.Params) *predictor.Predictor {
+// family) into a fresh predictor at the run's window.
+func newPredictor(repo *meta.Repository, cfg Config) *predictor.Predictor {
 	rules := repo.Rules()
 	if cfg.KindFilter != nil {
 		filtered := rules[:0:0]
@@ -415,13 +396,13 @@ func newPredictor(repo *meta.Repository, cfg Config, params learner.Params) *pre
 		}
 		rules = filtered
 	}
-	pr := predictor.New(rules, params)
+	pr := predictor.New(rules, cfg.Params)
 	// The full ensemble counts overlapping alarms as one prediction;
 	// a single isolated family keeps its own window. Alarm spacing stays
 	// at the base window even when evaluating wider prediction windows
 	// (see predictor.DedupWindowSec).
 	pr.GlobalDedup = cfg.KindFilter == nil
-	ClampDedup(pr, params.WindowSec)
+	ClampDedup(pr, cfg.Params.WindowSec)
 	return pr
 }
 

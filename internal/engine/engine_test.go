@@ -227,7 +227,8 @@ func TestNewPredictorClampsAlarmSpacing(t *testing.T) {
 		{900, DefaultWindowSec},
 		{7200, DefaultWindowSec},
 	} {
-		pr := newPredictor(repo, cfg, learner.Params{WindowSec: tc.win})
+		cfg.Params.WindowSec = tc.win
+		pr := newPredictor(repo, cfg)
 		if pr.DedupWindowSec != tc.want {
 			t.Errorf("WindowSec %d: DedupWindowSec = %d, want %d",
 				tc.win, pr.DedupWindowSec, tc.want)

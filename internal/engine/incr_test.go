@@ -71,8 +71,7 @@ func TestRunIncrementalEquivalence(t *testing.T) {
 			for i := range full.Retrainings {
 				f, n := full.Retrainings[i], inc.Retrainings[i]
 				if f.Week != n.Week || f.TrainEvents != n.TrainEvents ||
-					f.RepoSize != n.RepoSize || f.WindowSec != n.WindowSec ||
-					f.Churn != n.Churn {
+					f.RepoSize != n.RepoSize || f.Churn != n.Churn {
 					t.Errorf("pass %d records diverge: %+v vs %+v", i, f, n)
 				}
 				if f.Incr != nil {

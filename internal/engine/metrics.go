@@ -37,7 +37,6 @@ type TrainingMetrics struct {
 
 	trainEvents *obsv.Gauge
 	repoRules   *obsv.Gauge
-	windowSec   *obsv.Gauge
 }
 
 // NewTrainingMetrics registers the training instruments (train_* names)
@@ -66,7 +65,6 @@ func NewTrainingMetrics(reg *obsv.Registry) *TrainingMetrics {
 			"Rules dropped by the meta-learner or rejected by the reviser (Figure 12)."),
 		trainEvents: reg.Gauge("train_events", "Training-set size of the most recent pass."),
 		repoRules:   reg.Gauge("train_repo_rules", "Knowledge-repository size after the most recent pass."),
-		windowSec:   reg.Gauge("train_window_seconds", "Prediction window W_P in force after the most recent pass."),
 	}
 }
 
@@ -105,7 +103,6 @@ func (tm *TrainingMetrics) Record(rt Retraining) {
 	tm.rulesRemoved.Add(int64(rt.Churn.RemovedByMeta + rt.Churn.RemovedByReviser))
 	tm.trainEvents.Set(float64(rt.TrainEvents))
 	tm.repoRules.Set(float64(rt.RepoSize))
-	tm.windowSec.Set(float64(rt.WindowSec))
 }
 
 // RecordError accounts one failed pass.

@@ -17,20 +17,19 @@ import (
 
 var errLearner = errors.New("learner failed on purpose")
 
-// failingLearner is an extra base learner that finds nothing until its
-// failAt-th call (zero-based), which fails.
-type failingLearner struct {
-	failAt int32
-	calls  atomic.Int32
-}
-
-func (l *failingLearner) Name() string { return "failing" }
-
-func (l *failingLearner) Learn(*learner.Prepared, learner.Params) ([]learner.Rule, error) {
-	if l.calls.Add(1)-1 == l.failAt {
-		return nil, errLearner
+// failLearnAt installs a learn step that runs the real one until its
+// failAt-th call (zero-based), which fails, and returns the function
+// that puts the real one back.
+func failLearnAt(failAt int32) func() {
+	prev := learnPass
+	var calls atomic.Int32
+	learnPass = func(ml *meta.MetaLearner, pre *learner.Prepared, p learner.Params) (*meta.TrainReport, error) {
+		if calls.Add(1)-1 == failAt {
+			return nil, errLearner
+		}
+		return prev(ml, pre, p)
 	}
-	return nil, nil
+	return func() { learnPass = prev }
 }
 
 // waitGoroutines fails the test unless the goroutine count falls back to
@@ -54,10 +53,10 @@ func TestRunLearnerErrorStopsPipeline(t *testing.T) {
 	for _, failAt := range []int32{0, 2} {
 		base := runtime.NumGoroutine()
 		cfg := quickConfig()
-		cfg.Meta = meta.New()
-		cfg.Meta.Extra = []learner.Learner{&failingLearner{failAt: failAt}}
 		cfg.Metrics = NewTrainingMetrics(obsv.NewRegistry())
+		restore := failLearnAt(failAt)
 		_, err := Run(events, start, 20, cfg)
+		restore()
 		if !errors.Is(err, errLearner) {
 			t.Fatalf("failing pass %d: err = %v, want the learner's", failAt, err)
 		}

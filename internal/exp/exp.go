@@ -10,6 +10,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -97,7 +98,7 @@ type Suite struct {
 func NewSuite(cfgs ...*bgsim.Config) (*Suite, error) {
 	s := &Suite{Params: learner.Params{WindowSec: 300}}
 	s.Systems = make([]*SystemData, len(cfgs))
-	err := forEach(len(cfgs), learner.Workers(0), func(i int) error {
+	err := forEach(len(cfgs), 0, func(i int) error {
 		sd, err := Load(cfgs[i])
 		if err != nil {
 			return fmt.Errorf("exp: loading %s: %w", cfgs[i].Name, err)
@@ -113,7 +114,12 @@ func NewSuite(cfgs ...*bgsim.Config) (*Suite, error) {
 
 // forEach runs fn(0..n-1) under at most `workers` goroutines and returns
 // the lowest-index error (matching what a serial loop would surface).
+// workers ≤ 0 means runtime.GOMAXPROCS(0); one runs fn serially on the
+// caller's goroutine.
 func forEach(n, workers int, fn func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}

@@ -2,9 +2,14 @@ package exp
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // suite is a cached quick suite shared by the tests (loading dominates).
@@ -337,5 +342,55 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		if err := r.Render(&buf); err != nil {
 			t.Errorf("%s render: %v", r.ID, err)
 		}
+	}
+}
+
+// TestForEachWorkers pins forEach's worker resolution: a count above one
+// is taken literally, zero or less means GOMAXPROCS, and each runs
+// exactly that many calls at once. One is the serial path: calls in
+// index order on the caller's goroutine, stopping at the first error.
+func TestForEachWorkers(t *testing.T) {
+	const n = 8
+	procs := min(runtime.GOMAXPROCS(0), n)
+	for _, tc := range []struct{ workers, want int }{{0, procs}, {-2, procs}, {3, 3}} {
+		var mu sync.Mutex
+		inFlight, peak := 0, 0
+		full := make(chan struct{})
+		var fill sync.Once
+		err := forEach(n, tc.workers, func(int) error {
+			mu.Lock()
+			inFlight++
+			peak = max(peak, inFlight)
+			if inFlight == tc.want {
+				fill.Do(func() { close(full) })
+			}
+			mu.Unlock()
+			// Hold every call until want of them overlap, so a smaller
+			// pool never reaches the peak and a larger one overshoots it.
+			select {
+			case <-full:
+			case <-time.After(5 * time.Second):
+			}
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+			return nil
+		})
+		if err != nil || peak != tc.want {
+			t.Errorf("workers %d: err %v, %d calls at once, want %d", tc.workers, err, peak, tc.want)
+		}
+	}
+
+	errAt := errors.New("fails")
+	var calls []int
+	err := forEach(n, 1, func(i int) error {
+		calls = append(calls, i)
+		if i == 2 {
+			return errAt
+		}
+		return nil
+	})
+	if !errors.Is(err, errAt) || !reflect.DeepEqual(calls, []int{0, 1, 2}) {
+		t.Errorf("serial path: err %v after calls %v, want it after [0 1 2]", err, calls)
 	}
 }

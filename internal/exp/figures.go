@@ -142,7 +142,7 @@ func (s *Suite) Figure7() (*Report, error) {
 			jobs = append(jobs, &job{sd: sd, method: m.name, kind: m.kind})
 		}
 	}
-	err := forEach(len(jobs), learner.Workers(s.Parallelism), func(i int) error {
+	err := forEach(len(jobs), s.Parallelism, func(i int) error {
 		j := jobs[i]
 		cfg := s.engineDefaults(j.sd)
 		cfg.Policy = engine.Static
@@ -280,7 +280,7 @@ func (s *Suite) Figure9() (*Report, error) {
 			jobs = append(jobs, &job{sd: sd, policy: pol.name, cfg: cfg})
 		}
 	}
-	err := forEach(len(jobs), learner.Workers(s.Parallelism), func(i int) error {
+	err := forEach(len(jobs), s.Parallelism, func(i int) error {
 		res, err := s.run(jobs[i].sd, jobs[i].cfg)
 		jobs[i].res = res
 		return err
@@ -324,7 +324,7 @@ func (s *Suite) Figure10() (*Report, error) {
 			jobs = append(jobs, &job{sd: sd, wr: wr})
 		}
 	}
-	err := forEach(len(jobs), learner.Workers(s.Parallelism), func(i int) error {
+	err := forEach(len(jobs), s.Parallelism, func(i int) error {
 		cfg := s.engineDefaults(jobs[i].sd)
 		cfg.RetrainWeeks = jobs[i].wr
 		res, err := s.run(jobs[i].sd, cfg)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/learner"
 	"repro/internal/meta"
 	"repro/internal/predictor"
 	"repro/internal/preprocess"
@@ -137,11 +138,14 @@ func (s *Suite) Table5() (*Report, error) {
 				train = append(train, e)
 			}
 		}
+		// A from-scratch pass over a bare view: the learners' batch scans,
+		// not the maintained statistics of engine.TrainWindow.
 		ml := meta.New()
-		report, err := ml.Train(train, s.Params)
+		report, err := ml.Learn(learner.Prepare(train), s.Params)
 		if err != nil {
 			return nil, err
 		}
+		ml.Revise(report, train, s.Params)
 		// Online matching cost: feed four weeks of events through the
 		// event-driven predictor.
 		pr := predictor.New(report.Kept, s.Params)

@@ -23,8 +23,9 @@ type Delta struct {
 // Advance slides the maintained window to [from, to) over the given
 // time-sorted stream, which must cover at least [from, to) and agree
 // with the previously-fed stream on the overlap. The window parameter
-// p.Window() normally matches the configuration; a change degrades this
-// advance to a full rebuild under the new window (the tuner path).
+// p.Window() normally matches the configuration; a caller that passes
+// another degrades this advance to a full rebuild under the new window,
+// never to counts kept under the old one.
 //
 // Statistics are updated in four moves: (1) the event-set cache's exact
 // delta drives the itemset counts, (2) contributions anchored before the

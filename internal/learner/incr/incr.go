@@ -16,8 +16,8 @@
 //   - Fatal inter-arrival gaps (the MLE fit's sufficient statistic) —
 //     served through Prepared.GapsFor.
 //
-// Learners it does not serve (the optional naive-Bayes one, or a miner
-// configured differently from the state) keep their batch scans.
+// A learner it does not serve (a miner configured differently from the
+// state) keeps its batch scans.
 //
 // Every statistic is a sum of bounded-lookback per-event contributions,
 // so Advance touches only the window boundaries and the appended tail:

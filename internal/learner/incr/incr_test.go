@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/learner"
-	"repro/internal/learner/bayes"
 	"repro/internal/learner/incr"
 	"repro/internal/meta"
 	"repro/internal/preprocess"
@@ -16,7 +15,7 @@ import (
 
 // genStream produces a time-sorted tagged stream with duplicate
 // timestamps (gap 0 is possible) and a distinct fatal class range, so
-// assoc targets and bayes attributions are exercised.
+// assoc targets are exercised.
 func genStream(rng *rand.Rand, n, classes int, pFatal float64) []preprocess.TaggedEvent {
 	events := make([]preprocess.TaggedEvent, n)
 	t := int64(0)
@@ -36,7 +35,7 @@ func genStream(rng *rand.Rand, n, classes int, pFatal float64) []preprocess.Tagg
 // mkMeta builds an ensemble with thresholds loosened so every learner
 // actually emits rules on small random streams — silent empty outputs
 // would make the equivalence check vacuous.
-func mkMeta(withBayes bool) *meta.MetaLearner {
+func mkMeta() *meta.MetaLearner {
 	ml := meta.New()
 	// Random streams are much denser than real logs; a higher support
 	// floor keeps the Apriori candidate set (and the reviser's replay
@@ -48,12 +47,6 @@ func mkMeta(withBayes bool) *meta.MetaLearner {
 	// floor so the distribution fit actually runs (and thus actually
 	// compares the incrementally-maintained gap vector).
 	ml.Prob.FloorSec = 30
-	if withBayes {
-		ml.AddBayes()
-		b := ml.Extra[0].(*bayes.Learner)
-		b.MinOccurrences = 2
-		b.MinLikelihoodRatio = 1.2
-	}
 	return ml
 }
 
@@ -80,7 +73,7 @@ func trainStep(t *testing.T, ml *meta.MetaLearner, st *incr.State, stream []prep
 	d := st.Advance(stream, from, to, p)
 	window := stream[searchTime(stream, from):searchTime(stream, to)]
 
-	repB, errB := ml.Train(window, p)
+	repB, errB := learnRevise(ml, learner.Prepare(window), p)
 
 	preI := learner.Prepare(window)
 	st.Install(preI)
@@ -118,7 +111,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(seed)*7919 + 1))
-			ml := mkMeta(seed%2 == 0)
+			ml := mkMeta()
 			p := learner.Params{WindowSec: 120}
 			stream := genStream(rng, eqEvents, 40, 0.12)
 			st := incr.New(meta.IncrConfig(ml, p))
@@ -171,7 +164,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 // with a delta-apply (not a cold rebuild) and stays byte-equivalent.
 func TestExportRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	ml := mkMeta(true)
+	ml := mkMeta()
 	p := learner.Params{WindowSec: 120}
 	stream := genStream(rng, 3000, 40, 0.12)
 	cfg := meta.IncrConfig(ml, p)
@@ -205,7 +198,7 @@ func TestExportRestore(t *testing.T) {
 	// Both the original and the restored state must keep matching batch.
 	trainStep(t, ml, st, stream, from, to, p)
 	window := stream[searchTime(stream, from):searchTime(stream, to)]
-	repB, errB := ml.Train(window, p)
+	repB, errB := learnRevise(ml, learner.Prepare(window), p)
 	preR := learner.Prepare(window)
 	restored.Install(preR)
 	repR, errR := learnRevise(ml, preR, p)
@@ -230,7 +223,7 @@ func TestExportNotReady(t *testing.T) {
 // must be refused, leaving the state to rebuild on its next advance.
 func TestRestoreMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ml := mkMeta(false)
+	ml := mkMeta()
 	p := learner.Params{WindowSec: 120}
 	stream := genStream(rng, 1500, 40, 0.12)
 	cfg := meta.IncrConfig(ml, p)
@@ -261,7 +254,7 @@ func TestRestoreMismatch(t *testing.T) {
 // to full rebuilds with the reason recorded — and stay correct.
 func TestFallbackTriggers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ml := mkMeta(false)
+	ml := mkMeta()
 	p := learner.Params{WindowSec: 120}
 	stream := genStream(rng, 2000, 40, 0.12)
 	st := incr.New(meta.IncrConfig(ml, p))
@@ -270,7 +263,7 @@ func TestFallbackTriggers(t *testing.T) {
 
 	trainStep(t, ml, st, stream, 0, winLen, p)
 
-	// The tuner changed W_P: rebuild under the new window, then serve it.
+	// A caller changed W_P: rebuild under the new window, then serve it.
 	p2 := learner.Params{WindowSec: 60}
 	if d := st.Advance(stream, winLen/10, winLen+winLen/10, p2); !d.Rebuild {
 		t.Fatal("window parameter change must force a rebuild")
@@ -292,7 +285,7 @@ func TestFallbackTriggers(t *testing.T) {
 // audit and answered with a rebuild from the new truth.
 func TestDriftAudit(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	ml := mkMeta(false)
+	ml := mkMeta()
 	p := learner.Params{WindowSec: 120}
 	stream := genStream(rng, 2000, 40, 0.12)
 	cfg := meta.IncrConfig(ml, p)
@@ -323,7 +316,7 @@ func TestDriftAudit(t *testing.T) {
 // TestDeltaAccounting pins Applied/Expired against slice arithmetic.
 func TestDeltaAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	ml := mkMeta(false)
+	ml := mkMeta()
 	p := learner.Params{WindowSec: 120}
 	stream := genStream(rng, 2000, 40, 0.12)
 	st := incr.New(meta.IncrConfig(ml, p))

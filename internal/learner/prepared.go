@@ -1,26 +1,11 @@
 package learner
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/preprocess"
 )
-
-// Workers resolves a parallelism knob to a worker count: values above one
-// are taken literally, one forces the serial path, and zero (the default)
-// means runtime.GOMAXPROCS(0). Negative values are treated as
-// zero.
-func Workers(n int) int {
-	if n == 1 {
-		return 1
-	}
-	if n > 1 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Prepared is the shared training view handed to every base learner: the
 // time-sorted tagged stream plus lazily-built, cached derivations of it

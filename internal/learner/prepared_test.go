@@ -10,21 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-func TestWorkers(t *testing.T) {
-	if Workers(1) != 1 {
-		t.Errorf("Workers(1) = %d", Workers(1))
-	}
-	if Workers(3) != 3 {
-		t.Errorf("Workers(3) = %d", Workers(3))
-	}
-	if Workers(0) < 1 {
-		t.Errorf("Workers(0) = %d", Workers(0))
-	}
-	if Workers(-2) != Workers(0) {
-		t.Errorf("Workers(-2) = %d, want the GOMAXPROCS default", Workers(-2))
-	}
-}
-
 func mkEv(tSec int64, class int, fatal bool) preprocess.TaggedEvent {
 	return preprocess.TaggedEvent{
 		Event: raslog.Event{Time: tSec * 1000}, Class: class, Fatal: fatal,

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/learner"
 	"repro/internal/learner/assoc"
-	"repro/internal/learner/bayes"
 	"repro/internal/learner/probdist"
 	"repro/internal/learner/statrule"
 	"repro/internal/preprocess"
@@ -29,11 +28,6 @@ type MetaLearner struct {
 	Assoc *assoc.Learner
 	Stat  *statrule.Learner
 	Prob  *probdist.Learner
-	// Extra holds additional base learners beyond the paper's three —
-	// the paper notes "other predictive methods can be easily
-	// incorporated into our framework", and the bayes package provides
-	// one (see AddBayes). Extras run after the core three.
-	Extra []learner.Learner
 	// Reviser filters the merged candidates; set UseReviser false to
 	// measure its contribution (Figure 11).
 	Reviser    *reviser.Reviser
@@ -49,14 +43,6 @@ func New() *MetaLearner {
 		Reviser:    reviser.New(),
 		UseReviser: true,
 	}
-}
-
-// AddBayes appends the naive-Bayes indicator learner (package bayes) to
-// the ensemble, exercising the paper's claim that other predictive
-// methods are easily incorporated. Returns m for chaining.
-func (m *MetaLearner) AddBayes() *MetaLearner {
-	m.Extra = append(m.Extra, bayes.New())
-	return m
 }
 
 // TrainReport is the outcome of one (re)training pass.
@@ -77,25 +63,6 @@ type TrainReport struct {
 	TotalDuration    time.Duration
 }
 
-// Train runs every base learner on the training stream, merges and
-// revises, from scratch: Learn over a fresh view, then Revise. Learners
-// that legitimately find nothing (e.g. too few failures for a
-// distribution fit) contribute zero rules rather than failing the pass.
-//
-// Retraining goes through engine.TrainWindow, which keeps the view's
-// counts across passes. Train serves the two batch callers that must
-// not touch that state: the window tuner's throwaway fit for each
-// candidate W_P (engine/tuner.go), and Table 5's from-scratch training
-// time (exp/tables.go).
-func (m *MetaLearner) Train(events []preprocess.TaggedEvent, p learner.Params) (*TrainReport, error) {
-	report, err := m.Learn(learner.Prepare(events), p)
-	if err != nil {
-		return nil, err
-	}
-	m.Revise(report, events, p)
-	return report, nil
-}
-
 // Learn is the first half of a training pass: it runs the base learners
 // and merges and dedupes their candidates. The report's Kept and Scores
 // stay empty until Revise. The candidates share no memory with tr, so
@@ -110,8 +77,7 @@ func (m *MetaLearner) Learn(tr *learner.Prepared, p learner.Params) (*TrainRepor
 		CandidatesByLearner: make(map[string][]learner.Rule, 3),
 		LearnerDurations:    make(map[string]time.Duration, 3),
 	}
-	baseLearners := []learner.Learner{m.Assoc, m.Stat, m.Prob}
-	for _, bl := range append(baseLearners, m.Extra...) {
+	for _, bl := range []learner.Learner{m.Assoc, m.Stat, m.Prob} {
 		start := time.Now()
 		rules, err := bl.Learn(tr, p)
 		report.LearnerDurations[bl.Name()] = time.Since(start)

@@ -11,6 +11,17 @@ import (
 
 var p300 = learner.Params{WindowSec: 300}
 
+// train runs a from-scratch pass over events: Learn over a fresh view,
+// then Revise.
+func train(ml *MetaLearner, events []preprocess.TaggedEvent, p learner.Params) (*TrainReport, error) {
+	report, err := ml.Learn(learner.Prepare(events), p)
+	if err != nil {
+		return nil, err
+	}
+	ml.Revise(report, events, p)
+	return report, nil
+}
+
 func mk(tSec int64, class int, fatal bool) preprocess.TaggedEvent {
 	return preprocess.TaggedEvent{
 		Event: raslog.Event{Time: tSec * 1000}, Class: class, Fatal: fatal,
@@ -39,7 +50,7 @@ func richStream() []preprocess.TaggedEvent {
 
 func TestTrainProducesAllFamilies(t *testing.T) {
 	ml := New()
-	report, err := ml.Train(richStream(), p300)
+	report, err := train(ml, richStream(), p300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +79,7 @@ func TestTrainProducesAllFamilies(t *testing.T) {
 func TestTrainWithoutReviser(t *testing.T) {
 	ml := New()
 	ml.UseReviser = false
-	report, err := ml.Train(richStream(), p300)
+	report, err := train(ml, richStream(), p300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +96,7 @@ func TestTrainTooFewFailuresIsNotError(t *testing.T) {
 	events := []preprocess.TaggedEvent{
 		mk(0, 1, false), mk(10, 2, false), mk(20, 99, true),
 	}
-	report, err := ml.Train(events, p300)
+	report, err := train(ml, events, p300)
 	if err != nil {
 		t.Fatalf("sparse stream errored: %v", err)
 	}
@@ -95,7 +106,7 @@ func TestTrainTooFewFailuresIsNotError(t *testing.T) {
 }
 
 func TestTrainEmptyStream(t *testing.T) {
-	report, err := New().Train(nil, p300)
+	report, err := train(New(), nil, p300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +185,7 @@ func TestChurnChangeRate(t *testing.T) {
 func TestRepositoryRevisedRulesImproveOverCandidates(t *testing.T) {
 	// Sanity: with the reviser on, kept rules' training precision is high.
 	ml := New()
-	report, err := ml.Train(richStream(), p300)
+	report, err := train(ml, richStream(), p300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,27 +196,5 @@ func TestRepositoryRevisedRulesImproveOverCandidates(t *testing.T) {
 		if !s.Kept && s.ROC >= ml.Reviser.MinROC {
 			t.Errorf("rejected rule above MinROC: %+v", s)
 		}
-	}
-}
-
-func TestAddBayesExtendsEnsemble(t *testing.T) {
-	ml := New().AddBayes()
-	report, err := ml.Train(richStream(), p300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := report.LearnerDurations["bayes"]; !ok {
-		t.Error("bayes learner did not run")
-	}
-	// Its indicator rules merge into the shared candidate pool (dedup may
-	// collapse overlaps with apriori's singletons — the pool must at
-	// least not shrink).
-	plain, err := New().Train(richStream(), p300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Candidates) < len(plain.Candidates) {
-		t.Errorf("bayes shrank the candidate pool: %d < %d",
-			len(report.Candidates), len(plain.Candidates))
 	}
 }

@@ -244,17 +244,6 @@ func (c *Catalog) FatalIDs() []int {
 	return ids
 }
 
-// NonFatalIDs returns the IDs of all curated-non-fatal classes.
-func (c *Catalog) NonFatalIDs() []int {
-	var ids []int
-	for _, cl := range c.classes {
-		if !cl.Fatal {
-			ids = append(ids, cl.ID)
-		}
-	}
-	return ids
-}
-
 // FacilityCounts is one row of Table 3.
 type FacilityCounts struct {
 	Facility raslog.Facility

@@ -14,7 +14,7 @@ func TestCatalogMatchesTable3(t *testing.T) {
 	if got := len(c.FatalIDs()); got != 69 {
 		t.Errorf("fatal classes = %d, want 69", got)
 	}
-	if got := len(c.NonFatalIDs()); got != 150 {
+	if got := c.Len() - len(c.FatalIDs()); got != 150 {
 		t.Errorf("non-fatal classes = %d, want 150", got)
 	}
 	want := map[raslog.Facility][2]int{ // {fatal, nonfatal} per Table 3

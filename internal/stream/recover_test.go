@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/learner"
 	"repro/internal/meta"
+	"repro/internal/persist"
 	"repro/internal/preprocess"
 	"repro/internal/raslog"
 )
@@ -244,6 +246,65 @@ func TestGracefulRestartReplaysNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareServices(t, second, ref)
+}
+
+// TestRecoveryIgnoresRetiredRetrainFields restores a snapshot whose
+// retrain records carry "WindowSec", a field older versions wrote (the
+// per-pass prediction window): recovery ignores it and restores every
+// record intact.
+func TestRecoveryIgnoresRetiredRetrainFields(t *testing.T) {
+	l := genLog(t, 13, 8)
+	dir := t.TempDir()
+	first, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, first, &raslog.Log{Name: l.Name, Events: l.Window(l.Start(), l.Start()+6*week.Milliseconds())})
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := retrainRecords(t, first)
+	if len(want) < 2 {
+		t.Fatalf("%d retrains before the restart; want >= 2", len(want))
+	}
+
+	// Rewrite the shutdown snapshot as an older version wrote it.
+	st, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := st.LoadSnapshot()
+	if err != nil || snap == nil {
+		t.Fatalf("shutdown snapshot: %v, %v", snap, err)
+	}
+	var old []map[string]json.RawMessage
+	if err := json.Unmarshal(snap.Retrains, &old); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range old {
+		rec["WindowSec"] = json.RawMessage("300")
+	}
+	if snap.Retrains, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.WriteSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := second.Stats().Retrains
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("restored retrain records differ:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 // TestPersistenceDoesNotPerturbPipeline pins that turning StateDir on
