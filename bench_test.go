@@ -118,11 +118,12 @@ func BenchmarkFilter(b *testing.B) {
 // trainFromScratch runs one training pass over a bare view of events:
 // the learners' batch scans, then the reviser.
 func trainFromScratch(ml *meta.MetaLearner, events []preprocess.TaggedEvent, p learner.Params) (*meta.TrainReport, error) {
-	report, err := ml.Learn(learner.Prepare(events), p)
+	pre := learner.Prepare(events)
+	report, err := ml.Learn(pre, p)
 	if err != nil {
 		return nil, err
 	}
-	ml.Revise(report, events, p)
+	ml.Revise(report, pre, p)
 	return report, nil
 }
 
@@ -154,10 +155,11 @@ func BenchmarkRevise(b *testing.B) {
 		b.Fatal("no candidates to score")
 	}
 	rv := reviser.New()
+	pre := learner.Prepare(events)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rv.Revise(report.Candidates, events, p)
+		rv.Revise(report.Candidates, pre, p)
 	}
 }
 

@@ -221,11 +221,12 @@ var trainView = view
 var learnPass = (*meta.MetaLearner).Learn
 
 // revise is the last step of a pass: the reviser over the learned
-// candidates, then the repository swap. It reads only the view's events
-// and the report, never the statistics that served the learners. The
+// candidates, then the repository swap. It reads only the view's events,
+// its carried replay and the report, never the statistics that served
+// the learners, and the passes of one chain revise in pass order. The
 // record's Total is left to the caller.
 func revise(ml *meta.MetaLearner, repo *meta.Repository, pre *learner.Prepared, report *meta.TrainReport, params learner.Params) Retraining {
-	ml.Revise(report, pre.Events, params)
+	ml.Revise(report, pre, params)
 	churn := repo.Update(report)
 	return Retraining{
 		TrainEvents:      len(pre.Events),

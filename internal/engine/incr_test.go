@@ -21,8 +21,9 @@ func swapView(v func(*incr.State, []preprocess.TaggedEvent, int64, int64, learne
 }
 
 // batchRun runs the engine with every pass trained by the learners' batch
-// scans over a bare view of the window: the reference that TrainWindow's
-// maintained statistics must reproduce.
+// scans and revised by the reviser's full replay over a bare view of the
+// window: the reference that TrainWindow's maintained statistics and
+// carried replay must reproduce.
 func batchRun(t *testing.T, events []preprocess.TaggedEvent, start int64, weeks int, cfg Config) *Result {
 	t.Helper()
 	defer swapView(func(_ *incr.State, events []preprocess.TaggedEvent, from, to int64, _ learner.Params) (*learner.Prepared, *IncrInfo) {
@@ -37,11 +38,11 @@ func batchRun(t *testing.T, events []preprocess.TaggedEvent, start int64, weeks 
 
 // TestRunIncrementalEquivalence pins the headline contract of the one
 // training path: Run, which maintains the learners' sufficient statistics
-// across passes, produces exactly the same warnings, evaluation, and
-// per-pass rule churn as batch passes over each window — the maintenance
-// is an optimization, never a behavior change. It also checks the pass
-// records: the first pass is the sole full rebuild, every later pass a
-// delta-apply.
+// and carries the reviser's replay across passes, produces exactly the
+// same warnings, evaluation, and per-pass rule churn as batch passes over
+// each window — the maintenance is an optimization, never a behavior
+// change. It also checks the pass records: the first pass is the sole
+// full rebuild, every later pass a delta-apply.
 func TestRunIncrementalEquivalence(t *testing.T) {
 	events, start := pipeline(t, 109, 20)
 	for _, policy := range []Policy{Sliding, Whole} {

@@ -246,6 +246,10 @@ func defaultMeta() *meta.MetaLearner { return meta.New() }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func d(v int) string      { return fmt.Sprintf("%d", v) }
+
+// dur renders a Table 5 timing cell in milliseconds at microsecond
+// resolution, one unit for every cell, so sub-millisecond passes do not
+// all read 0.
 func dur(v time.Duration) string {
-	return v.Round(time.Millisecond).String()
+	return fmt.Sprintf("%.3fms", float64(v.Microseconds())/1000)
 }

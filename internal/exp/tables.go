@@ -141,11 +141,12 @@ func (s *Suite) Table5() (*Report, error) {
 		// A from-scratch pass over a bare view: the learners' batch scans,
 		// not the maintained statistics of engine.TrainWindow.
 		ml := meta.New()
-		report, err := ml.Learn(learner.Prepare(train), s.Params)
+		pre := learner.Prepare(train)
+		report, err := ml.Learn(pre, s.Params)
 		if err != nil {
 			return nil, err
 		}
-		ml.Revise(report, train, s.Params)
+		ml.Revise(report, pre, s.Params)
 		// Online matching cost: feed four weeks of events through the
 		// event-driven predictor.
 		pr := predictor.New(report.Kept, s.Params)

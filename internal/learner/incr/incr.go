@@ -17,7 +17,10 @@
 //     served through Prepared.GapsFor.
 //
 // A learner it does not serve (a miner configured differently from the
-// state) keeps its batch scans.
+// state) keeps its batch scans. The State also holds the reviser's replay
+// of the previous pass (reviser.Carry) and installs it on each view, so
+// the reviser rescores only the slide too; Advance never touches it, and
+// it is not persisted.
 //
 // Every statistic is a sum of bounded-lookback per-event contributions,
 // so Advance touches only the window boundaries and the appended tail:
@@ -40,6 +43,7 @@ import (
 	"sync"
 
 	"repro/internal/learner"
+	"repro/internal/reviser"
 )
 
 // maxClassBits mirrors the assoc packing: itemsets of up to four classes
@@ -121,6 +125,10 @@ type State struct {
 	gapsOut []float64
 
 	times []int64 // served materialization of the fatal deque
+
+	// replay is the reviser's state, carried across the passes that
+	// revise the views Install serves; only the reviser touches it.
+	replay *reviser.Carry
 }
 
 // New returns an empty State for the given configuration. The first
@@ -144,6 +152,7 @@ func New(cfg Config) *State {
 		itemsets: make(map[uint64]*itemsetEntry),
 		occ:      make([]int, cfg.MaxK+1),
 		succ:     make([]int, cfg.MaxK+1),
+		replay:   new(reviser.Carry),
 	}
 }
 
@@ -158,12 +167,16 @@ func (s *State) Window() (from, to int64, ok bool) {
 // Install wires the state's serving hooks into a prepared training view.
 // The view's Events must be exactly the window slice the last Advance
 // maintained; learners whose configuration the state cannot serve fall
-// back to batch passes over those events.
+// back to batch passes over those events. It also hands the view the
+// reviser's carried replay, which the reviser audits itself.
 func (s *State) Install(pre *learner.Prepared) {
 	pre.Itemsets = s
 	pre.FailureRuns = s
 	pre.GapsFor = s.Gaps
 	pre.TimesFor = s.FatalTimes
+	s.mu.Lock()
+	pre.Replay = s.replay
+	s.mu.Unlock()
 	events := pre.Events
 	pre.SetsFor = func(windowMs int64, maxItems int) []learner.EventSet {
 		s.mu.Lock()

@@ -61,7 +61,7 @@ func learnRevise(ml *meta.MetaLearner, tr *learner.Prepared, p learner.Params) (
 	if err != nil {
 		return nil, err
 	}
-	ml.Revise(report, tr.Events, p)
+	ml.Revise(report, tr, p)
 	return report, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/learner"
+	"repro/internal/reviser"
 )
 
 // wireVersion guards the snapshot encoding; a version bump invalidates
@@ -124,5 +125,8 @@ func (s *State) Restore(data []byte) error {
 	s.count = w.Count
 	s.valid = true
 	s.invalidateServed()
+	// The reviser's replay is not persisted: the first pass after a
+	// restore replays in full.
+	s.replay = new(reviser.Carry)
 	return nil
 }

@@ -35,6 +35,14 @@ type Prepared struct {
 	Itemsets    ItemsetCounts
 	FailureRuns FailureRunCounts
 
+	// Replay, when non-nil, is the reviser's replay state carried from
+	// the previous pass of the same training chain (a *reviser.Carry; an
+	// interface here because the reviser imports this package). Whoever
+	// keeps the statistics above across passes installs it; only the
+	// reviser reads or writes it, one pass at a time in pass order. A view
+	// without it is revised by a full replay.
+	Replay any
+
 	sets    map[setsKey][]EventSet
 	gaps    []float64
 	gapsOK  bool

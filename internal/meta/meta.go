@@ -19,7 +19,6 @@ import (
 	"repro/internal/learner/assoc"
 	"repro/internal/learner/probdist"
 	"repro/internal/learner/statrule"
-	"repro/internal/preprocess"
 	"repro/internal/reviser"
 )
 
@@ -66,8 +65,9 @@ type TrainReport struct {
 // Learn is the first half of a training pass: it runs the base learners
 // and merges and dedupes their candidates. The report's Kept and Scores
 // stay empty until Revise. The candidates share no memory with tr, so
-// Revise needs only the view's events, and whatever serves tr's counts
-// may move on to the next window once Learn returns.
+// Revise needs only the view's events and its carried replay, and
+// whatever serves tr's counts may move on to the next window once Learn
+// returns.
 //
 // The base learners run one after another in their fixed order, and the
 // first non-ignorable error ends the pass.
@@ -96,13 +96,13 @@ func (m *MetaLearner) Learn(tr *learner.Prepared, p learner.Params) (*TrainRepor
 }
 
 // Revise is the second half of a training pass: it replays the report's
-// candidates against the training events (Algorithm 1) and fills Kept and
+// candidates against the view's events (Algorithm 1) and fills Kept and
 // Scores, or keeps every candidate when the reviser is off. It adds its
 // own time to the report's TotalDuration.
-func (m *MetaLearner) Revise(report *TrainReport, events []preprocess.TaggedEvent, p learner.Params) {
+func (m *MetaLearner) Revise(report *TrainReport, tr *learner.Prepared, p learner.Params) {
 	start := time.Now()
 	if m.UseReviser && m.Reviser != nil {
-		report.Kept, report.Scores = m.Reviser.Revise(report.Candidates, events, p)
+		report.Kept, report.Scores = m.Reviser.Revise(report.Candidates, tr, p)
 	} else {
 		report.Kept = report.Candidates
 	}

@@ -14,11 +14,12 @@ var p300 = learner.Params{WindowSec: 300}
 // train runs a from-scratch pass over events: Learn over a fresh view,
 // then Revise.
 func train(ml *MetaLearner, events []preprocess.TaggedEvent, p learner.Params) (*TrainReport, error) {
-	report, err := ml.Learn(learner.Prepare(events), p)
+	pre := learner.Prepare(events)
+	report, err := ml.Learn(pre, p)
 	if err != nil {
 		return nil, err
 	}
-	ml.Revise(report, events, p)
+	ml.Revise(report, pre, p)
 	return report, nil
 }
 
@@ -169,16 +170,6 @@ func TestRepositoryRulesSorted(t *testing.T) {
 	rules := repo.Rules()
 	if len(rules) != 2 || rules[0].ID() > rules[1].ID() {
 		t.Errorf("rules unsorted: %v", rules)
-	}
-}
-
-func TestChurnChangeRate(t *testing.T) {
-	c := Churn{Unchanged: 10, Added: 5, RemovedByMeta: 3, RemovedByReviser: 2}
-	if got := c.ChangeRate(); got != 1.0 {
-		t.Errorf("ChangeRate = %g", got)
-	}
-	if (Churn{}).ChangeRate() != 0 {
-		t.Error("zero churn rate not 0")
 	}
 }
 

@@ -48,21 +48,6 @@ type Churn struct {
 	RemovedByReviser int // candidate rules the reviser rejected
 }
 
-// Changed returns the total number of rules that moved in this pass —
-// added plus removed by either stage. The numerator of ChangeRate; the
-// training metrics accumulate it as the live Figure 12.
-func (c Churn) Changed() int {
-	return c.Added + c.RemovedByMeta + c.RemovedByReviser
-}
-
-// ChangeRate returns changed/unchanged (the paper reports 44%–212%).
-func (c Churn) ChangeRate() float64 {
-	if c.Unchanged == 0 {
-		return 0
-	}
-	return float64(c.Changed()) / float64(c.Unchanged)
-}
-
 // Update replaces the repository contents with a training report's kept
 // rules and returns the churn relative to the previous contents.
 func (r *Repository) Update(report *TrainReport) Churn {

@@ -42,7 +42,7 @@ func TestReviserKeepsGoodDropsBad(t *testing.T) {
 	rv := New()
 	good := assocRule(99, 1)
 	bad := assocRule(99, 2)
-	kept, scores := rv.Revise([]learner.Rule{good, bad}, goodAndBadStream(), p300)
+	kept, scores := rv.Revise([]learner.Rule{good, bad}, learner.Prepare(goodAndBadStream()), p300)
 	if len(kept) != 1 || kept[0].ID() != good.ID() {
 		t.Fatalf("kept = %v", kept)
 	}
@@ -79,7 +79,7 @@ func TestReviserMinROCBoundary(t *testing.T) {
 	}
 	rule := assocRule(99, 1)
 	strict := &Reviser{MinROC: 1.2}
-	kept, scores := strict.Revise([]learner.Rule{rule}, events, p300)
+	kept, scores := strict.Revise([]learner.Rule{rule}, learner.Prepare(events), p300)
 	if len(kept) != 0 {
 		t.Errorf("rule with ROC %.3f survived MinROC 1.2", scores[0].ROC)
 	}
@@ -87,14 +87,14 @@ func TestReviserMinROCBoundary(t *testing.T) {
 		t.Errorf("ROC = %.3f, want ~1.118", scores[0].ROC)
 	}
 	lax := &Reviser{MinROC: 1.0}
-	kept, _ = lax.Revise([]learner.Rule{rule}, events, p300)
+	kept, _ = lax.Revise([]learner.Rule{rule}, learner.Prepare(events), p300)
 	if len(kept) != 1 {
 		t.Error("rule rejected at MinROC 1.0")
 	}
 }
 
 func TestReviserEmptyCandidates(t *testing.T) {
-	kept, scores := New().Revise(nil, goodAndBadStream(), p300)
+	kept, scores := New().Revise(nil, learner.Prepare(goodAndBadStream()), p300)
 	if len(kept) != 0 || len(scores) != 0 {
 		t.Errorf("empty revise = %v, %v", kept, scores)
 	}
@@ -102,7 +102,7 @@ func TestReviserEmptyCandidates(t *testing.T) {
 
 func TestReviserNeverFiringRuleDropped(t *testing.T) {
 	rule := assocRule(99, 777) // class never occurs
-	kept, scores := New().Revise([]learner.Rule{rule}, goodAndBadStream(), p300)
+	kept, scores := New().Revise([]learner.Rule{rule}, learner.Prepare(goodAndBadStream()), p300)
 	if len(kept) != 0 {
 		t.Error("never-firing rule kept")
 	}
@@ -121,7 +121,7 @@ func TestReviserStatisticalRule(t *testing.T) {
 		tm += 7200
 	}
 	rule := learner.Rule{Kind: learner.Statistical, Count: 2, Target: learner.AnyFatal}
-	kept, scores := New().Revise([]learner.Rule{rule}, events, p300)
+	kept, scores := New().Revise([]learner.Rule{rule}, learner.Prepare(events), p300)
 	if len(kept) != 1 {
 		t.Fatalf("statistical rule dropped: %+v", scores[0])
 	}
@@ -140,7 +140,7 @@ func TestROCValueComputation(t *testing.T) {
 		tm += 4000
 	}
 	rule := assocRule(99, 1)
-	_, scores := New().Revise([]learner.Rule{rule}, events, p300)
+	_, scores := New().Revise([]learner.Rule{rule}, learner.Prepare(events), p300)
 	if scores[0].ROC < 1.4 {
 		t.Errorf("perfect rule ROC = %g, want ~sqrt(2)", scores[0].ROC)
 	}

@@ -13,10 +13,11 @@ import (
 	"repro/internal/raslog"
 )
 
-// batchPass trains on the learners' batch scans over a bare view of the
-// training snapshot: the reference engine.TrainWindow's maintained
-// statistics must reproduce. A test installs it as a fresh service's
-// trainPass before feeding the first event.
+// batchPass trains on the learners' batch scans and the reviser's full
+// replay over a bare view of the training snapshot: the reference
+// engine.TrainWindow's maintained statistics and carried replay must
+// reproduce. A test installs it as a fresh service's trainPass before
+// feeding the first event.
 func batchPass(ml *meta.MetaLearner, repo *meta.Repository, _ *incr.State, snapshot []preprocess.TaggedEvent, _, _ int64, p learner.Params) (engine.Retraining, error) {
 	return engine.TrainStepPrepared(ml, repo, learner.Prepare(snapshot), p)
 }
@@ -167,6 +168,67 @@ func TestSnapshotCopiesOnlyItsWindow(t *testing.T) {
 	}
 	if len(passes) != 4 || lagged < 2 {
 		t.Fatalf("%d passes, %d of them a cadence behind the stream; want 4 and at least 2", len(passes), lagged)
+	}
+}
+
+// TestTrainingViewSurvivesTrims holds a training view while the sliding
+// history is trimmed at least twice and outgrows its backing array at
+// least once, and checks that the view still reads exactly the events
+// it was taken over: the history is append-only, so the trainer needs
+// no copy. A trim that compacts the history in place overwrites the
+// view's elements and fails here.
+func TestTrainingViewSurvivesTrims(t *testing.T) {
+	cfg := Defaults()
+	cfg.TrainWindow = 3000 * time.Millisecond
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// One event per ms, appended the way process does. The pipeline
+	// goroutine sees no intake, so the test owns the history.
+	next := int64(0)
+	feed := func(n int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i := 0; i < n; i++ {
+			s.appendHistoryLocked(preprocess.TaggedEvent{Event: raslog.Event{Time: next}, Class: int(next % 97), Fatal: next%13 == 0})
+			next++
+		}
+	}
+	backingEnd := func() *preprocess.TaggedEvent {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		full := s.history[:cap(s.history)]
+		return &full[len(full)-1]
+	}
+
+	s.m.nextRetrain.Set(3000)
+	feed(3000)
+	view, from := s.trainingView(3000)
+	if from != 0 || len(view) != 3000 || cap(view) != len(view) {
+		t.Fatalf("view [%d, 3000): %d events, cap %d; want 3000 from 0 with cap == len", from, len(view), cap(view))
+	}
+	want := append([]preprocess.TaggedEvent(nil), view...)
+
+	trims, growths := 0, 0
+	for trims < 2 || growths < 1 {
+		if next > 1<<20 {
+			t.Fatalf("after %d events: %d trims, %d reallocations; want 2 and 1", next, trims, growths)
+		}
+		s.m.nextRetrain.Set(float64(next + 1000))
+		before, end := len(s.history), backingEnd()
+		feed(1024 - before%1024)
+		if len(s.history) < before {
+			trims++
+		}
+		if backingEnd() != end {
+			growths++
+		}
+		if !reflect.DeepEqual(view, want) {
+			t.Fatalf("training view changed after %d trims and %d reallocations of the history", trims, growths)
+		}
 	}
 }
 

@@ -134,7 +134,8 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 		}
 	}
 	s.mu.Lock()
-	s.history = append(s.history[:0], snap.History...)
+	// A fresh slice: the history is append-only (appendHistoryLocked).
+	s.history = append([]preprocess.TaggedEvent(nil), snap.History...)
 	s.retrains = recs
 	s.mu.Unlock()
 	s.warnMu.Lock()

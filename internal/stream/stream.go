@@ -25,10 +25,10 @@
 //	    function, so live ≡ recovery ≡ follower by construction.
 //	    Equivalence with the batch preprocessor on in-order input is pinned
 //	    by TestPipelineMatchesBatch.
-//	  - Retraining runs in the background on a snapshot of the history
-//	    window (policies Static / Sliding / Whole, as in the engine) and
-//	    swaps the refreshed predictor in via atomic.Pointer — the hot
-//	    observe path takes no lock and never waits on a retrain.
+//	  - Retraining runs in the background on a view of the append-only
+//	    history's window (policies Static / Sliding / Whole, as in the
+//	    engine) and swaps the refreshed predictor in via atomic.Pointer —
+//	    the hot observe path takes no lock and never waits on a retrain.
 //
 // The intake queue is bounded; a busy pipeline exerts backpressure on
 // Ingest rather than buffering without limit. Close drains everything in
@@ -662,8 +662,7 @@ func (s *Service) process(te preprocess.TaggedEvent) {
 	}
 
 	s.mu.Lock()
-	s.history = append(s.history, te)
-	s.trimHistoryLocked()
+	s.appendHistoryLocked(te)
 	s.mu.Unlock()
 	if len(warns) > 0 {
 		s.m.warningsTotal.Add(int64(len(warns)))
@@ -676,28 +675,29 @@ func (s *Service) process(te preprocess.TaggedEvent) {
 	}
 }
 
-// trimHistoryLocked bounds the history to what future retrainings can
-// use: nothing after a Static service has trained, the sliding window
-// (plus the untrained remainder) otherwise. Whole keeps everything.
-func (s *Service) trimHistoryLocked() {
-	switch s.cfg.Policy {
-	case engine.Static:
-		if len(s.retrains) > 0 {
-			s.history = s.history[:0]
-		}
-	case engine.Sliding:
-		if len(s.history)%1024 != 0 {
-			return
-		}
-		cutoff := s.nextRetrainMs() - s.cfg.TrainWindow.Milliseconds()
-		i := 0
-		for i < len(s.history) && s.history[i].Time < cutoff {
-			i++
-		}
-		if i > 0 {
-			s.history = append(s.history[:0], s.history[i:]...)
-		}
+// appendHistoryLocked adds te to the history, bounded to what future
+// retrainings can use: nothing once a Static service has trained, the
+// sliding window (plus the untrained remainder) under Sliding. Whole
+// keeps everything.
+//
+// The history is append-only: a trim reslices past the expired prefix
+// (append's next reallocation frees it), and a reset starts a new
+// slice, so no code writes an element below len and a view taken by
+// trainingView stays intact while the history moves on.
+func (s *Service) appendHistoryLocked(te preprocess.TaggedEvent) {
+	if s.cfg.Policy == engine.Static && len(s.retrains) > 0 {
+		return
 	}
+	s.history = append(s.history, te)
+	if s.cfg.Policy != engine.Sliding || len(s.history)%1024 != 0 {
+		return
+	}
+	cutoff := s.nextRetrainMs() - s.cfg.TrainWindow.Milliseconds()
+	i := 0
+	for i < len(s.history) && s.history[i].Time < cutoff {
+		i++
+	}
+	s.history = s.history[i:]
 }
 
 // maybeRetrain starts a training pass when the stream clock wm has
@@ -712,7 +712,7 @@ func (s *Service) maybeRetrain(wm int64) {
 		if at <= 0 || wm < at || !s.retraining.CompareAndSwap(false, true) {
 			return
 		}
-		snapshot, from := s.snapshotTrainingSet(at)
+		snapshot, from := s.trainingView(at)
 		s.mu.Lock()
 		if s.cfg.Policy == engine.Static {
 			s.m.nextRetrain.Set(-1) // never again
@@ -750,13 +750,14 @@ func (s *Service) maybeRetrain(wm int64) {
 	}
 }
 
-// snapshotTrainingSet copies the policy's training slice ending at the
-// stream-time boundary `at` (ms), returning the slice and its window
-// start (engine.TrainWindow needs both bounds). The history is
-// time-sorted, so the window's bounds are two binary searches and the
-// copy costs the window, not the history: a lagging trainer leaves a long
-// history behind (the trim follows the training schedule).
-func (s *Service) snapshotTrainingSet(at int64) ([]preprocess.TaggedEvent, int64) {
+// trainingView returns the policy's training slice ending at the
+// stream-time boundary `at` (ms) and its window start (engine.TrainWindow
+// needs both bounds). The slice is a view of the history, not a copy:
+// the history is append-only (see appendHistoryLocked), and the view's cap
+// ends at its len, so neither the history nor the trainer can write into
+// the other's elements. The history is time-sorted, so the window's
+// bounds are two binary searches.
+func (s *Service) trainingView(at int64) ([]preprocess.TaggedEvent, int64) {
 	var from int64 = -1 << 62
 	if s.cfg.Policy == engine.Sliding {
 		from = at - s.cfg.TrainWindow.Milliseconds()
@@ -766,8 +767,8 @@ func (s *Service) snapshotTrainingSet(at int64) ([]preprocess.TaggedEvent, int64
 	search := func(t int64) int {
 		return sort.Search(len(s.history), func(i int) bool { return s.history[i].Time >= t })
 	}
-	window := s.history[search(from):search(at)]
-	return append(make([]preprocess.TaggedEvent, 0, len(window)), window...), from
+	lo, hi := search(from), search(at)
+	return s.history[lo:hi:hi], from
 }
 
 // retrain runs one training pass (engine.TrainWindow over the snapshot)
@@ -797,7 +798,7 @@ func (s *Service) retrain(at, from int64, snapshot []preprocess.TaggedEvent) Ret
 	s.mu.Lock()
 	s.retrains = append(s.retrains, rec)
 	if s.cfg.Policy == engine.Static && err == nil {
-		s.history = s.history[:0] // a static service never trains again
+		s.history = nil // a static service never trains again
 	}
 	s.mu.Unlock()
 	s.retraining.Store(false)
@@ -862,7 +863,7 @@ func (s *Service) TrainNow() (RetrainRecord, error) {
 	}
 	s.m.nextRetrain.Set(float64(next))
 	s.mu.Unlock()
-	snapshot, from := s.snapshotTrainingSet(at)
+	snapshot, from := s.trainingView(at)
 	s.retrainWG.Add(1)
 	defer s.retrainWG.Done()
 	rec := s.retrain(at, from, snapshot)

@@ -88,11 +88,16 @@ echo "== training-path equivalence gate (-race -count=1)"
 # engine.TrainWindow ≡ the learners' batch passes, re-proven fresh on
 # every run: the sufficient-statistics maintainer (random streams ×
 # random slides, the export/restore round trip, fallback and drift-audit
-# paths), the event-set cache delta exactness, the engine and stream
-# end-to-end runs against their batch references, and the prediction
-# golden — all under the race detector, never from the test cache. Build
-# with -tags slow for the long campaign.
+# paths), the event-set cache delta exactness, the reviser's carried
+# replay against its full replay (random streams × sliding and whole
+# schedules × three W_P, with restore, backwards-slide, W_P-change and
+# audit fallbacks), the engine and stream end-to-end runs against their
+# batch references, the training view that the history's trims leave
+# intact, and the prediction golden — all under the race detector, never
+# from the test cache. Build with -tags slow for the long campaign.
 go test -race -count=1 ./internal/learner ./internal/learner/incr
+run_selected 'TestCarryMatchesFreshScoring|TestScoreAllMatchesPerRuleReplay' \
+    ./internal/reviser
 run_selected 'TestRunIncrementalEquivalence|TestIncrementalMetricsRecorded|TestPredictionGolden' \
     ./internal/engine
 # engine.Run learns pass k+1 on its own goroutine while the caller
@@ -101,7 +106,7 @@ run_selected 'TestRunIncrementalEquivalence|TestIncrementalMetricsRecorded|TestP
 # the hand-off interleaves differently on every run.
 run_selected -count=10 'TestRunLearnerErrorStopsPipeline|TestRunPanicStopsPipeline|TestRunPassOverlap' \
     ./internal/engine
-run_selected 'TestStreamIncrementalEquivalence|TestSnapshotCopiesOnlyItsWindow|TestRecoveryRestoresIncrementalState|TestRecoveryWithoutIncrState' \
+run_selected 'TestStreamIncrementalEquivalence|TestSnapshotCopiesOnlyItsWindow|TestTrainingViewSurvivesTrims|TestRecoveryRestoresIncrementalState|TestRecoveryWithoutIncrState' \
     ./internal/stream
 echo "== kill-and-recover counters (-race -count=10)"
 # Repeated because its snapshot cut depends on goroutine timing: the test
