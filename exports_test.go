@@ -34,9 +34,6 @@ var exportAllowlist = map[string]string{
 	"internal/raslog.Log.WeekSlice":                      "test reference: stream tests feed the log a week per batch",
 	"internal/raslog.Log.CountByFacility":                "test reference: TestSDSCHasNoMonitorEvents counts facilities through it",
 	"internal/stream.Service.Ingest":                     "test reference: the one-event IngestBatch the stream tests feed through",
-	"internal/raslog.Log.WeekOf":                         "only its own test calls it; it goes with TestWeekOf (ROADMAP.md satellite bank)",
-	"internal/raslog.Log.CountBySeverity":                "only its own test calls it; it goes with TestCounts (ROADMAP.md satellite bank)",
-	"internal/stats.ECDF.Points":                         "only its own test calls it; it goes with TestECDFPoints (ROADMAP.md satellite bank)",
 	"repro.ReadLog":                                      "public API: code outside the module cannot import internal/raslog's reader",
 	"repro.WriteLog":                                     "public API: code outside the module cannot import internal/raslog's writer",
 	"repro.NewCatalog":                                   "public API: code outside the module cannot import internal/preprocess's Table 3 catalog",

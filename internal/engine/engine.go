@@ -79,8 +79,8 @@ type Config struct {
 // window W_P (300 s, §5.2). It doubles as the alarm-spacing anchor:
 // warning deduplication stays at this base window even when a run
 // evaluates wider prediction windows (Figure 13), so the clamp in
-// newPredictor / stream.swapPredictor derives from this constant rather
-// than repeating the literal.
+// newPredictor and stream's newPredictor derives from this constant
+// rather than repeating the literal.
 const DefaultWindowSec int64 = 300
 
 // Defaults returns the paper's default configuration: dynamic retraining

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/learner"
@@ -109,6 +110,16 @@ func (s *Suite) Table4() (*Report, error) {
 // table5Sizes are the training-set sizes (months) of Table 5.
 var table5Sizes = []int{3, 6, 12, 18, 24, 30}
 
+// table5Repeats is how many times Table 5 times each step; a cell is the
+// median.
+const table5Repeats = 5
+
+// medianDuration returns the median of ds (an odd count), sorting ds.
+func medianDuration(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
+}
+
 // Table5 measures operation overhead as a function of training size:
 // per-learner rule-generation time, ensemble + revision time, and online
 // rule-matching time. Times are wall-clock on the host (the paper used a
@@ -139,34 +150,47 @@ func (s *Suite) Table5() (*Report, error) {
 			}
 		}
 		// A from-scratch pass over a bare view: the learners' batch scans,
-		// not the maintained statistics of engine.TrainWindow.
-		ml := meta.New()
+		// not the maintained statistics of engine.TrainWindow. Each timing
+		// cell is the median of table5Repeats runs of its step, since one
+		// run of a millisecond step moves by 2x between identical runs.
+		var stat, asso, prob, revise, matching [table5Repeats]time.Duration
+		var kept []learner.Rule
 		pre := learner.Prepare(train)
-		report, err := ml.Learn(pre, s.Params)
-		if err != nil {
-			return nil, err
+		for i := 0; i < table5Repeats; i++ {
+			ml := meta.New()
+			report, err := ml.Learn(pre, s.Params)
+			if err != nil {
+				return nil, err
+			}
+			ml.Revise(report, pre, s.Params)
+			stat[i] = report.LearnerDurations["statistical"]
+			asso[i] = report.LearnerDurations["association"]
+			prob[i] = report.LearnerDurations["distribution"]
+			revise[i] = report.ReviseDuration
+			kept = report.Kept
 		}
-		ml.Revise(report, pre, s.Params)
 		// Online matching cost: feed four weeks of events through the
 		// event-driven predictor.
-		pr := predictor.New(report.Kept, s.Params)
-		matchStart := time.Now()
-		var test []preprocess.TaggedEvent
-		for _, e := range sd.Tagged {
-			if e.Time >= end && e.Time < end+4*weekMs {
-				test = append(test, e)
+		for i := 0; i < table5Repeats; i++ {
+			pr := predictor.New(kept, s.Params)
+			matchStart := time.Now()
+			var test []preprocess.TaggedEvent
+			for _, e := range sd.Tagged {
+				if e.Time >= end && e.Time < end+4*weekMs {
+					test = append(test, e)
+				}
 			}
+			pr.ObserveAll(test)
+			matching[i] = time.Since(matchStart)
 		}
-		pr.ObserveAll(test)
-		matching := time.Since(matchStart)
 
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprintf("%d mo", months),
-			dur(report.LearnerDurations["statistical"]),
-			dur(report.LearnerDurations["association"]),
-			dur(report.LearnerDurations["distribution"]),
-			dur(report.ReviseDuration),
-			dur(matching),
+			dur(medianDuration(stat[:])),
+			dur(medianDuration(asso[:])),
+			dur(medianDuration(prob[:])),
+			dur(medianDuration(revise[:])),
+			dur(medianDuration(matching[:])),
 			d(len(train)),
 		})
 	}

@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,16 +34,16 @@ func genLog(t testing.TB, seed uint64, weeks int) *raslog.Log {
 	return l
 }
 
-// tenantStreamConfig is the deterministic per-tenant template the fleet
-// tests share: synchronous retraining so identically-fed tenants land on
-// identical rule sets, and an oversized warnings ring so full histories
-// compare.
+// tenantStreamConfig is the per-tenant template the fleet tests share: a
+// few passes over a short log, and an oversized warnings ring so full
+// histories compare. Tenants fed through ingestEvents install each pass
+// at a fixed stream position, so identically-fed tenants land on
+// identical rule sets and warnings.
 func tenantStreamConfig() stream.Config {
 	cfg := stream.Defaults()
 	cfg.InitialTrain = 3 * week
 	cfg.RetrainEvery = 2 * week
 	cfg.TrainWindow = 6 * week
-	cfg.SyncRetrain = true
 	cfg.WarningsKeep = 1 << 20
 	return cfg
 }
@@ -58,12 +60,45 @@ func mustFleet(t testing.TB, cfg Config) *Registry {
 	return r
 }
 
+// ingestEvents feeds events one at a time, waiting after each until it is
+// applied (see applied).
 func ingestEvents(t testing.TB, svc *stream.Service, events []raslog.Event) {
 	t.Helper()
 	ctx := context.Background()
 	for _, e := range events {
 		if err := svc.Ingest(ctx, e); err != nil {
 			t.Fatal(err)
+		}
+		applied(t, svc)
+	}
+}
+
+// applied waits until the tenant's pipeline has applied everything
+// ingested and no training pass is in flight: a pass then installs right
+// after the batch whose release crossed its boundary, however long it
+// trains, so identically-fed tenants install at identical positions.
+func applied(t testing.TB, svc *stream.Service) {
+	t.Helper()
+	if err := waitApplied(svc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitApplied is applied for goroutines other than the test's.
+func waitApplied(svc *stream.Service) error {
+	deadline := time.Now().Add(30 * time.Second)
+	for spins := 0; ; spins++ {
+		st := svc.Stats()
+		if st.Sequenced+st.LateDropped+int64(st.Queues.Reorder) == st.Ingested && !st.Retraining {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return errors.New("tenant pipeline did not apply its intake in time")
+		}
+		if spins < 1000 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(time.Millisecond)
 		}
 	}
 }
@@ -358,6 +393,10 @@ func TestHundredActiveTenants(t *testing.T) {
 					errs <- err
 					return
 				}
+				if err := waitApplied(h.Service()); err != nil {
+					errs <- err
+					return
+				}
 				events = events[c:]
 			}
 		}(i)
@@ -474,7 +513,6 @@ func TestMaxActiveEvictsLRU(t *testing.T) {
 func TestSharedRetrainLimiter(t *testing.T) {
 	l := genLog(t, 13, 6)
 	scfg := tenantStreamConfig()
-	scfg.SyncRetrain = false
 	reg := mustFleet(t, Config{Stream: scfg})
 	defer reg.Close()
 	// The fleet bounds passes at GOMAXPROCS; one slot makes any overlap

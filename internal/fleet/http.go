@@ -20,7 +20,7 @@ import (
 //	GET  /t/{tenant}/warnings      that tenant's recent warnings
 //	GET  /t/{tenant}/stats         that tenant's counters
 //	GET  /t/{tenant}/metrics       that tenant's registry, unlabeled
-//	POST /t/{tenant}/retrain       force a synchronous pass
+//	POST /t/{tenant}/retrain       force a pass; returns once it is installed
 //
 // plus the fleet-level routes:
 //

@@ -44,16 +44,28 @@ func TestTenantRoutingAndLegacyAliases(t *testing.T) {
 	defer reg.Close()
 	mux := NewMux(reg)
 
-	for _, id := range []string{"alpha", "beta"} {
-		if rec := do(t, mux, "POST", "/t/"+id+"/ingest/batch", logBody(t, l)); rec.Code != http.StatusOK {
-			t.Fatalf("POST /t/%s/ingest/batch = %d: %s", id, rec.Code, rec.Body)
+	// Each tenant gets the log in the same posts, applied one by one, so
+	// their passes install at the same positions (see applied).
+	post := func(id, target string) {
+		for i := 0; i < l.Len(); i += 256 {
+			part := &raslog.Log{Events: l.Events[i:min(i+256, l.Len())]}
+			if rec := do(t, mux, "POST", target, logBody(t, part)); rec.Code != http.StatusOK {
+				t.Fatalf("POST %s = %d: %s", target, rec.Code, rec.Body)
+			}
+			h, err := reg.Acquire(id, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied(t, h.Service())
+			h.Release()
 		}
+	}
+	for _, id := range []string{"alpha", "beta"} {
+		post(id, "/t/"+id+"/ingest/batch")
 	}
 	// Legacy unprefixed ingest lands on (and lazily creates) the default
 	// tenant.
-	if rec := do(t, mux, "POST", "/ingest/batch", logBody(t, l)); rec.Code != http.StatusOK {
-		t.Fatalf("POST /ingest/batch = %d: %s", rec.Code, rec.Body)
-	}
+	post("default", "/ingest/batch")
 
 	// Evict + reactivate drains the tenants so their stats are settled.
 	for _, id := range []string{"alpha", "beta", "default"} {

@@ -14,7 +14,7 @@
 // sequence the torn tail of the old one stopped at). Both are ordered so
 // a plain lexical directory listing is also the logical order.
 //
-// Durability model: AppendBatch is the only writer. It buffers one
+// Durability model: AppendBatch writes the events. It buffers one
 // frame and returns a commit Ticket; a background syncer flushes the
 // buffer and fsyncs once for every ticket that queued behind the
 // previous fsync (commit.go), so concurrent batches share a flush and a
@@ -98,6 +98,7 @@ type Store struct {
 	bw        *bufio.Writer
 	segBytes  int64
 	nextSeq   uint64
+	marks     int // install marks at nextSeq in the log: a new segment restates them
 	appending bool
 	scratch   []byte // frame encoding buffer, reused across appends
 	payload   []byte // event encoding buffer, reused across appends
@@ -149,8 +150,10 @@ func (st *Store) Dir() string { return st.dir }
 
 // StartAppend positions the WAL so the next AppendBatch must start at
 // sequence seq — call it once, after Replay, with the sequence Replay
-// returned. A fresh segment is created lazily on the first append, so a
-// restart that never ingests anything leaves the directory untouched.
+// returned (Replay also counted the install marks at it, which the next
+// segment restates). A fresh segment is created lazily on the first
+// append, so a restart that never ingests anything leaves the directory
+// untouched.
 func (st *Store) StartAppend(seq uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -160,6 +163,9 @@ func (st *Store) StartAppend(seq uint64) error {
 	if st.closed {
 		return ErrClosed
 	}
+	if seq != st.nextSeq {
+		st.marks = 0
+	}
 	st.nextSeq = seq
 	st.appending = true
 	st.startSyncerLocked()
@@ -167,12 +173,12 @@ func (st *Store) StartAppend(seq uint64) error {
 }
 
 // AppendBatch writes events as one group-committed WAL record occupying
-// sequences seq..seq+len(events)-1, and is the only call that writes WAL
-// frames. The frame payload is the events' encodings back to back, so
-// the whole batch becomes durable with one fsync. seq must be exactly
-// the next sequence (the stream assigns them densely; a skip would
-// silently corrupt replay positioning, so it is rejected loudly
-// instead). The fsync itself is asynchronous (commit.go): AppendBatch
+// sequences seq..seq+len(events)-1, and is the only call that writes
+// events (AppendMark writes the empty install marks). The frame payload
+// is the events' encodings back to back, so the whole batch becomes
+// durable with one fsync. seq must be exactly the next sequence (the
+// stream assigns them densely; a skip would silently corrupt replay
+// positioning, so it is rejected loudly instead). The fsync itself is asynchronous (commit.go): AppendBatch
 // buffers the frame, wakes the background syncer, and returns a Ticket
 // that resolves when the covering flush + fsync lands, so concurrent
 // batches share one disk flush instead of serializing behind each
@@ -191,35 +197,92 @@ func (st *Store) AppendBatch(seq uint64, events []raslog.Event) (int, Ticket, er
 		// durable: the ticket must fail so no caller acks them.
 		return 0, FailedTicket(ErrAbandoned), nil
 	}
-	if st.closed {
-		return 0, Ticket{}, ErrClosed
-	}
-	if !st.appending {
-		return 0, Ticket{}, errors.New("persist: AppendBatch before StartAppend")
-	}
-	if seq != st.nextSeq {
-		return 0, Ticket{}, fmt.Errorf("persist: out-of-order append: seq %d, want %d", seq, st.nextSeq)
+	if err := st.appendableLocked(seq); err != nil {
+		return 0, Ticket{}, err
 	}
 	if len(events) == 0 {
 		return 0, Ticket{}, nil
-	}
-	if st.f == nil || st.segBytes >= st.opt.RotateBytes {
-		if err := st.rotateLocked(seq); err != nil {
-			return 0, Ticket{}, err
-		}
 	}
 	st.payload = st.payload[:0]
 	for i := range events {
 		st.payload = appendEvent(st.payload, events[i])
 	}
-	st.scratch = appendFrame(st.scratch[:0], st.payload)
-	n, err := st.bw.Write(st.scratch)
-	st.segBytes += int64(n)
+	n, err := st.writeFrameLocked(seq, st.payload)
 	if err != nil {
 		return n, FailedTicket(err), err
 	}
 	st.nextSeq += uint64(len(events))
+	st.marks = 0
 	return n, st.enqueueCommitLocked(), nil
+}
+
+// AppendMark writes an install mark at sequence seq, the next one: an
+// empty frame that consumes no sequence number and records that a
+// training pass went live before the event at seq (the stream's replay
+// and followers install their own pass there). AppendBatch never writes
+// an empty frame, so a mark cannot be mistaken for a batch, and readers
+// that predate marks decode one as no events. The mark needs no fsync of
+// its own: the WAL is one sequential file, so the fsync of any later
+// event covers it. Returns the bytes appended.
+func (st *Store) AppendMark(seq uint64) (int, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.dead {
+		return 0, nil
+	}
+	if err := st.appendableLocked(seq); err != nil {
+		return 0, err
+	}
+	n, err := st.writeFrameLocked(seq, nil)
+	if err == nil {
+		st.marks++
+	}
+	return n, err
+}
+
+// appendableLocked checks that the next frame may be appended at seq.
+func (st *Store) appendableLocked(seq uint64) error {
+	if st.closed {
+		return ErrClosed
+	}
+	if !st.appending {
+		return errors.New("persist: append before StartAppend")
+	}
+	if seq != st.nextSeq {
+		return fmt.Errorf("persist: out-of-order append: seq %d, want %d", seq, st.nextSeq)
+	}
+	return nil
+}
+
+// writeFrameLocked buffers one frame whose first record (if any) is seq,
+// rotating to a new segment first when the current one is full (or none
+// is open since a restart). A newer segment supersedes the older ones
+// from its first sequence on, marks included, so it starts by restating
+// the install marks already written at seq: a reader that starts at seq
+// in the newest segment sees them all.
+func (st *Store) writeFrameLocked(seq uint64, payload []byte) (int, error) {
+	n := 0
+	if st.f == nil || st.segBytes >= st.opt.RotateBytes {
+		if err := st.rotateLocked(seq); err != nil {
+			return 0, err
+		}
+		for i := 0; i < st.marks; i++ {
+			m, err := st.bufferFrameLocked(nil)
+			if n += m; err != nil {
+				return n, err
+			}
+		}
+	}
+	m, err := st.bufferFrameLocked(payload)
+	return n + m, err
+}
+
+// bufferFrameLocked buffers one frame in the open segment.
+func (st *Store) bufferFrameLocked(payload []byte) (int, error) {
+	st.scratch = appendFrame(st.scratch[:0], payload)
+	n, err := st.bw.Write(st.scratch)
+	st.segBytes += int64(n)
+	return n, err
 }
 
 // rotateLocked syncs and closes the current segment (if any) and opens a

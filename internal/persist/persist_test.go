@@ -247,6 +247,31 @@ func TestRotationSnapshotPrune(t *testing.T) {
 	}
 }
 
+// TestReplayFromPastRetainedSegments replays from a position several
+// segments into a WAL that kept its older segments (a follower's ack
+// held them back from pruning): only the records from that position on
+// may come back. A replay that restarted each segment at the previous
+// one's end would re-deliver everything after the first segment.
+func TestReplayFromPastRetainedSegments(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{RotateBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.StartAppend(0)
+	const n = 50
+	for i := 0; i < n; i++ {
+		appendOne(t, st, uint64(i), testEvent(i))
+	}
+	if segs, _ := st.listRefs(walPrefix); len(segs) < 3 {
+		t.Fatalf("expected rotation to produce several segments, got %d", len(segs))
+	}
+	got, end := replayAll(t, st, 30)
+	if len(got) != n-30 || end != n {
+		t.Fatalf("replay from 30: %d events, end %d; want %d, end %d", len(got), end, n-30, n)
+	}
+}
+
 func TestWALGapFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{RotateBytes: 256})

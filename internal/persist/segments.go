@@ -5,8 +5,8 @@ package persist
 // frame by frame; a follower decodes them, appends the events to its own
 // WAL and replays them through the live stage logic. Everything here
 // reads the same frame format the appender writes, so the replicated
-// byte stream is the durable byte stream — there is no second encoding
-// to drift.
+// byte stream is the durable byte stream, install marks included —
+// there is no second encoding to drift.
 //
 // Two guards keep pruning honest while segments are being read:
 //
@@ -92,13 +92,13 @@ func (st *Store) NextSeq() uint64 {
 }
 
 // readSegment streams the named segment's durable records with sequence
-// >= from to fn, in order, returning the sequence after the last record
-// delivered. A torn or truncated tail — the live appender's unflushed
-// frontier, or a crash scar — ends the read cleanly; a later call simply
-// reads further once more bytes are durable. from below the segment's
-// first record is an error (the caller asked for history this segment
-// does not hold).
-func (st *Store) readSegment(name string, from uint64, fn func(seq uint64, e raslog.Event) error) (uint64, error) {
+// >= from to fn, and its install marks at sequences >= from to mark, in
+// order, returning the sequence after the last record delivered. A torn
+// or truncated tail — the live appender's unflushed frontier, or a crash
+// scar — ends the read cleanly; a later call simply reads further once
+// more bytes are durable. from below the segment's first record is an
+// error (the caller asked for history this segment does not hold).
+func (st *Store) readSegment(name string, from uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, error) {
 	firstSeq, _, ok := parseStateName(name)
 	if !ok || !isWALName(name) {
 		return 0, fmt.Errorf("%w: %q", ErrNoSegment, name)
@@ -116,7 +116,7 @@ func (st *Store) readSegment(name string, from uint64, fn func(seq uint64, e ras
 		return 0, err
 	}
 	defer f.Close()
-	return scanFrames(bufio.NewReaderSize(f, 1<<16), firstSeq, from, fn)
+	return scanFrames(bufio.NewReaderSize(f, 1<<16), firstSeq, from, fn, mark)
 }
 
 // CopySegment re-frames the named segment's durable records with
@@ -124,10 +124,11 @@ func (st *Store) readSegment(name string, from uint64, fn func(seq uint64, e ras
 // roughly maxBytes of payload (0 means unbounded) or at the segment's
 // durable end, whichever comes first. Records are regrouped — a frame
 // boundary on the wire need not match the on-disk group commit — but the
-// event encodings are byte-identical, so the receiver's WAL appends
-// reproduce the same stream. Returns the bytes written and the sequence
-// after the last record shipped. The segment is pinned against pruning
-// for the duration of the copy.
+// event encodings are byte-identical, and each install mark at a
+// sequence >= from ships as an empty frame at its place between them, so
+// the receiver's WAL appends reproduce the same stream. Returns the bytes
+// written and the sequence after the last record shipped. The segment is
+// pinned against pruning for the duration of the copy.
 func (st *Store) CopySegment(w io.Writer, name string, from uint64, maxBytes int64) (written int64, next uint64, err error) {
 	const (
 		groupEvents = 512
@@ -135,18 +136,24 @@ func (st *Store) CopySegment(w io.Writer, name string, from uint64, maxBytes int
 	)
 	var payload, frame []byte
 	var inGroup int
+	write := func(payload []byte) error {
+		frame = appendFrame(frame[:0], payload)
+		n, werr := w.Write(frame)
+		written += int64(n)
+		return werr
+	}
 	flush := func() error {
 		if inGroup == 0 {
 			return nil
 		}
-		frame = appendFrame(frame[:0], payload)
-		n, werr := w.Write(frame)
-		written += int64(n)
+		werr := write(payload)
 		payload, inGroup = payload[:0], 0
 		return werr
 	}
 	next, err = st.readSegment(name, from, func(seq uint64, e raslog.Event) error {
-		if maxBytes > 0 && written >= maxBytes {
+		// The first event always ships, so marks alone cannot use up the
+		// budget of a request and stall its resume at from.
+		if maxBytes > 0 && written >= maxBytes && seq > from {
 			return errCopyFull
 		}
 		payload = appendEvent(payload, e)
@@ -155,6 +162,11 @@ func (st *Store) CopySegment(w io.Writer, name string, from uint64, maxBytes int
 			return flush()
 		}
 		return nil
+	}, func(uint64) error {
+		if err := flush(); err != nil {
+			return err
+		}
+		return write(nil)
 	})
 	if err == errCopyFull {
 		err = nil
@@ -171,24 +183,26 @@ var errCopyFull = errors.New("persist: copy budget reached")
 
 // DecodeFrames reads WAL frames from r — the format CopySegment writes
 // and the appender persists — invoking fn per event with sequence
-// numbers assigned densely from `from`. A torn or truncated tail (a
-// transfer cut off by the sender's death) ends the stream cleanly, like
-// a torn segment tail on disk: the return is the sequence after the last
-// whole record, which is exactly where the receiver retries. Errors from
-// fn abort and surface as-is.
-func DecodeFrames(r io.Reader, from uint64, fn func(seq uint64, e raslog.Event) error) (uint64, error) {
+// numbers assigned densely from `from`, and mark (when non-nil) per
+// install mark with the sequence of the event after it. A torn or
+// truncated tail (a transfer cut off by the sender's death) ends the
+// stream cleanly, like a torn segment tail on disk: the return is the
+// sequence after the last whole record, which is exactly where the
+// receiver retries. Errors from fn or mark abort and surface as-is.
+func DecodeFrames(r io.Reader, from uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)
 	}
-	return scanFrames(br, from, from, fn)
+	return scanFrames(br, from, from, fn, mark)
 }
 
-// scanFrames is the shared frame walk: records in [from, ∞) of a stream
-// whose first record carries firstSeq, stopping cleanly at EOF or a torn
-// frame. Callback errors abort the walk (the frame's remaining records
-// are not delivered; the returned seq is where delivery stopped).
-func scanFrames(r *bufio.Reader, firstSeq, from uint64, fn func(seq uint64, e raslog.Event) error) (uint64, error) {
+// scanFrames is the shared frame walk: records and marks in [from, ∞)
+// of a stream whose first record carries firstSeq, stopping cleanly at
+// EOF or a torn frame. Callback errors abort the walk (the frame's
+// remaining records are not delivered; the returned seq is where
+// delivery stopped).
+func scanFrames(r *bufio.Reader, firstSeq, from uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, error) {
 	seq := firstSeq
 	for {
 		payload, err := readFrame(r)
@@ -197,6 +211,11 @@ func scanFrames(r *bufio.Reader, firstSeq, from uint64, fn func(seq uint64, e ra
 		}
 		if err != nil {
 			return seq, err
+		}
+		if len(payload) == 0 && mark != nil && seq >= from {
+			if err := mark(seq); err != nil {
+				return seq, err
+			}
 		}
 		d := eventDecoder{buf: payload}
 		for len(d.buf) > 0 {

@@ -26,7 +26,7 @@ func copyDecode(t *testing.T, st *Store, name string, from uint64, maxBytes int6
 		wantSeq++
 		evs = append(evs, e)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("DecodeFrames: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestDecodeFramesTornTransfer(t *testing.T) {
 			}
 			count++
 			return nil
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("cut %d: DecodeFrames: %v", cut, err)
 		}
@@ -231,7 +231,7 @@ func TestPruneSparesFollowerAndPinnedSegments(t *testing.T) {
 				<-release
 			}
 			return nil
-		})
+		}, nil)
 		done <- err
 	}()
 	<-started

@@ -21,6 +21,9 @@ import (
 type Snapshot struct {
 	// Seq is the cut position: WAL replay resumes here.
 	Seq uint64 `json:"seq"`
+	// Marks counts the install marks at Seq the state already holds;
+	// replay skips that many there.
+	Marks int `json:"marks,omitempty"`
 
 	StreamStartMs int64 `json:"stream_start_ms"`
 	WatermarkMs   int64 `json:"watermark_ms"`

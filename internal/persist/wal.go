@@ -19,7 +19,8 @@ import (
 //	u32 LE  CRC-32C (Castagnoli) of the payload
 //	bytes   payload
 //
-// A WAL payload is one event in a compact varint encoding (below); a
+// A WAL payload is a batch of events in a compact varint encoding
+// (below), back to back, or empty: an install mark (AppendMark). A
 // snapshot payload is the snapshot JSON. The CRC turns both torn writes
 // and bit rot into a detected stop instead of silently-wrong state.
 
@@ -167,13 +168,23 @@ func decodeEvent(b []byte) (raslog.Event, error) {
 // the position StartAppend must resume from. A torn tail ends the final
 // segment's records; a torn or missing range in front of a later segment
 // is real corruption and fails loudly rather than replaying a stream
-// with a hole in it.
+// with a hole in it. Install marks are skipped (ReplayMarks delivers
+// them).
 func (st *Store) Replay(from uint64, fn func(seq uint64, e raslog.Event) error) (uint64, error) {
+	return st.ReplayMarks(from, fn, nil)
+}
+
+// ReplayMarks is Replay that also calls mark, in stream order, for every
+// install mark at a sequence >= from: mark(seq) means a pass went live
+// before the event at seq. Either call, made before StartAppend, also
+// tells the store how many marks follow the last record, so the next
+// segment restates them.
+func (st *Store) ReplayMarks(from uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, error) {
 	segs, err := st.listRefs(walPrefix)
 	if err != nil {
 		return 0, err
 	}
-	next := from
+	next, tail := from, 0
 	for i, seg := range segs {
 		if seg.seq > next && i > 0 {
 			return 0, fmt.Errorf("persist: WAL gap: segment %s starts at seq %d, have %d", seg.name, seg.seq, next)
@@ -188,37 +199,61 @@ func (st *Store) Replay(from uint64, fn func(seq uint64, e raslog.Event) error) 
 		if i+1 < len(segs) {
 			stop = segs[i+1].seq // a newer segment supersedes anything past its start
 		}
-		end, err := replaySegment(filepath.Join(st.dir, seg.name), seg.seq, next, stop, fn)
+		end, marks, err := replaySegment(filepath.Join(st.dir, seg.name), seg.seq, next, stop, fn, mark)
 		if err != nil {
 			return 0, err
 		}
+		tail = marks
 		if end < stop && i+1 < len(segs) {
 			return 0, fmt.Errorf("persist: WAL gap: segment %s ends at seq %d, next starts at %d", seg.name, end, stop)
 		}
-		next = end
+		// A segment wholly below from (one a follower's ack kept from
+		// pruning) ends before it: the next segment still starts at from.
+		next = max(next, end)
 	}
+	st.mu.Lock()
+	if !st.appending {
+		st.nextSeq, st.marks = next, tail
+	}
+	st.mu.Unlock()
 	return next, nil
 }
 
 // replaySegment reads one segment whose first record is firstSeq,
-// invoking fn for records in [from, stop). It returns the sequence after
-// the segment's last durable record (capped at stop).
-func replaySegment(path string, firstSeq, from, stop uint64, fn func(seq uint64, e raslog.Event) error) (uint64, error) {
+// invoking fn for records and mark (when non-nil) for install marks in
+// [from, stop): the newer segment starting at stop supersedes this one
+// from there on, marks included (it restates the marks at stop). It
+// returns the sequence after the segment's last durable record (capped
+// at stop) and how many marks follow that record.
+func replaySegment(path string, firstSeq, from, stop uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
-	seq := firstSeq
-	for seq < stop {
+	seq, tail := firstSeq, 0
+	for {
 		payload, err := readFrame(r)
 		if err == io.EOF || errors.Is(err, errTorn) {
 			break // durable end of this segment
 		}
 		if err != nil {
-			return 0, fmt.Errorf("persist: %s: %w", path, err)
+			return 0, 0, fmt.Errorf("persist: %s: %w", path, err)
 		}
+		if seq >= stop {
+			break
+		}
+		if len(payload) == 0 {
+			tail++
+			if mark != nil && seq >= from {
+				if err := mark(seq); err != nil {
+					return 0, 0, err
+				}
+			}
+			continue
+		}
+		tail = 0
 		// A frame holds a batch's events back to back (AppendBatch); a
 		// single-record frame is the degenerate batch, so pre-batch
 		// segments decode identically.
@@ -228,15 +263,15 @@ func replaySegment(path string, firstSeq, from, stop uint64, fn func(seq uint64,
 			if derr != nil {
 				// A frame that passes its CRC but does not decode is not a torn
 				// tail; it means the writer and reader disagree. Fail loudly.
-				return 0, fmt.Errorf("persist: %s: record %d: %w", path, seq, derr)
+				return 0, 0, fmt.Errorf("persist: %s: record %d: %w", path, seq, derr)
 			}
 			if seq >= from {
 				if err := fn(seq, e); err != nil {
-					return 0, err
+					return 0, 0, err
 				}
 			}
 			seq++
 		}
 	}
-	return seq, nil
+	return seq, tail, nil
 }

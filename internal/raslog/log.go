@@ -72,12 +72,6 @@ func (l *Log) Weeks() int {
 	return int(span/MillisPerWeek) + 1
 }
 
-// WeekOf returns the zero-based week index of timestamp t relative to the
-// log start. The log must be sorted and non-empty.
-func (l *Log) WeekOf(t int64) int {
-	return int((t - l.Start()) / MillisPerWeek)
-}
-
 // Window returns the subslice of events with from <= Time < to.
 // The log must be sorted. The returned slice shares storage with the log.
 func (l *Log) Window(from, to int64) []Event {
@@ -96,15 +90,6 @@ func (l *Log) Slice(from, to int64) *Log {
 func (l *Log) WeekSlice(w int) []Event {
 	start := l.Start() + int64(w)*MillisPerWeek
 	return l.Window(start, start+MillisPerWeek)
-}
-
-// CountBySeverity tallies events per severity level.
-func (l *Log) CountBySeverity() map[Severity]int {
-	m := make(map[Severity]int, int(numSeverities))
-	for _, e := range l.Events {
-		m[e.Severity]++
-	}
-	return m
 }
 
 // CountByFacility tallies events per facility.

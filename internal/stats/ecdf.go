@@ -36,18 +36,6 @@ func (e ECDF) At(x float64) float64 {
 	return float64(i) / float64(len(e.sorted))
 }
 
-// Points returns the step points (x_i, i/n) of the ECDF, useful for
-// plotting figure-5-style CDF curves.
-func (e ECDF) Points() (xs, ps []float64) {
-	n := len(e.sorted)
-	xs = append([]float64(nil), e.sorted...)
-	ps = make([]float64, n)
-	for i := range ps {
-		ps[i] = float64(i+1) / float64(n)
-	}
-	return xs, ps
-}
-
 // KolmogorovSmirnov returns the KS statistic D = sup |F_n(x) - F(x)| between
 // a sorted sample and a model distribution. The input must be sorted
 // ascending (FitBest sorts for you).

@@ -68,18 +68,6 @@ func TestECDFMonotoneQuick(t *testing.T) {
 	}
 }
 
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{10, 30, 20})
-	xs, ps := e.Points()
-	wantX := []float64{10, 20, 30}
-	wantP := []float64{1.0 / 3, 2.0 / 3, 1}
-	for i := range wantX {
-		if xs[i] != wantX[i] || !almostEqual(ps[i], wantP[i], 1e-12) {
-			t.Errorf("Points[%d] = (%g,%g), want (%g,%g)", i, xs[i], ps[i], wantX[i], wantP[i])
-		}
-	}
-}
-
 func TestKolmogorovSmirnovSelf(t *testing.T) {
 	// KS of a large sample against its own generating distribution is small.
 	d := Weibull{Scale: 100, Shape: 0.8}

@@ -33,10 +33,93 @@ func parseLog(t *testing.T, data []byte) *raslog.Log {
 	return &raslog.Log{Name: "backfill", Events: evs}
 }
 
+// chunkReference feeds l to a plain service in ingestBatchChunk-event
+// batches, as Backfill submits it, waiting after each until it is
+// applied, and returns the closed service.
+func chunkReference(t *testing.T, l *raslog.Log) *Service {
+	t.Helper()
+	s, err := New(durableConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedBatches(t, s, l.Events, func(int) int { return ingestBatchChunk })
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// chunkGate is the reader a backfill test hands Backfill. It serves the
+// input one ingestBatchChunk-event chunk at a time, and before each
+// chunk after the first it waits until the service has applied the
+// chunks before it and installed any pass they started. Backfill's
+// passes then install at the chunk seams where chunkReference's do.
+type chunkGate struct {
+	s      *Service
+	pieces [][]byte // the input, cut after every ingestBatchChunk-th event line
+	cur    []byte
+	fed    int64 // events in the pieces served so far
+	counts []int64
+}
+
+func newChunkGate(s *Service, input []byte) *chunkGate {
+	g := &chunkGate{s: s}
+	in := raslog.NewInterner()
+	start, events := 0, 0
+	for i := 0; i < len(input); {
+		end := len(input)
+		if j := bytes.IndexByte(input[i:], '\n'); j >= 0 {
+			end = i + j + 1
+		}
+		if line := bytes.TrimSuffix(input[i:end], []byte("\n")); len(line) > 0 {
+			if _, err := raslog.ParseLineBytes(line, in); err == nil {
+				events++
+			}
+		}
+		i = end
+		if events == ingestBatchChunk || i == len(input) {
+			g.pieces = append(g.pieces, input[start:i])
+			g.counts = append(g.counts, int64(events))
+			start, events = i, 0
+		}
+	}
+	return g
+}
+
+func (g *chunkGate) Read(p []byte) (int, error) {
+	if len(g.cur) == 0 {
+		if len(g.pieces) == 0 {
+			return 0, io.EOF
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for !g.settled() {
+			if time.Now().After(deadline) {
+				return 0, errors.New("backfilled chunk not applied in time")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		g.cur, g.pieces = g.pieces[0], g.pieces[1:]
+		g.fed += g.counts[0]
+		g.counts = g.counts[1:]
+	}
+	n := copy(p, g.cur)
+	g.cur = g.cur[n:]
+	return n, nil
+}
+
+// settled reports that every event served so far was submitted and
+// applied and that no pass is in flight (see applied).
+func (g *chunkGate) settled() bool {
+	s := g.s
+	depth := int64(s.m.reorderDepth.Value())
+	return s.m.ingested.Value() == g.fed &&
+		depth+s.m.sequenced.Value()+s.m.lateDropped.Value() == g.fed && !s.retraining.Load()
+}
+
 // TestBackfillMatchesDirectIngest is the backfill acceptance test: a
 // raw text log fed through Backfill (decode goroutine, ordered submit,
 // many chunk seams) must leave the service in exactly the state direct
-// in-order ingest of the same events leaves it.
+// in-order ingest of the same events, in the same chunks, leaves it.
 func TestBackfillMatchesDirectIngest(t *testing.T) {
 	l := genLog(t, 31, 14)
 	if len(l.Events) < 4*ingestBatchChunk {
@@ -46,7 +129,7 @@ func TestBackfillMatchesDirectIngest(t *testing.T) {
 	if _, err := raslog.WriteLog(&buf, l); err != nil {
 		t.Fatal(err)
 	}
-	ref := referenceRun(t, parseLog(t, buf.Bytes()))
+	ref := chunkReference(t, parseLog(t, buf.Bytes()))
 	if len(ref.Rules()) == 0 || len(ref.Warnings(0)) == 0 {
 		t.Fatalf("reference run is trivial: %d rules, %d warnings",
 			len(ref.Rules()), len(ref.Warnings(0)))
@@ -56,7 +139,7 @@ func TestBackfillMatchesDirectIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Backfill(context.Background(), &buf)
+	res, err := s.Backfill(context.Background(), newChunkGate(s, buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +166,7 @@ func TestBackfillSkipsGarbage(t *testing.T) {
 	if _, err := raslog.WriteLog(&clean, l); err != nil {
 		t.Fatal(err)
 	}
-	ref := referenceRun(t, parseLog(t, clean.Bytes()))
+	ref := chunkReference(t, parseLog(t, clean.Bytes()))
 
 	var dirty bytes.Buffer
 	garbage := 0
@@ -105,7 +188,7 @@ func TestBackfillSkipsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Backfill(context.Background(), &dirty)
+	res, err := s.Backfill(context.Background(), newChunkGate(s, dirty.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

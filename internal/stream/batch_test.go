@@ -9,6 +9,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 
 	"repro/internal/raslog"
@@ -18,14 +19,27 @@ import (
 // boundaries land at arbitrary stream positions.
 var batchSizes = []int{1, 7, 64, 3, 256, 31}
 
+// ingestBatches feeds events in batches of batchSizes, waiting after each
+// until it is applied (see ingestAll). A batch also ends at the event
+// whose ingest crosses the service's next training boundary, where
+// ingestAll's one-event batches end too, so the two feeds install every
+// pass at the same stream position.
 func ingestBatches(t testing.TB, s *Service, events []raslog.Event) {
+	k := 0
+	feedBatches(t, s, events, func(i int) int {
+		n := batchSizes[k%len(batchSizes)]
+		k++
+		return min(n, crossing(s, events, i)-i+1)
+	})
+}
+
+// feedBatches feeds events in batches, the one starting at index i
+// size(i) events long, and waits after each until it is applied.
+func feedBatches(t testing.TB, s *Service, events []raslog.Event, size func(i int) int) {
 	t.Helper()
 	ctx := context.Background()
-	for i, k := 0, 0; i < len(events); k++ {
-		n := batchSizes[k%len(batchSizes)]
-		if i+n > len(events) {
-			n = len(events) - i
-		}
+	for i := 0; i < len(events); {
+		n := min(size(i), len(events)-i)
 		batch := append([]raslog.Event(nil), events[i:i+n]...)
 		m, err := s.IngestBatch(ctx, batch)
 		if err != nil {
@@ -34,8 +48,27 @@ func ingestBatches(t testing.TB, s *Service, events []raslog.Event) {
 		if m != n {
 			t.Fatalf("IngestBatch accepted %d of %d", m, n)
 		}
+		applied(t, s)
 		i += n
 	}
+}
+
+// crossing returns the index of the first event at or after i whose
+// ingest releases an event at or past the service's next training
+// boundary, or len(events) if none does. events must be time-sorted:
+// then the ingest of events[k] releases every event up to its time
+// minus the reorder tolerance, however the feed is batched.
+func crossing(s *Service, events []raslog.Event, i int) int {
+	at := s.nextRetrainMs()
+	if at <= 0 {
+		return len(events)
+	}
+	c := sort.Search(len(events), func(j int) bool { return events[j].Time >= at })
+	if c == len(events) {
+		return len(events)
+	}
+	tol := s.cfg.ReorderWindow.Milliseconds()
+	return i + sort.Search(len(events)-i, func(j int) bool { return events[i+j].Time-tol >= events[c].Time })
 }
 
 func TestIngestBatchMatchesSequential(t *testing.T) {

@@ -1,21 +1,16 @@
 package stream
 
 // Hot-standby replication (DESIGN.md §14). A Follower tails a leader's
-// WAL over HTTP — GET /wal/segments to learn the chain, GET
-// /wal/segment/{name}?from=seq to pull frames — appends every record to
-// the replica's own WAL, and runs it through apply — the same function the
-// live pipeline and WAL replay use — so the replica passes through exactly
-// the states the leader's durable log defines: same sequences, same inline
-// retrains at the same stream positions, same snapshots-after-retrain.
-// Promotion is therefore nothing more than "stop pulling, start the
-// pipeline goroutine": the
-// promoted service is byte-equivalent to a single node that ingested the
-// same stream (the same contract recovery already honors).
-//
-// Durability before visibility holds on the replica exactly as on the
-// leader: a pulled batch is group-committed to the replica's WAL before
-// any of it reaches the stage logic, so a replica crash mid-pull recovers
-// to a clean prefix and re-requests from its durable end.
+// WAL over HTTP (GET /wal/segments for the chain, GET
+// /wal/segment/{name}?from=seq for frames), appends every record and
+// install mark to the replica's own WAL, and runs the events through
+// apply, as live intake and replay do: the replica starts the leader's
+// passes at the same positions and installs them at the leader's marks.
+// Promotion is "stop pulling, install the pass in flight, start the
+// pipeline": the promoted service equals a single node fed the same
+// stream. A pulled batch is committed to the replica's WAL before it is
+// applied, so a replica crash recovers a clean prefix and re-requests
+// from its durable end.
 
 import (
 	"context"
@@ -189,12 +184,10 @@ func (f *Follower) syncOnce() error {
 		return fmt.Errorf("leader behind replica (leader next %d, replica %d) — refusing to rewind", list.NextSeq, s.next)
 	}
 	for s.next < list.NextSeq {
-		// The pull source is the newest segment whose records cover s.next.
-		// "Newest" matters twice: a recovered leader may open a new segment
-		// at the torn tail of an old one (same FirstSeq, higher gen), and a
-		// newer segment supersedes the tail of the one before it — stop caps
-		// the apply so superseded duplicates shipped by the older file are
-		// discarded, mirroring Replay's own capping.
+		// The pull source is the newest segment whose records cover s.next:
+		// a recovered leader may open a new segment at the torn tail of an
+		// old one, and stop drops what the newer one supersedes, as Replay
+		// does.
 		src := -1
 		stop := list.NextSeq
 		for i, seg := range list.Segments {
@@ -274,12 +267,28 @@ func (f *Follower) pullSegment(name string, from, stop uint64) (bool, error) {
 		return false, fmt.Errorf("GET /wal/segment/%s: HTTP %d: %s", name, resp.StatusCode, b)
 	}
 
+	// The marks at `from` the replica holds come again (a re-poll, or a
+	// newer segment restating them): they are skipped. At a new mark, the
+	// events before it go in first.
+	dup := s.marksAt()
 	f.batch = f.batch[:0]
 	next, derr := persist.DecodeFrames(resp.Body, from, func(seq uint64, e raslog.Event) error {
 		if seq >= stop {
 			return errPullDone
 		}
 		f.batch = append(f.batch, e)
+		return nil
+	}, func(seq uint64) error {
+		if seq == from && dup > 0 {
+			dup--
+			return nil
+		}
+		run := f.batch
+		f.batch = f.batch[:0]
+		if err := s.applyReplicated(run); err != nil {
+			return err
+		}
+		s.applyMark()
 		return nil
 	})
 	if derr == errPullDone {
@@ -300,11 +309,8 @@ func (f *Follower) pullSegment(name string, from, stop uint64) (bool, error) {
 // errPullDone stops a pull at the segment's supersession boundary.
 var errPullDone = errors.New("stream: pull reached boundary")
 
-// applyReplicated commits one pulled batch: WAL first (group commit, one
-// fsync), then apply, event by event. Runs on the follower goroutine
-// only. A retrain completed during the batch re-anchors durability with a
-// snapshot, exactly as on the leader, so a replica restart replays a
-// short tail instead of the whole history.
+// applyReplicated commits pulled events: WAL first (one fsync), then
+// apply, event by event. Runs on the follower goroutine only.
 func (s *Service) applyReplicated(events []raslog.Event) error {
 	if len(events) == 0 {
 		return nil
@@ -323,19 +329,17 @@ func (s *Service) applyReplicated(events []raslog.Event) error {
 	for i := range events {
 		s.apply(events[i])
 	}
-	s.snapshotIfPending()
 	s.m.ingested.Add(int64(len(events)))
 	s.publish(len(events))
 	return nil
 }
 
-// promoteStandalone flips a standby into a live leader: a snapshot
-// re-anchors durability at the promotion cut and the pipeline goroutine
-// starts at the replicated position and watermark (exactly where it
-// starts after recovery). Returns false if the service is closed
-// or already a leader. Idempotent under races between POST /promote and
-// auto-promotion: closeMu serializes promoters, so exactly one call
-// wins the standby flip.
+// promoteStandalone flips a standby into a live leader: the pass in
+// flight, if any, installs at the replicated position with its mark, a
+// snapshot re-anchors durability there, and the pipeline goroutine
+// starts at that position, as after recovery. Returns false if the
+// service is closed or already a leader; closeMu serializes promoters,
+// so exactly one call wins the flip.
 func (s *Service) promoteStandalone() bool {
 	s.closeMu.Lock()
 	defer s.closeMu.Unlock()
@@ -349,7 +353,7 @@ func (s *Service) promoteStandalone() bool {
 	// vanish for that read.
 	s.m.promotions.Inc()
 	s.standby.Store(false)
-	s.replaying = false
+	s.drain()
 	s.writeSnapshot()
 	s.pipelineOn = true
 	go s.pipeline() // owns the apply-side state from here on

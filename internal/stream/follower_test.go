@@ -6,14 +6,22 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/learner"
+	"repro/internal/learner/incr"
+	"repro/internal/meta"
+	"repro/internal/preprocess"
 	"repro/internal/raslog"
 )
 
-// newStandby builds a standby replica service over dir with the same
-// deterministic configuration the recovery tests use.
+// newStandby builds a standby replica service over dir with the
+// recovery tests' configuration. The replica starts its passes where it
+// applies the boundary crossing and installs each at the leader's mark,
+// so it follows the leader whatever the timing of either trainer.
 func newStandby(t *testing.T, dir string) *Service {
 	t.Helper()
 	cfg := durableConfig(dir)
@@ -266,4 +274,176 @@ func TestWALEndpointsRequireStateDir(t *testing.T) {
 	if err := s.Promote(); err != nil {
 		t.Fatalf("Promote on a leader: %v", err)
 	}
+}
+
+// swapHandler serves whichever leader currently runs behind one URL, and
+// 503 while none does.
+type swapHandler struct{ h atomic.Pointer[http.Handler] }
+
+func (sw *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h := sw.h.Load(); h != nil {
+		(*h).ServeHTTP(w, r)
+		return
+	}
+	http.Error(w, "restarting", http.StatusServiceUnavailable)
+}
+
+func (sw *swapHandler) serve(s *Service) {
+	var h http.Handler = NewMux(s)
+	sw.h.Store(&h)
+}
+
+// holdFirstPass makes s's first training pass wait until the returned
+// channel is closed, and counts every pass started in calls.
+func holdFirstPass(s *Service, calls *atomic.Int32) chan struct{} {
+	hold := make(chan struct{})
+	s.trainPass = func(ml *meta.MetaLearner, repo *meta.Repository, st *incr.State, view []preprocess.TaggedEvent, from, at int64, p learner.Params) (engine.Retraining, error) {
+		if calls.Add(1) == 1 {
+			<-hold
+		}
+		return engine.TrainWindow(ml, repo, st, view, from, at, p)
+	}
+	return hold
+}
+
+// feedAll ingests events in 64-event batches without waiting for passes.
+func feedAll(t *testing.T, s *Service, events []raslog.Event) {
+	t.Helper()
+	for i := 0; i < len(events); i += 64 {
+		batch := append([]raslog.Event(nil), events[i:min(i+64, len(events))]...)
+		if _, err := s.IngestBatch(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFollowerReadsMarksThatEndASegment shuts the leader down with a
+// pass in flight: Close installs it with a mark after the last event of
+// the open segment, and the restarted leader appends to a new segment
+// starting at that same sequence. The replica, caught up to the last
+// event before the mark was written, must still read the mark from the
+// older segment, or it installs that pass one leader pass late from
+// then on. The promoted replica must equal the leader.
+func TestFollowerReadsMarksThatEndASegment(t *testing.T) {
+	l := genLog(t, 11, 8)
+	dir := t.TempDir()
+	leader, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	hold := holdFirstPass(leader, &calls)
+	var sw swapHandler
+	sw.serve(leader)
+	srv := httptest.NewServer(&sw)
+	defer srv.Close()
+	standby := newStandby(t, t.TempDir())
+	f, err := NewFollower(standby, FollowerConfig{Leader: srv.URL, ID: "s1", Poll: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Pass 1 starts at the 3-week boundary and is held while the leader
+	// shuts down: Close flushes the reorder buffer, the replica catches up
+	// to it, and only then does the pass install, with its mark.
+	first := l.Window(l.Start(), l.Start()+4*week.Milliseconds())
+	feedAll(t, leader, first)
+	waitFor(t, 30*time.Second, func() bool { return calls.Load() == 1 })
+	closed := make(chan error, 1)
+	go func() { closed <- leader.Close() }()
+	waitFor(t, 30*time.Second, func() bool { return leader.Stats().Sequenced == int64(len(first)) })
+	waitCaughtUp(t, standby, uint64(len(first)))
+	close(hold)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	sw.h.Store(nil)
+
+	leader2, err := New(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.serve(leader2)
+	ingestAll(t, leader2, &raslog.Log{Name: l.Name, Events: l.Events[len(first):]})
+	durable := drainTo(t, leader2, len(l.Events))
+	waitCaughtUp(t, standby, durable)
+	if err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	// The leader's Close releases its reorder buffer's tail; the promoted
+	// replica is fed the same tail.
+	ingestAll(t, standby, &raslog.Log{Name: l.Name, Events: l.Events[durable:]})
+	if err := leader2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := stateOf(t, leader2)
+	if len(want.stats.Retrains) < 3 {
+		t.Fatalf("leader ran %d passes, want at least 3 — test would prove nothing", len(want.stats.Retrains))
+	}
+	stateOf(t, standby).mustEqual(t, "promoted replica", want)
+}
+
+// TestStandbyRestartWithPassInFlight stops a replica gracefully while
+// its pass waits for the leader's mark, and lets the leader install that
+// pass only after more events. A replica that installed the pass at its
+// own shutdown would sit one install position off the leader for good;
+// restarted, it must install the pass at the leader's mark and promote
+// equal to the leader.
+func TestStandbyRestartWithPassInFlight(t *testing.T) {
+	l := genLog(t, 23, 8)
+	leader, err := New(durableConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	hold := holdFirstPass(leader, &calls)
+	srv := httptest.NewServer(NewMux(leader))
+	defer srv.Close()
+
+	sdir := t.TempDir()
+	s1 := newStandby(t, sdir)
+	f1, err := NewFollower(s1, FollowerConfig{Leader: srv.URL, ID: "s1", Poll: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := l.Start() + 4*week.Milliseconds()
+	first := l.Window(l.Start(), split)
+	feedAll(t, leader, first)
+	waitFor(t, 30*time.Second, func() bool { return calls.Load() == 1 })
+	waitCaughtUp(t, s1, drainTo(t, leader, len(first)))
+	waitFor(t, 30*time.Second, func() bool { return s1.Stats().Retraining })
+	f1.Stop()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The leader moves on, then installs pass 1 after more events.
+	second := l.Window(split, split+week.Milliseconds()/2)
+	feedAll(t, leader, second)
+	drainTo(t, leader, len(first)+len(second))
+	close(hold)
+	waitFor(t, 30*time.Second, func() bool { return !leader.Stats().Retraining })
+	ingestAll(t, leader, &raslog.Log{Name: l.Name, Events: l.Events[len(first)+len(second):]})
+	durable := drainTo(t, leader, len(l.Events))
+
+	s2 := newStandby(t, sdir)
+	f2, err := NewFollower(s2, FollowerConfig{Leader: srv.URL, ID: "s1", Poll: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, s2, durable)
+	if err := f2.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, s2, &raslog.Log{Name: l.Name, Events: l.Events[durable:]})
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stateOf(t, s2).mustEqual(t, "restarted replica", stateOf(t, leader))
 }

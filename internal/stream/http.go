@@ -26,7 +26,7 @@ import (
 //	GET  /stats     counters, compression, rule counts, retrain history
 //	GET  /metrics   the same counters in Prometheus text exposition
 //	GET  /healthz   liveness
-//	POST /retrain   force a synchronous training pass
+//	POST /retrain   force a training pass; returns once it is installed
 //
 // Replication and backfill (DESIGN.md §14; no-ops without a StateDir):
 //

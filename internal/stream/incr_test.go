@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -22,15 +23,14 @@ func batchPass(ml *meta.MetaLearner, repo *meta.Repository, _ *incr.State, snaps
 	return engine.TrainStepPrepared(ml, repo, learner.Prepare(snapshot), p)
 }
 
-// incrEquivConfig is a deterministic multi-retrain configuration: sync
-// retraining pins the predictor swap positions, so the incremental and
-// batch services must agree warning for warning.
+// incrEquivConfig is a multi-retrain configuration: fed through
+// ingestAll, every pass installs at a fixed stream position, so the
+// incremental and batch services must agree warning for warning.
 func incrEquivConfig() Config {
 	cfg := Defaults()
 	cfg.InitialTrain = 3 * week
 	cfg.RetrainEvery = 2 * week
 	cfg.TrainWindow = 5 * week
-	cfg.SyncRetrain = true
 	cfg.WarningsKeep = 1 << 20
 	return cfg
 }
@@ -138,7 +138,13 @@ func TestSnapshotCopiesOnlyItsWindow(t *testing.T) {
 		passes = append(passes, pass{from: from, at: at, lag: s.watermarkMs() - at, snapshot: snapshot})
 		return engine.TrainWindow(ml, repo, st, snapshot, from, at, p)
 	}
-	ingestAll(t, s, l)
+	// Fed without waiting for the passes: the first one is held.
+	ctx := context.Background()
+	for _, e := range l.Events {
+		if err := s.Ingest(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+	}
 	waitFor(t, 30*time.Second, func() bool {
 		return s.watermarkMs() >= s.streamStartMs()+9*week.Milliseconds()
 	})

@@ -2,18 +2,17 @@ package stream
 
 import "sync/atomic"
 
-// RetrainLimiter bounds how many background training passes may run at
-// once across every Service sharing the limiter. One process serving
-// thousands of tenants (internal/fleet) would otherwise rebuild rules
-// for all of them simultaneously whenever their schedules align. Each
-// pass runs on one goroutine, so the limiter is the training
-// concurrency: a queue in front of a fixed number of passes. A service
-// whose pass is waiting for a slot keeps ingesting and predicting on its
-// old rules; only the rebuild is deferred.
-//
-// Synchronous passes (SyncRetrain, WAL replay, TrainNow) bypass the
-// limiter: they are serialized on their caller and must not block
-// startup recovery behind a saturated fleet.
+// RetrainLimiter bounds how many training passes may run at once across
+// every Service sharing the limiter. One process serving thousands of
+// tenants (internal/fleet) would otherwise rebuild rules for all of them
+// simultaneously whenever their schedules align. Each pass runs on one
+// goroutine, so the limiter is the training concurrency: a queue in front
+// of a fixed number of passes. Every pass takes a slot — scheduled,
+// TrainNow, and those a follower starts — except the ones startup
+// recovery starts, so activating a tenant never queues behind the rest of
+// the fleet's training. A service whose pass is waiting for a slot keeps
+// ingesting and predicting on its old rules; only the rebuild is deferred
+// (a follower waits for it at the pass's install mark).
 type RetrainLimiter struct {
 	sem    chan struct{}
 	active atomic.Int64

@@ -6,7 +6,7 @@ import (
 )
 
 // stageBuckets spans per-batch stage work: a microsecond for a lone
-// event up to multi-second stalls behind an inline training pass.
+// event up to multi-second stalls.
 var stageBuckets = obsv.ExpBuckets(1e-6, 4, 12)
 
 // metrics is the service's instrument set, registered on one obsv
@@ -56,7 +56,7 @@ type metrics struct {
 
 	// Per-stage latency, one observation per batch: "sequencer" covers the
 	// reorder buffer and the WAL append, "collector" applying the batch's
-	// releases (filters, predictor, retrain check, a due snapshot).
+	// releases (filters, predictor, retrain check).
 	seqLatency     *obsv.Histogram
 	collectLatency *obsv.Histogram
 	// backpressure records admission slow-path waits: how long ingest
@@ -145,7 +145,7 @@ func newMetrics(s *Service) *metrics {
 		"Backfill lines skipped because they failed to parse.")
 
 	reg.GaugeFunc("stream_retraining",
-		"1 while a background training pass is in flight.", func() float64 {
+		"1 from a training pass's start to its install.", func() float64 {
 			if s.retraining.Load() {
 				return 1
 			}

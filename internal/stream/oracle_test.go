@@ -9,10 +9,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/learner"
+	"repro/internal/learner/incr"
+	"repro/internal/meta"
 	"repro/internal/predictor"
+	"repro/internal/preprocess"
 	"repro/internal/raslog"
 )
 
@@ -114,9 +120,13 @@ func copyStateDir(t *testing.T, from, skipPrefix string) string {
 // batches, startup recovery replaying the WAL, and a standby applying a
 // leader's shipped segments. All three drive the same apply function over
 // the same released stream (the live run's WAL), so they must end in the
-// same state: identical stats, identical warnings, and a byte-identical
-// snapshot. The feed arrives modestly out of order, so the order the WAL
-// records is the reorder buffer's work, not the input's.
+// same state: identical stats (install positions included), identical
+// warnings, and a byte-identical snapshot. The feed arrives modestly out
+// of order, so the order the WAL records is the reorder buffer's work,
+// not the input's. The live run's trainer is slow: each pass is held
+// until several more batches have been acked, so its rules go live
+// batches after its boundary, where only the live run's install marks
+// say; the other legs train at their own speed and must install there.
 func TestOneStateMachineOracle(t *testing.T) {
 	l := genLog(t, 31, 8)
 	events := append([]raslog.Event(nil), l.Events...)
@@ -133,13 +143,27 @@ func TestOneStateMachineOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	live.store.RetainFollower("oracle", 0)
+	var acked atomic.Int64
+	fed := make(chan struct{})
+	live.trainPass = func(ml *meta.MetaLearner, repo *meta.Repository, st *incr.State, view []preprocess.TaggedEvent, from, at int64, p learner.Params) (engine.Retraining, error) {
+		for until := acked.Load() + 3; acked.Load() < until; {
+			select {
+			case <-fed:
+				until = 0
+			case <-time.After(time.Millisecond):
+			}
+		}
+		return engine.TrainWindow(ml, repo, st, view, from, at, p)
+	}
 	ctx := context.Background()
 	for i := 0; i < len(events); i += 97 {
 		batch := append([]raslog.Event(nil), events[i:min(i+97, len(events))]...)
 		if _, err := live.IngestBatch(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
+		acked.Add(1)
 	}
+	close(fed)
 	if err := live.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +175,11 @@ func TestOneStateMachineOracle(t *testing.T) {
 	}
 	if want.stats.Rules == 0 || len(want.warnings) == 0 {
 		t.Fatalf("live run is trivial: %d rules, %d warnings", want.stats.Rules, len(want.warnings))
+	}
+	for _, rec := range want.stats.Retrains {
+		if rec.InstalledSeq == 0 {
+			t.Fatalf("live pass at %d has no install position: %+v", rec.At, rec)
+		}
 	}
 
 	// Leg 2, recovery: the same WAL with the snapshots taken away, so New

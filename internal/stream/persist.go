@@ -1,17 +1,16 @@
 package stream
 
 // Durable-state wiring: snapshot capture/restore and WAL replay over
-// internal/persist. The pipeline goroutine owns both WAL appends and
-// snapshots (its position s.next is the consistency cut); recovery runs
-// before that goroutine exists and drives the same apply function.
+// internal/persist. The applying goroutine owns WAL appends, install
+// marks and snapshot cuts (its position s.next is the consistency cut);
+// recovery runs before the pipeline goroutine exists and drives the same
+// apply and install functions.
 
 import (
 	"encoding/json"
 	"fmt"
 	"time"
 
-	"repro/internal/engine"
-	"repro/internal/learner"
 	"repro/internal/persist"
 	"repro/internal/predictor"
 	"repro/internal/preprocess"
@@ -40,7 +39,12 @@ func (s *Service) Recovery() RecoveryInfo { return s.recovery }
 
 // recover opens the state directory, restores the newest valid snapshot,
 // replays the WAL tail through apply, and positions the WAL for new
-// appends. Called from New before the pipeline goroutine starts.
+// appends. Called from New before the pipeline goroutine starts. Replay
+// starts passes as the original did, outside the retrain limiter, and
+// installs each at its install mark; s.store stays nil until replay ends,
+// so replay writes no mark and cuts no snapshot (nothing prunes the
+// segments it reads). A leader installs the pass still in flight at the
+// end; a standby leaves it to the leader's mark.
 func (s *Service) recover() error {
 	t0 := time.Now()
 	store, err := persist.Open(s.cfg.StateDir, persist.Options{
@@ -51,7 +55,6 @@ func (s *Service) recover() error {
 	if err != nil {
 		return err
 	}
-	s.store = store
 
 	snap, err := store.LoadSnapshot()
 	if err != nil {
@@ -64,35 +67,41 @@ func (s *Service) recover() error {
 		}
 		from = snap.Seq
 		s.recovery.SnapshotSeq = snap.Seq
+		s.startDue() // the catch-up the cut's install went on to
 	}
 
-	// Replay trains inline (see maybeRetrain): the recovered service must
-	// pass through the same states the original did, in the same order.
-	s.replaying = true
 	var replayed uint64
-	end, err := store.Replay(from, func(seq uint64, e raslog.Event) error {
+	skip := s.marks // the marks at the cut that the snapshot holds
+	end, err := store.ReplayMarks(from, func(seq uint64, e raslog.Event) error {
 		s.apply(e)
 		replayed++
 		return nil
+	}, func(seq uint64) error {
+		if seq == from && skip > 0 {
+			skip--
+		} else {
+			s.applyMark()
+		}
+		return nil
 	})
-	s.replaying = false
 	if err != nil {
 		return fmt.Errorf("stream: wal replay: %w", err)
 	}
 	if err := store.StartAppend(end); err != nil {
 		return err
 	}
+	s.store = store
+	if !s.cfg.Standby {
+		s.drain() // a pass still in flight goes live here, with its mark
+	}
 	s.m.ingested.Add(int64(replayed))
 	s.publish(int(replayed))
 	s.m.replayed.Add(int64(replayed))
 	s.recovery.Replayed = replayed
 	s.recovery.ResumeSeq = end
-	if replayed > 0 {
+	if replayed > 0 && !s.retraining.Load() {
 		// Re-anchor durability at the recovered position so the next crash
-		// does not replay this tail again (that also serves any snapshot a
-		// replayed training pass asked for). Not done mid-replay: the WAL
-		// files being iterated must not be pruned under the iterator.
-		s.snapPending.Store(false)
+		// does not replay this tail again.
 		s.writeSnapshot()
 	}
 	s.recovery.DurationMs = time.Since(t0).Milliseconds()
@@ -111,18 +120,14 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 		return fmt.Errorf("stream: snapshot rules: %w", err)
 	}
 	s.repo.Restore(rules)
+	pr := s.newPredictor(rules)
 	if snap.Predictor != nil {
-		pr := predictor.New(rules, s.cfg.Params)
-		pr.GlobalDedup = true
-		engine.ClampDedup(pr, s.cfg.Params.WindowSec)
 		pr.RestoreState(*snap.Predictor)
-		s.pr.Store(pr)
-		s.m.rules.Set(float64(len(rules)))
-		for i, v := range snap.Predictor.LastWarnMs {
-			s.lastWarn[i].Store(v)
-		}
+	} else {
+		pr.SeedLastFatal(snap.LastFatalMs)
 	}
-	s.lastFatal.Store(snap.LastFatalMs)
+	s.pr.Store(pr)
+	s.m.rules.Set(float64(len(rules)))
 
 	s.temporal.Restore(snap.Temporal)
 	s.spatial.Restore(snap.Spatial)
@@ -171,33 +176,28 @@ func (s *Service) restoreSnapshot(snap *persist.Snapshot) error {
 	s.m.processed.Add(c.Processed)
 	s.m.fatals.Add(c.Fatals)
 	s.m.warningsTotal.Add(c.Warnings)
-	s.next = snap.Seq
+	s.next, s.markSeq, s.marks = snap.Seq, snap.Seq, snap.Marks
 	return nil
 }
 
 // buildSnapshot captures the service state at the cut s.next. Caller must
-// be the applying goroutine (or shutdown / promotion, when none runs):
-// every counter below moves only on that goroutine, so all of them are
-// exact at the cut.
+// be the applying goroutine (or shutdown / promotion, when none runs)
+// with no pass in flight: every counter below moves only on that
+// goroutine, so all of them are exact at the cut, and the trained state
+// (rules, incremental statistics, schedule) is the installed pass's.
 func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
-	// The rules come from the live predictor, not the repository: a
-	// background pass may be rewriting the repository right now, while
-	// the predictor's rule set never changes and matches the predictor
-	// state exported with it below.
 	pr := s.pr.Load()
-	var live []learner.Rule
-	if pr != nil {
-		live = pr.Rules()
-	}
-	rules, err := persist.EncodeRules(live)
+	rules, err := persist.EncodeRules(pr.Rules())
 	if err != nil {
 		return nil, err
 	}
+	st := pr.ExportState()
 	snap := &persist.Snapshot{
 		Seq:           s.next,
+		Marks:         s.marksAt(),
 		StreamStartMs: s.start,
 		WatermarkMs:   s.wm,
-		LastFatalMs:   s.lastFatal.Load(),
+		LastFatalMs:   pr.LastFatal(),
 		Counters: persist.Counters{
 			Sequenced:     int64(s.next),
 			LateDropped:   s.m.lateDropped.Value(),
@@ -207,13 +207,10 @@ func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
 			Fatals:        s.m.fatals.Value(),
 			Warnings:      s.m.warningsTotal.Value(),
 		},
-		Rules:    rules,
-		Temporal: s.temporal.Export(),
-		Spatial:  s.spatial.Export(),
-	}
-	if pr != nil {
-		st := pr.ExportState()
-		snap.Predictor = &st
+		Rules:     rules,
+		Predictor: &st,
+		Temporal:  s.temporal.Export(),
+		Spatial:   s.spatial.Export(),
 	}
 	s.mu.Lock()
 	snap.NextRetrainMs = s.nextRetrainMs()
@@ -230,33 +227,26 @@ func (s *Service) buildSnapshot() (*persist.Snapshot, error) {
 		}
 		snap.Retrains = raw
 	}
-	// Export is safe against an in-flight background retrain (the state
-	// locks itself); whichever side of the Advance it captures is
-	// consistent with some retrain boundary, and the next Advance
-	// continues from there.
 	if snap.Incr, err = s.incrState.Export(); err != nil {
 		return nil, err
 	}
 	return snap, nil
 }
 
-// snapshotIfPending takes the snapshot a completed training pass (inline
-// or in the background) asked for. The applying goroutine calls it between
-// batches, where the cut at s.next is exact, but only cuts: encoding and
-// writing — tens of milliseconds at a few MB of state — happen on a
-// goroutine of their own, so the next batch's ack does not wait behind
-// them. While a write is in flight the request stays pending and the cut
-// moves to a later batch.
-func (s *Service) snapshotIfPending() {
-	if !s.snapPending.Load() {
-		return
-	}
+// cut snapshots the state at s.next, but only builds the snapshot:
+// encoding and writing — tens of milliseconds at a few MB of state —
+// happen on a goroutine of their own, so the next batch's ack does not
+// wait behind them. With a write still in flight it cuts nothing: the
+// previous snapshot plus a slightly longer WAL tail recovers the same
+// state, as they do when a write fails (counted, never fatal). The
+// applying goroutine cuts only where no pass is in flight: at an install,
+// before its catch-up, and with nothing applying (writeSnapshot).
+func (s *Service) cut() {
 	select {
 	case s.snapSlot <- struct{}{}:
 	default:
 		return
 	}
-	s.snapPending.Store(false)
 	t0 := time.Now()
 	snap, err := s.buildSnapshot()
 	if err != nil {
@@ -265,40 +255,27 @@ func (s *Service) snapshotIfPending() {
 		return
 	}
 	go func() {
-		s.commitSnapshot(snap, t0)
-		<-s.snapSlot
+		defer func() { <-s.snapSlot }()
+		n, err := s.store.WriteSnapshot(snap)
+		if err != nil {
+			s.m.snapshotErrors.Inc()
+		} else if n > 0 { // 0 bytes: store already abandoned (crash simulation)
+			s.m.snapshots.Inc()
+			s.m.snapshotBytes.Add(n)
+			s.m.snapshotLatency.Since(t0)
+		}
 	}()
 }
 
-// writeSnapshot snapshots the current state synchronously, after waiting
-// out a write snapshotIfPending may have in flight. For the moments no
-// event is being applied: the end of recovery, promotion, shutdown.
+// writeSnapshot waits out a write in flight, then snapshots the current
+// state and waits for that write too. For the moments no event is being
+// applied: the end of recovery, promotion, shutdown.
 func (s *Service) writeSnapshot() {
 	s.snapSlot <- struct{}{}
-	defer func() { <-s.snapSlot }()
-	t0 := time.Now()
-	snap, err := s.buildSnapshot()
-	if err != nil {
-		s.m.snapshotErrors.Inc()
-		return
-	}
-	s.commitSnapshot(snap, t0)
-}
-
-// commitSnapshot persists snap, cut at t0. Failures are counted, never
-// fatal: the previous snapshot (plus a longer WAL tail) still recovers
-// the service.
-func (s *Service) commitSnapshot(snap *persist.Snapshot, t0 time.Time) {
-	n, err := s.store.WriteSnapshot(snap)
-	if err != nil {
-		s.m.snapshotErrors.Inc()
-		return
-	}
-	if n > 0 { // 0 bytes: store already abandoned (crash simulation)
-		s.m.snapshots.Inc()
-		s.m.snapshotBytes.Add(n)
-		s.m.snapshotLatency.Since(t0)
-	}
+	<-s.snapSlot
+	s.cut()
+	s.snapSlot <- struct{}{}
+	<-s.snapSlot
 }
 
 // crash simulates abrupt process death for tests: the store discards its

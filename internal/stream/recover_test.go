@@ -21,18 +21,17 @@ import (
 	"repro/internal/raslog"
 )
 
-// durableConfig is the deterministic configuration the recovery tests
-// share: synchronous retraining (so the predictor swap lands at a fixed
-// stream position) and an oversized warnings ring (so full warning
-// histories can be compared, not just tails). Ingest returns only once
-// what its event released is fsynced, so everything sequenced before a
-// kill is durable.
+// durableConfig is the configuration the recovery tests share: a few
+// passes over a short log, and an oversized warnings ring (so full
+// warning histories can be compared, not just tails). Ingest returns
+// only once what its event released is fsynced, so everything sequenced
+// before a kill is durable; tests feeding through ingestAll install each
+// pass at a fixed stream position.
 func durableConfig(dir string) Config {
 	cfg := Defaults()
 	cfg.InitialTrain = 3 * week
 	cfg.RetrainEvery = 2 * week
 	cfg.TrainWindow = 6 * week
-	cfg.SyncRetrain = true
 	cfg.WarningsKeep = 1 << 20
 	cfg.StateDir = dir
 	return cfg
@@ -337,20 +336,24 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Service{cfg: full, repo: meta.NewRepository()}
-	s.lastFatal.Store(-1)
-	for i := range s.lastWarn {
-		s.lastWarn[i].Store(-1)
-	}
 	s.m = newMetrics(s)
+	s.pr.Store(s.newPredictor(nil))
+	// swap installs a pass that re-learned the repository's rules, as the
+	// applying goroutine does when a pass hands its predictor over.
+	swap := func() {
+		s.retraining.Store(true)
+		s.install(pass{pr: s.newPredictor(s.repo.Rules())})
+	}
 
 	// One distribution rule: more than 60 s since the last fatal warns.
+	// The fatal arrives before the first pass installs.
 	s.repo.Restore([]learner.Rule{{Kind: learner.Distribution, ElapsedSec: 60, Confidence: 0.9}})
 	const fatalAt = int64(1_000_000_000_000)
-	s.lastFatal.Store(fatalAt)
-	s.swapPredictor()
+	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatalAt}, Class: 2, Fatal: true})
+	swap()
 
 	// 70 s after the fatal: the live predictor warns, through the normal
-	// process path (which is what maintains the service's dedup mirror).
+	// process path (which is what moves its dedup marks).
 	warnAt := fatalAt + 70_000
 	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: warnAt}, Class: 1})
 	if got := s.m.warningsTotal.Value(); got != 1 {
@@ -361,7 +364,7 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 	// in. Ten seconds later — well inside the dedup interval (W_P = 300 s)
 	// and still past the elapsed threshold — the old predictor would have
 	// stayed silent; the swapped-in one must too.
-	s.swapPredictor()
+	swap()
 	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: warnAt + 10_000}, Class: 1})
 	if got := s.m.warningsTotal.Value(); got != 1 {
 		t.Fatalf("swapped-in predictor re-warned (total %d) off the pre-swap fatal; dedup state was lost across the swap", got)
@@ -375,7 +378,7 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 	// distribution rule must fire, which an unseeded clock would not.
 	fatal2 := warnAt + 290_000
 	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2}, Class: 2, Fatal: true})
-	s.swapPredictor()
+	swap()
 	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2 + 30_000}, Class: 1})
 	if got := s.m.warningsTotal.Value(); got != 1 {
 		t.Fatalf("swapped-in predictor warned 30 s after a pre-swap fatal (total %d); its clock is not at the latest fatal", got)
@@ -390,8 +393,9 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 // is exact at its cut, the reorder buffer's late-drop and forced-release
 // tallies included: they move on the goroutine that takes the cut, so
 // there is no skew to tolerate. A feed with stale events and bursts that
-// overflow a small buffer runs without pause through several inline
-// training passes (each leaves a snapshot behind) and is then killed. The
+// overflow a small buffer runs through several training passes, each
+// installed right after the batch that started it (applied) and leaving
+// a snapshot behind, and is then killed. The
 // recovered service must report the pipeline counters exactly as the
 // killed one did, and the two reorder tallies — which no WAL record
 // carries — exactly as the reference reorder buffer has them at the
@@ -428,6 +432,7 @@ func TestKillRecoverCountersExact(t *testing.T) {
 		if _, err := first.IngestBatch(ctx, batch); err != nil {
 			t.Fatal(err)
 		}
+		applied(t, first)
 		awaitSnapshotWrites(t, first, cut.seq)
 	}
 	before := settle(t, first)
@@ -482,10 +487,8 @@ func TestKillRecoverCountersExact(t *testing.T) {
 // awaitSnapshotWrites waits until the pipeline has applied the first seq
 // released events and any snapshot write it started on the way has
 // finished. Called after every batch, it keeps the snapshot slot free, so
-// each post-retrain snapshot is cut at the batch whose retrain asked for
-// it. Otherwise a write still in flight pushes the cut to a later batch
-// (by design), and on a fast enough machine the last one can slide to
-// the final batch, leaving recovery no WAL tail to replay.
+// every install cuts its snapshot; a write still in flight would make an
+// install skip its cut (by design).
 func awaitSnapshotWrites(t *testing.T, s *Service, seq int64) {
 	t.Helper()
 	waitFor(t, 30*time.Second, func() bool { return s.m.sequenced.Value() >= seq })
@@ -612,7 +615,6 @@ func TestCrashMidCoalesceDurability(t *testing.T) {
 func TestSnapshotCutDuringBackgroundRetrain(t *testing.T) {
 	l := genLog(t, 11, 8)
 	cfg := durableConfig(t.TempDir())
-	cfg.SyncRetrain = false
 	cfg.RetrainEvery = 24 * time.Hour
 	s, err := New(cfg)
 	if err != nil {

@@ -27,8 +27,10 @@
 //	    by TestPipelineMatchesBatch.
 //	  - Retraining runs in the background on a view of the append-only
 //	    history's window (policies Static / Sliding / Whole, as in the
-//	    engine) and swaps the refreshed predictor in via atomic.Pointer —
-//	    the hot observe path takes no lock and never waits on a retrain.
+//	    engine). The applying goroutine installs each finished pass
+//	    between two events and logs an install mark there, where replay
+//	    and a follower install it too. The hot observe path takes no lock
+//	    and never waits on a retrain.
 //
 // The intake queue is bounded; a busy pipeline exerts backpressure on
 // Ingest rather than buffering without limit. Close drains everything in
@@ -63,19 +65,15 @@ var ErrClosed = errors.New("stream: service closed")
 // Retry-After header. Errors arrive wrapped — test with errors.Is.
 var ErrSaturated = errors.New("stream: pipeline saturated")
 
-// errCommit marks a batch that was admitted and sequenced but whose WAL
-// commit failed or could not be confirmed (write error, fsync error,
-// store torn down mid-coalesce). The events were NOT acknowledged as
-// durable; the HTTP layer maps it to 503 and the client re-sends under
-// the resume contract — the at-least-once side of ack-implies-durable.
+// errCommit marks a batch admitted and sequenced whose WAL commit failed
+// or could not be confirmed; it was NOT acked as durable. The HTTP layer
+// maps it to 503 and the client re-sends (at-least-once).
 var errCommit = errors.New("stream: durable commit failed")
 
 // ErrStandby is returned by Ingest/IngestBatch/TrainNow on a standby
-// service (Config.Standby): a follower takes its events from the leader's
-// WAL, never from clients — accepting direct ingest would fork the
-// replicated stream. The HTTP layer maps it to 503 (the same resume
-// contract as a restarting daemon: clients back off and retry, and after
-// promotion the retry lands). Errors arrive wrapped — test with errors.Is.
+// (Config.Standby), whose events come only from the leader's WAL. The
+// HTTP layer maps it to 503: clients retry, and after promotion it lands.
+// Errors arrive wrapped — test with errors.Is.
 var ErrStandby = errors.New("stream: standby replica (not accepting ingest; promote first)")
 
 // Config parameterizes a Service. Durations are measured in *stream time*
@@ -98,10 +96,10 @@ type Config struct {
 	RetrainEvery time.Duration
 	// Meta supplies the learners and reviser; nil means meta.New().
 	Meta *meta.MetaLearner
-	// RetrainLimiter bounds concurrent *background* training passes
-	// across every service sharing it (fleet mode: thousands of tenants
-	// must not rebuild rules simultaneously). Nil means unlimited.
-	// Inline passes — SyncRetrain, WAL replay, TrainNow — bypass it.
+	// RetrainLimiter bounds concurrent training passes across every
+	// service sharing it (fleet mode: thousands of tenants must not
+	// rebuild rules simultaneously) once recovery is over. Nil means
+	// unlimited.
 	RetrainLimiter *RetrainLimiter
 
 	// Shards is ignored: filtering runs on the pipeline goroutine itself.
@@ -121,50 +119,30 @@ type Config struct {
 	// WarningsKeep is how many recent warnings GET /warnings can serve.
 	// Zero means 256.
 	WarningsKeep int
-	// AdmitWait bounds how long Ingest/IngestBatch block against a
-	// saturated pipeline before giving up with ErrSaturated. Backpressure
-	// still applies — callers wait up to this long for a queue slot — but
-	// a wedged or overdriven service sheds load in bounded time instead of
-	// holding every caller (and its request body) hostage. Zero means 30s,
-	// a library-level backstop; cmd/serve sets a much lower 2s.
+	// AdmitWait bounds how long Ingest/IngestBatch wait for a queue slot
+	// before giving up with ErrSaturated, so an overdriven service sheds
+	// load in bounded time. Zero means 30s; cmd/serve sets 2s.
 	AdmitWait time.Duration
 
-	// StateDir enables durable state — snapshots plus a write-ahead log
-	// rooted at this directory (see internal/persist and DESIGN.md §9).
-	// On New, the newest valid snapshot is loaded and the WAL tail is
-	// replayed through the pipeline before intake starts; empty disables
-	// persistence entirely.
+	// StateDir enables durable state: snapshots plus a write-ahead log in
+	// this directory (DESIGN.md §9), recovered by New before intake
+	// starts. Empty disables persistence.
 	StateDir string
 	// Standby starts the service as a hot-standby replica (DESIGN.md §14):
-	// recovery runs as usual, but the pipeline goroutine does not start and
-	// Ingest/IngestBatch refuse with ErrStandby. Events arrive instead via
-	// a Follower tailing a leader's WAL segments, applied exactly as WAL
-	// replay applies them, so the replica's state tracks the leader's.
-	// Promote() ends standby: the live pipeline starts at the replicated
-	// position. Requires StateDir (the replica keeps its own durable WAL so
-	// a promoted leader can itself recover).
+	// Ingest refuses with ErrStandby, and a Follower applies a leader's
+	// WAL as replay would until Promote starts the live pipeline there.
+	// Requires StateDir: a promoted replica recovers from its own WAL.
 	Standby bool
 	// WALRotateBytes is the WAL segment rotation size. Zero means 8 MiB.
 	WALRotateBytes int64
-	// SyncMaxWait is the WAL commit pipeline's coalescing delay
-	// (persist.Options.SyncMaxWait): how long the background syncer may
-	// linger after a batch lands so more batches join the shared fsync.
-	// Zero syncs as soon as the disk is free; coalescing still happens
-	// whenever an fsync is already in flight.
+	// SyncMaxWait is how long the WAL syncer may linger after a batch so
+	// more batches join its fsync (persist.Options.SyncMaxWait). Zero
+	// syncs as soon as the disk is free.
 	SyncMaxWait time.Duration
 	// WALSyncExec, when set, bounds this service's background WAL fsyncs
 	// under an executor shared with other services (fleet mode: many
 	// tenant stores on one disk). Nil runs fsyncs directly.
 	WALSyncExec *persist.SyncExecutor
-	// SyncRetrain runs (re)training inline on the pipeline goroutine
-	// instead of in the background. Ingestion stalls for the duration of
-	// a pass, but the predictor swap then lands at a deterministic stream
-	// position — which is what makes a crashed-and-recovered run
-	// byte-identical to an uninterrupted one (WAL replay always trains
-	// inline, so only a service that also *ran* synchronously can be
-	// reproduced exactly; an async service recovers to an equivalent
-	// state whose swap points may differ by a few events).
-	SyncRetrain bool
 }
 
 // Defaults returns the paper's parameters: 300 s filter threshold,
@@ -217,11 +195,14 @@ func (c *Config) withDefaults() (Config, error) {
 	return out, nil
 }
 
-// RetrainRecord is one background (re)training, for /stats and tests.
+// RetrainRecord is one (re)training pass, for /stats and tests.
 type RetrainRecord struct {
 	// At is the stream-time boundary (ms) the training set ends at.
 	At int64 `json:"at_ms"`
 	engine.Retraining
+	// InstalledSeq is the sequence number of the first event the pass's
+	// rules saw: where its install mark sits in the WAL.
+	InstalledSeq uint64 `json:"installed_seq,omitempty"`
 	// Err is non-empty when the pass failed (the previous rule set stays
 	// live).
 	Err string `json:"err,omitempty"`
@@ -235,23 +216,22 @@ type Service struct {
 	repo *meta.Repository
 	zer  *preprocess.Categorizer
 	// incrState maintains the windowed sufficient statistics that turn a
-	// retrain into a delta-apply. Retrains are serialized by the
-	// retraining flag, so Advance/Install never race; snapshot Export runs
-	// under the state's own lock.
+	// retrain into a delta-apply. Passes are serialized by the retraining
+	// flag, so Advance/Install never race, and a cut never runs beside one.
 	incrState *incr.State
 	// trainPass is the training call of every retrain: engine.TrainWindow,
 	// which this package's tests replace with the learners' batch pass as
 	// the reference. Set before the service applies its first event.
 	trainPass func(*meta.MetaLearner, *meta.Repository, *incr.State, []preprocess.TaggedEvent, int64, int64, learner.Params) (engine.Retraining, error)
 
-	pr        atomic.Pointer[predictor.Predictor]
-	lastFatal atomic.Int64
-	// lastWarn mirrors the live predictor's per-family dedup marks (every
-	// emitted warning passes through process), so a swapped-in predictor
-	// can be seeded without touching the old one across goroutines.
-	lastWarn [3]atomic.Int64
+	// pr is the live predictor: only the applying goroutine observes
+	// through it or replaces it. Before the first pass it has no rules and
+	// keeps the last-fatal clock the first pass is seeded from.
+	pr atomic.Pointer[predictor.Predictor]
 
-	seqCh chan ingestMsg
+	seqCh   chan ingestMsg
+	handoff chan pass       // trainer → applying goroutine; one pass at a time
+	lim     *RetrainLimiter // Config.RetrainLimiter, nil during recovery
 
 	// State of apply, owned by whichever goroutine is applying events: New
 	// during recovery, the follower while standby, the pipeline goroutine
@@ -263,14 +243,17 @@ type Service struct {
 	next     uint64 // sequence number the next released event takes
 	start    int64
 	wm       int64
+	// marks counts the install marks at position markSeq the state holds:
+	// a snapshot records them, and a follower skips them when shipped again.
+	markSeq uint64
+	marks   int
 
-	// Durable-state plumbing; nil/zero when StateDir is empty.
-	store       *persist.Store
-	replaying   bool
-	snapPending atomic.Bool
-	snapSlot    chan struct{} // capacity 1: held while a snapshot is written
-	recovery    RecoveryInfo
-	finalSnap   sync.Once
+	// Durable-state plumbing; nil/zero when StateDir is empty (and during
+	// WAL replay, which writes nothing).
+	store     *persist.Store
+	snapSlot  chan struct{} // capacity 1: held while a snapshot is written
+	recovery  RecoveryInfo
+	finalSnap sync.Once
 
 	closeMu    sync.RWMutex
 	closed     bool
@@ -291,13 +274,14 @@ type Service struct {
 	// most one runs at a time.
 	backfill backfillState
 
+	// retraining is held from a pass's start to its install: its holder
+	// owns the repository and the schedule.
 	retraining atomic.Bool
-	retrainWG  sync.WaitGroup
 
 	// m holds every counter, gauge and histogram (see metrics.go).
 	// Stats() and GET /metrics are two views over these instruments.
-	// The next-retrain gauge is special: its transitions are compound
-	// (read-check-advance) and therefore guarded by mu.
+	// The next-retrain gauge is the schedule: after the first event only
+	// the holder of the retraining flag moves it.
 	m *metrics
 
 	mu       sync.Mutex
@@ -344,14 +328,12 @@ func New(cfg Config) (*Service, error) {
 		temporal:  preprocess.NewTemporalStage(full.Filter),
 		spatial:   preprocess.NewSpatialStage(full.Filter),
 		seqCh:     make(chan ingestMsg, full.QueueLen),
+		handoff:   make(chan pass, 1),
 		start:     -1,
 		snapSlot:  make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
-	s.lastFatal.Store(-1)
-	for i := range s.lastWarn {
-		s.lastWarn[i].Store(-1)
-	}
+	s.pr.Store(s.newPredictor(nil))
 	s.m = newMetrics(s) // after the queue exists: its depth gauge reads it
 
 	if full.StateDir != "" {
@@ -363,13 +345,11 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 
+	s.lim = full.RetrainLimiter
 	if full.Standby {
-		// A standby stays in the recovery posture: replaying remains set so
-		// replicated retrains run inline at deterministic stream positions
-		// (exactly like WAL replay), and no pipeline goroutine exists until
-		// promotion. The Follower feeds applyReplicated.
+		// No pipeline goroutine exists until promotion: the Follower feeds
+		// applyReplicated, which installs each pass at the leader's mark.
 		s.standby.Store(true)
-		s.replaying = true
 		return s, nil
 	}
 	s.pipelineOn = true
@@ -416,18 +396,14 @@ func (s *Service) admit(ctx context.Context, msg ingestMsg) error {
 }
 
 // IngestBatch feeds events as one unit: the batch enters the reorder
-// buffer together, and everything it releases commits to the WAL as a
-// single frame whose fsync is shared with every other batch in flight
-// (cross-request group commit, DESIGN.md §15). With durable state on,
-// the call returns only after that covering fsync lands — a nil error
-// is an ack-implies-durable receipt for the batch's released events;
-// events the reorder buffer retained (inside the tolerance window) stay
-// in the accepted-but-buffered class exactly as before. The service
-// takes ownership of the slice; the caller must not reuse it. Returns
-// how many events were accepted — the whole batch, or zero when the
-// service is closed, ctx expires, the pipeline stays saturated past
-// Config.AdmitWait (ErrSaturated), or the commit could not be confirmed
-// (errCommit → HTTP 503; the client re-sends, at-least-once).
+// buffer together, and what it releases commits to the WAL as one frame
+// sharing its fsync with every batch in flight (DESIGN.md §15). With
+// durable state on, a nil error means the released events are durable;
+// the ones the reorder buffer keeps are accepted but buffered. The
+// service owns the slice from here. Returns the whole batch's length, or
+// zero when the service is closed, ctx expires, the pipeline stays
+// saturated past Config.AdmitWait (ErrSaturated), or the commit could
+// not be confirmed (errCommit).
 func (s *Service) IngestBatch(ctx context.Context, events []raslog.Event) (int, error) {
 	msg := ingestMsg{batch: events}
 	if s.store != nil {
@@ -482,8 +458,9 @@ func (s *Service) submit(ctx context.Context, msg ingestMsg) (int, error) {
 	return n, nil
 }
 
-// Close stops intake, drains the pipeline in order, waits for in-flight
-// retraining, and returns. Safe to call more than once.
+// Close stops intake, drains the pipeline in order, installs any pass in
+// flight, and returns. Safe to call more than once; a standby's Follower
+// must be stopped first.
 func (s *Service) Close() error {
 	s.closeMu.Lock()
 	already := s.closed
@@ -493,17 +470,23 @@ func (s *Service) Close() error {
 		close(s.seqCh)
 	}
 	s.closeMu.Unlock()
+	// A standby's pass in flight installs at the leader's mark, which a
+	// restart replays to: it is awaited, but neither installed nor cut.
+	inFlight := !pipelineOn && s.retraining.Load()
 	if pipelineOn {
 		<-s.done
+	} else if inFlight {
+		<-s.handoff
 	}
-	s.retrainWG.Wait()
 	var err error
 	if s.store != nil {
 		// Graceful shutdown snapshots the fully-drained state, so the next
 		// start replays no WAL at all. After crash() the store is dead and
 		// both calls are no-ops — that is the point of the simulation.
 		s.finalSnap.Do(func() {
-			s.writeSnapshot()
+			if !inFlight {
+				s.writeSnapshot()
+			}
 			err = s.store.Close()
 		})
 	}
@@ -528,13 +511,11 @@ type ingestMsg struct {
 }
 
 // pipeline is the service's one event-processing goroutine. Per message
-// it copies the events into the reorder buffer, appends what the buffer
-// releases to the WAL as one frame, hands the commit ticket back, and
-// only then applies the releases: WAL-before-processing holds, and the
-// fsync (asynchronous, behind the ticket) and the caller's ack overlap
-// the filter and predictor work. Applying ahead of the fsync is safe: a
-// snapshot syncs the WAL first, so no durable state can claim a sequence
-// the log might still lose.
+// it copies the events into the reorder buffer, appends what it releases
+// to the WAL as one frame, hands the commit ticket back, and only then
+// applies the releases, so the fsync overlaps the filter and predictor
+// work. A snapshot syncs the WAL first, so no durable state can claim a
+// sequence the log might still lose.
 func (s *Service) pipeline() {
 	defer close(s.done)
 	// After recovery or promotion the ordering floor continues at the
@@ -546,7 +527,25 @@ func (s *Service) pipeline() {
 	}
 	buf := newReorderBuf(s.cfg.ReorderLimit, s.cfg.ReorderWindow.Milliseconds(), floor)
 	var release []raslog.Event // this round's releases, committed together
-	for msg := range s.seqCh {
+	for {
+		// A finished pass goes live before the next batch, or when idle.
+		var msg ingestMsg
+		var ok bool
+		select {
+		case p := <-s.handoff:
+			s.install(p)
+			continue
+		default:
+		}
+		select {
+		case p := <-s.handoff:
+			s.install(p)
+			continue
+		case msg, ok = <-s.seqCh:
+		}
+		if !ok {
+			break
+		}
 		t0 := time.Now()
 		for i := range msg.batch {
 			buf.push(msg.batch[i])
@@ -564,11 +563,13 @@ func (s *Service) pipeline() {
 		s.m.seqLatency.Observe(t1.Sub(t0).Seconds())
 		s.applyBatch(release, late, overflow, buf.len(), t1)
 	}
-	// Intake closed: flush the buffer in order.
+	// Intake closed: flush the buffer in order, then install what is
+	// still training (a TrainNow that got in before Close waits on it).
 	var late int64
 	release, late, _ = buf.release(release[:0], true)
 	s.logReleases(release)
 	s.applyBatch(release, late, 0, 0, time.Now())
+	s.drain()
 }
 
 // logReleases appends one round of releases to the WAL at sequences
@@ -591,14 +592,13 @@ func (s *Service) logReleases(release []raslog.Event) persist.Ticket {
 // the instruments — per batch, not per event. t0 is when the round's
 // sequencing ended.
 func (s *Service) applyBatch(release []raslog.Event, late, overflow int64, depth int, t0 time.Time) {
-	// The reorder tallies land before the events are applied and before
-	// any snapshot below, so a snapshot's counters are exact at its cut.
+	// The reorder tallies land before the events are applied, so the
+	// counters of a snapshot an install cuts are exact at its cut.
 	s.m.lateDropped.Add(late)
 	s.m.reorderOverflow.Add(overflow)
 	for i := range release {
 		s.apply(release[i])
 	}
-	s.snapshotIfPending()
 	s.publish(len(release))
 	s.m.reorderDepth.Set(float64(depth))
 	if len(release) > 0 {
@@ -614,9 +614,7 @@ func (s *Service) apply(e raslog.Event) {
 	s.next++
 	if s.start < 0 {
 		s.start = e.Time
-		s.mu.Lock()
 		s.m.nextRetrain.Set(float64(e.Time + s.cfg.InitialTrain.Milliseconds()))
-		s.mu.Unlock()
 	}
 	if e.Time > s.wm {
 		s.wm = e.Time
@@ -628,12 +626,19 @@ func (s *Service) apply(e raslog.Event) {
 			s.process(preprocess.TaggedEvent{Event: e, Class: class, Fatal: fatal})
 		}
 	}
-	s.maybeRetrain(s.wm)
+	s.startDue()
+}
+
+// startDue starts the pass the schedule owes unless one is in flight.
+func (s *Service) startDue() {
+	if s.due() && s.retraining.CompareAndSwap(false, true) {
+		s.startPass(s.nextRetrainMs(), pass{})
+	}
 }
 
 // publish makes n applied events and the stream clock visible to everyone
-// who is not the applying goroutine (TrainNow and the background
-// trainer's catch-up read the clock here, at most one batch stale).
+// who is not the applying goroutine (TrainNow reads the clock here, at
+// most one batch stale).
 func (s *Service) publish(n int) {
 	s.m.sequenced.Add(int64(n))
 	s.m.streamStart.Set(float64(s.start))
@@ -645,20 +650,9 @@ func (s *Service) publish(n int) {
 // is loaded once per event and never locked.
 func (s *Service) process(te preprocess.TaggedEvent) {
 	s.m.processed.Inc()
-	var warns []predictor.Warning
-	if pr := s.pr.Load(); pr != nil {
-		warns = pr.Observe(te)
-	}
+	warns := s.pr.Load().Observe(te)
 	if te.Fatal {
 		s.m.fatals.Inc()
-		s.lastFatal.Store(te.Time)
-	}
-
-	for _, w := range warns {
-		// Keep the dedup mirror current (see the lastWarn field comment).
-		if i := int(w.Source); i >= 0 && i < len(s.lastWarn) && w.Time > s.lastWarn[i].Load() {
-			s.lastWarn[i].Store(w.Time)
-		}
 	}
 
 	s.mu.Lock()
@@ -700,54 +694,11 @@ func (s *Service) appendHistoryLocked(te preprocess.TaggedEvent) {
 	s.history = s.history[i:]
 }
 
-// maybeRetrain starts a training pass when the stream clock wm has
-// crossed the next boundary and none is in flight. The applying goroutine
-// passes its own clock, which makes an inline pass land at a
-// deterministic stream position; everyone else passes the published one.
-func (s *Service) maybeRetrain(wm int64) {
-	for {
-		// A lone read of the gauge is atomic; mu guards only the compound
-		// read-check-advance transitions of the schedule.
-		at := s.nextRetrainMs()
-		if at <= 0 || wm < at || !s.retraining.CompareAndSwap(false, true) {
-			return
-		}
-		snapshot, from := s.trainingView(at)
-		s.mu.Lock()
-		if s.cfg.Policy == engine.Static {
-			s.m.nextRetrain.Set(-1) // never again
-		} else {
-			s.m.nextRetrain.Set(float64(at + s.cfg.RetrainEvery.Milliseconds()))
-		}
-		s.mu.Unlock()
-		if s.cfg.SyncRetrain || s.replaying {
-			// Inline on the applying goroutine: the swap lands at a
-			// deterministic stream position. WAL replay must train inline
-			// whatever the configuration — the events that would have fed a
-			// background pass are being replayed synchronously. Then loop:
-			// the stream may already be past the next boundary too.
-			s.retrain(at, from, snapshot)
-			continue
-		}
-		s.retrainWG.Add(1)
-		go func() {
-			defer s.retrainWG.Done()
-			if lim := s.cfg.RetrainLimiter; lim != nil {
-				// Fleet mode: wait for a fleet-wide training slot off the hot
-				// path. Ingestion and prediction continue on the old rules
-				// while the pass queues; s.retraining stays set, so this
-				// service cannot stack up a second pending pass behind it.
-				lim.acquire()
-				defer lim.release()
-			}
-			s.retrain(at, from, snapshot)
-			// The stream may have crossed the next boundary while we trained
-			// (or gone idle right after); catch up instead of waiting for the
-			// next event. Any Add this makes precedes our own Done.
-			s.maybeRetrain(s.watermarkMs())
-		}()
-		return
-	}
+// due reports whether the stream clock has crossed the next training
+// boundary. Runs on the applying goroutine.
+func (s *Service) due() bool {
+	at := s.nextRetrainMs()
+	return at > 0 && s.wm >= at
 }
 
 // trainingView returns the policy's training slice ending at the
@@ -771,61 +722,142 @@ func (s *Service) trainingView(at int64) ([]preprocess.TaggedEvent, int64) {
 	return s.history[lo:hi:hi], from
 }
 
-// retrain runs one training pass (engine.TrainWindow over the snapshot)
-// and atomically swaps the refreshed predictor in; it releases the
-// retraining flag its caller took. On error the previous rule set stays
-// live. The pass advances the sufficient-statistics window by the events
-// that entered/expired since the last retrain, and the learners read the
-// maintained counters instead of re-mining the snapshot. The snapshot
-// slices differ call to call, but the stream content over any shared
-// [time) range is identical, which is all the maintained state depends on.
-func (s *Service) retrain(at, from int64, snapshot []preprocess.TaggedEvent) RetrainRecord {
-	rec := RetrainRecord{At: at}
-	rt, err := s.trainPass(s.cfg.Meta, s.repo, s.incrState, snapshot, from, at, s.cfg.Params)
-	if err != nil {
-		rec.Err = err.Error()
-		s.m.training.RecordError()
+// pass is one training pass on its way to its install.
+type pass struct {
+	rec  RetrainRecord
+	pr   *predictor.Predictor // over the pass's rules; nil when it failed
+	done chan RetrainRecord   // TrainNow's: gets the record once installed
+	prev int64                // the schedule the pass's start replaced
+}
+
+// startPass advances the schedule a cadence past `at` (a static service
+// trains once) and runs the pass over the window ending at `at`
+// (engine.TrainWindow, delta-applied) on a goroutine of its own, under
+// the retrain limiter, handing it to the applying goroutine. The caller
+// holds the retraining flag, which the install releases.
+func (s *Service) startPass(at int64, p pass) {
+	p.rec.At, p.prev = at, s.nextRetrainMs()
+	next := int64(-1)
+	if s.cfg.Policy != engine.Static {
+		next = max(p.prev, at+s.cfg.RetrainEvery.Milliseconds())
+	}
+	s.m.nextRetrain.Set(float64(next))
+	view, from := s.trainingView(at)
+	lim := s.lim
+	go func() {
+		if lim != nil {
+			lim.acquire()
+		}
+		rt, err := s.trainPass(s.cfg.Meta, s.repo, s.incrState, view, from, at, s.cfg.Params)
+		if err != nil {
+			p.rec.Err = err.Error()
+		} else {
+			p.rec.Retraining = rt
+			p.pr = s.newPredictor(s.repo.Rules())
+		}
+		if lim != nil {
+			lim.release()
+		}
+		s.handoff <- p
+	}()
+}
+
+// newPredictor builds the service's predictor over rules: one open
+// warning across the expert families, spaced at the base window even
+// under a wider W_P, as the offline engine counts.
+func (s *Service) newPredictor(rules []learner.Rule) *predictor.Predictor {
+	pr := predictor.New(rules, s.cfg.Params)
+	pr.GlobalDedup = true
+	engine.ClampDedup(pr, s.cfg.Params.WindowSec)
+	return pr
+}
+
+// install puts a finished pass into effect at s.next on the applying
+// goroutine: its predictor takes over the old one's last fatal and dedup
+// marks (TestSwapPredictorKeepsWarnSpacing), goes live, and is logged by
+// an install mark and a cut taken before anything trains again. A failed
+// pass is only recorded, a TrainNow's handing its schedule claim back.
+// Then the pass already due starts, or the retraining flag is released.
+// Reports whether p went live.
+func (s *Service) install(p pass) bool {
+	ok := p.pr != nil
+	if ok {
+		old := s.pr.Load()
+		p.pr.SeedLastFatal(old.LastFatal())
+		p.pr.SeedLastWarn(old.LastWarnTimes())
+		s.pr.Store(p.pr)
+		s.m.rules.Set(float64(len(p.pr.Rules())))
+		s.m.training.Record(p.rec.Retraining)
+		p.rec.InstalledSeq = s.next
+		s.logMark()
 	} else {
-		rec.Retraining = rt
-		s.swapPredictor()
-		s.m.training.Record(rt)
-		if s.store != nil {
-			// Ask the applying goroutine to snapshot at the end of its
-			// current (or next) batch, where the cut at s.next is exact.
-			s.snapPending.Store(true)
+		s.m.training.RecordError()
+		if p.done != nil {
+			s.m.nextRetrain.Set(float64(p.prev))
 		}
 	}
 	s.mu.Lock()
-	s.retrains = append(s.retrains, rec)
-	if s.cfg.Policy == engine.Static && err == nil {
+	s.retrains = append(s.retrains, p.rec)
+	if s.cfg.Policy == engine.Static && ok {
 		s.history = nil // a static service never trains again
 	}
 	s.mu.Unlock()
-	s.retraining.Store(false)
-	return rec
+	if ok && s.store != nil {
+		s.cut()
+	}
+	if s.due() {
+		s.startPass(s.nextRetrainMs(), pass{}) // the flag passes to it
+	} else {
+		s.retraining.Store(false)
+	}
+	if p.done != nil {
+		p.done <- p.rec
+	}
+	return ok
 }
 
-// swapPredictor builds a predictor over the repository's current rules
-// and publishes it copy-on-write; the observe path picks it up on its
-// next Load with no synchronization beyond the atomic pointer.
-func (s *Service) swapPredictor() {
-	rules := s.repo.Rules()
-	pr := predictor.New(rules, s.cfg.Params)
-	pr.GlobalDedup = true
-	// Alarm spacing stays at the base rule-generation window even when
-	// the service runs a wider prediction window, matching the offline
-	// engine's counting exactly.
-	engine.ClampDedup(pr, s.cfg.Params.WindowSec)
-	if lf := s.lastFatal.Load(); lf >= 0 {
-		pr.SeedLastFatal(lf)
+// logMark counts an install mark at s.next and writes it to the WAL.
+func (s *Service) logMark() {
+	if s.markSeq != s.next {
+		s.markSeq, s.marks = s.next, 0
 	}
-	// Seed the dedup marks from the service-level mirror, not from the old
-	// predictor (which the pipeline may be mutating concurrently). Without
-	// this, seeding lastFatal alone re-arms the distribution expert and it
-	// re-warns off the pre-swap fatal — TestSwapPredictorKeepsWarnSpacing.
-	pr.SeedLastWarn([3]int64{s.lastWarn[0].Load(), s.lastWarn[1].Load(), s.lastWarn[2].Load()})
-	s.pr.Store(pr)
-	s.m.rules.Set(float64(len(rules)))
+	s.marks++
+	if s.store == nil {
+		return
+	}
+	if n, err := s.store.AppendMark(s.next); err != nil {
+		s.m.walErrors.Inc()
+	} else {
+		s.m.walBytes.Add(int64(n))
+	}
+}
+
+// marksAt counts the marks at s.next the state holds.
+func (s *Service) marksAt() int {
+	if s.markSeq != s.next {
+		return 0
+	}
+	return s.marks
+}
+
+// applyMark installs, at a mark read from the log, the pass started but
+// not installed (after recording a failed one ahead of it). With nothing
+// started (a TrainNow's mark) the mark is only counted and logged.
+func (s *Service) applyMark() {
+	for s.retraining.Load() {
+		if s.install(<-s.handoff) {
+			return
+		}
+	}
+	s.logMark()
+}
+
+// drain installs every pass in flight at s.next, with its mark: at the
+// end of intake or of replay, at promotion and at shutdown.
+func (s *Service) drain() {
+	for s.retraining.Load() {
+		s.install(<-s.handoff)
+	}
 }
 
 // ErrNoEvents is returned by TrainNow before the first event has been
@@ -833,53 +865,43 @@ func (s *Service) swapPredictor() {
 // schedule against.
 var ErrNoEvents = errors.New("stream: no events observed yet; nothing to train on")
 
-// TrainNow runs a synchronous training pass over the accumulated history
-// up to the current watermark and swaps the result in. It is the manual
-// override of the stream-time schedule (exposed as POST /retrain): a
-// successful pass counts against the schedule, so the next automatic
-// training happens one full cadence later instead of re-firing on
-// near-identical data.
+// TrainNow runs a training pass over the history up to the current
+// watermark and returns once it is installed. It is the manual override
+// of the stream-time schedule (POST /retrain): a successful pass counts
+// against the schedule, so the next automatic one comes a full cadence
+// later. Nothing in the WAL says when it started, so neither a follower
+// nor a replay without a later snapshot reproduces it.
 func (s *Service) TrainNow() (RetrainRecord, error) {
-	if s.standby.Load() {
-		return RetrainRecord{}, ErrStandby
+	done := make(chan RetrainRecord, 1)
+	if err := s.startNow(done); err != nil {
+		return RetrainRecord{}, err
 	}
-	if s.streamStartMs() < 0 {
-		return RetrainRecord{}, ErrNoEvents
-	}
-	if !s.retraining.CompareAndSwap(false, true) {
-		return RetrainRecord{}, errors.New("stream: retraining already in flight")
-	}
-	at := s.watermarkMs() + 1
-	// Claim the schedule before training, exactly like maybeRetrain: the
-	// catch-up below must not see a stale boundary and immediately
-	// re-fire the scheduled pass on the data we just used.
-	s.mu.Lock()
-	prev := s.nextRetrainMs()
-	next := prev
-	if s.cfg.Policy == engine.Static {
-		next = -1 // a static service trains once; this was it
-	} else if t := at + s.cfg.RetrainEvery.Milliseconds(); t > next {
-		next = t
-	}
-	s.m.nextRetrain.Set(float64(next))
-	s.mu.Unlock()
-	snapshot, from := s.trainingView(at)
-	s.retrainWG.Add(1)
-	defer s.retrainWG.Done()
-	rec := s.retrain(at, from, snapshot)
+	rec := <-done
 	if rec.Err != "" {
-		// The pass failed: hand the schedule back (unless a concurrent
-		// scheduled pass moved it in the meantime).
-		s.mu.Lock()
-		if s.nextRetrainMs() == next {
-			s.m.nextRetrain.Set(float64(prev))
-		}
-		s.mu.Unlock()
 		return rec, errors.New(rec.Err)
 	}
-	// The scheduled boundary may have been crossed meanwhile.
-	s.maybeRetrain(s.watermarkMs())
 	return rec, nil
+}
+
+// startNow starts TrainNow's pass, which claims the schedule, so the
+// install's catch-up does not re-fire on the same data. The read lock
+// keeps Close from ending the pipeline before the install TrainNow
+// waits for.
+func (s *Service) startNow(done chan RetrainRecord) error {
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	switch {
+	case s.closed:
+		return ErrClosed
+	case s.standby.Load():
+		return ErrStandby
+	case s.streamStartMs() < 0:
+		return ErrNoEvents
+	case !s.retraining.CompareAndSwap(false, true):
+		return errors.New("stream: retraining already in flight")
+	}
+	s.startPass(s.watermarkMs()+1, pass{done: done})
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -901,13 +923,7 @@ func (s *Service) Warnings(n int) []predictor.Warning {
 }
 
 // Rules returns the live predictor's rule set (nil before first training).
-func (s *Service) Rules() []learner.Rule {
-	pr := s.pr.Load()
-	if pr == nil {
-		return nil
-	}
-	return pr.Rules()
-}
+func (s *Service) Rules() []learner.Rule { return s.pr.Load().Rules() }
 
 // QueueDepths reports the instantaneous occupancy of the intake queue
 // (admitted messages awaiting the pipeline goroutine) and of the reorder

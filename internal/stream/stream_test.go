@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,12 +30,40 @@ func genLog(t testing.TB, seed uint64, weeks int) *raslog.Log {
 	return l
 }
 
+// ingestAll feeds l one event at a time, waiting after each until it is
+// applied. A training pass then installs right after the event whose
+// release crossed its boundary, however long it trains, so two services
+// fed this way install every pass at the same stream position.
 func ingestAll(t testing.TB, s *Service, l *raslog.Log) {
 	t.Helper()
 	ctx := context.Background()
 	for _, e := range l.Events {
 		if err := s.Ingest(ctx, e); err != nil {
 			t.Fatal(err)
+		}
+		applied(t, s)
+	}
+}
+
+// applied waits until the pipeline has applied every batch handed to it
+// and no training pass is in flight (a pass a batch started holds the
+// retraining flag from before the batch is published to its install).
+func applied(t testing.TB, s *Service) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for spins := 0; ; spins++ {
+		// applyBatch sets the depth gauge last, so read it first.
+		depth := int64(s.m.reorderDepth.Value())
+		if depth+s.m.sequenced.Value()+s.m.lateDropped.Value() == s.m.ingested.Value() && !s.retraining.Load() {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("pipeline did not apply its intake in time")
+		}
+		if spins < 1000 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

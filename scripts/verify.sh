@@ -112,6 +112,23 @@ echo "== kill-and-recover counters (-race -count=10)"
 # Repeated because its snapshot cut depends on goroutine timing: the test
 # must hold on any machine speed, not only on the one it was written on.
 go test -race -count=10 -run '^TestKillRecoverCountersExact$' ./internal/stream
+echo "== install hand-off gate (-race -count=10)"
+# A finished training pass goes live on the applying goroutine at a
+# position the WAL records as an install mark (DESIGN.md §9), with
+# training in the background as the daemon runs it. The hand-off pins
+# repeat under the race detector, because it interleaves differently on
+# every run: the one-state-machine oracle with a stalled live trainer
+# (replay and follower install at its marks), a snapshot cut while a
+# pass is in flight, TrainNow racing Close, recovery from an install's
+# cut, a leader restarted with a pass in flight behind a follower, and a
+# replica restarted with one. The persist side of the mark runs once: a
+# mark on a rotation boundary, a new segment restating the marks at its
+# start, Replay skipping marks, CopySegment -> DecodeFrames keeping them
+# in place, the decoder's fuzz seeds, and replay from past retained
+# segments.
+run_selected -count=10 'TestOneStateMachineOracle|TestSnapshotCutNeverCapturesAPassInFlight|TestTrainNowRacingCloseReturns|TestRecoveryFromAnInstallCut|TestFollowerReadsMarksThatEndASegment|TestStandbyRestartWithPassInFlight' \
+    ./internal/stream
+run_selected 'InstallMark|RestatesMarks|FuzzDecodeFrames|ReplayFromPastRetainedSegments' ./internal/persist
 echo "== overload-path gate (-race -count=1)"
 # The saturation pins re-proven fresh every run: bounded-time 429s with
 # no admitted event dropped or reordered (stream), warnings served off
