@@ -31,6 +31,7 @@ var exportAllowlist = map[string]string{
 	"internal/persist.Store.Followers":                   "test reference: TestFollowerTTLExpiry reads the registered follower acks",
 	"internal/preprocess.Catalog.FatalIDs":               "test reference: the catalog and generator tests enumerate the fatal classes through it",
 	"internal/preprocess.IncrementalFilter.ResidentKeys": "test reference: TestIncrementalBoundedState bounds the filter's resident keys",
+	"internal/raslog.HintMisses":                         "test reference: TestDaemonPathsStampEvents pins that no daemon path falls back to a lookup",
 	"internal/raslog.Log.WeekSlice":                      "test reference: stream tests feed the log a week per batch",
 	"internal/raslog.Log.CountByFacility":                "test reference: TestSDSCHasNoMonitorEvents counts facilities through it",
 	"internal/stream.Service.Ingest":                     "test reference: the one-event IngestBatch the stream tests feed through",

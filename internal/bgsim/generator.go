@@ -43,11 +43,13 @@ type Generator struct {
 
 	// Interned location strings: the raw log repeats a small set of
 	// locations millions of times, so formatting them once keeps the
-	// duplicate-emission hot path allocation-free.
-	chipLoc    []string   // by global chip index
-	nodeLoc    [][]string // [midplane][node card]
-	serviceLoc []string   // by midplane
-	linkLoc    [][]string // [midplane][link]
+	// duplicate-emission hot path allocation-free, and naming them in the
+	// process vocabulary once lets every event carry its hints.
+	chipLoc    []place      // by global chip index
+	nodeLoc    [][]place    // [midplane][node card]
+	serviceLoc []place      // by midplane
+	linkLoc    [][]place    // [midplane][link]
+	entrySym   []raslog.Sym // by class ID
 
 	pending  []raslog.Event
 	nextID   int64
@@ -135,27 +137,43 @@ func NewGenerator(cfg *Config) (*Generator, error) {
 	return g, nil
 }
 
-// internLocations precomputes every location string the topology can emit.
+// place is a location string with its vocabulary Sym.
+type place struct {
+	name string
+	sym  raslog.Sym
+}
+
+func newPlace(name string) place {
+	name, id := raslog.Intern(name)
+	return place{name, id}
+}
+
+// internLocations precomputes every location string the topology can
+// emit, and the Sym of every class's entry.
 func (g *Generator) internLocations() {
 	topo := g.cfg.Topo
-	g.chipLoc = make([]string, topo.ComputeNodes())
+	g.chipLoc = make([]place, topo.ComputeNodes())
 	for i := range g.chipLoc {
-		g.chipLoc[i] = topo.ChipLocation(i)
+		g.chipLoc[i] = newPlace(topo.ChipLocation(i))
 	}
 	mids := topo.Midplanes()
-	g.nodeLoc = make([][]string, mids)
-	g.serviceLoc = make([]string, mids)
-	g.linkLoc = make([][]string, mids)
+	g.nodeLoc = make([][]place, mids)
+	g.serviceLoc = make([]place, mids)
+	g.linkLoc = make([][]place, mids)
 	for m := 0; m < mids; m++ {
-		g.nodeLoc[m] = make([]string, NodeCardsPerMidplane)
+		g.nodeLoc[m] = make([]place, NodeCardsPerMidplane)
 		for n := range g.nodeLoc[m] {
-			g.nodeLoc[m][n] = topo.NodeCardLocation(m, n)
+			g.nodeLoc[m][n] = newPlace(topo.NodeCardLocation(m, n))
 		}
-		g.serviceLoc[m] = topo.ServiceCardLocation(m)
-		g.linkLoc[m] = make([]string, 4)
+		g.serviceLoc[m] = newPlace(topo.ServiceCardLocation(m))
+		g.linkLoc[m] = make([]place, 4)
 		for l := range g.linkLoc[m] {
-			g.linkLoc[m][l] = topo.LinkCardLocation(m, l)
+			g.linkLoc[m][l] = newPlace(topo.LinkCardLocation(m, l))
 		}
+	}
+	g.entrySym = make([]raslog.Sym, g.cat.Len())
+	for _, cl := range g.cat.Classes() {
+		_, g.entrySym[cl.ID] = raslog.Intern(cl.Entry)
 	}
 }
 
@@ -650,7 +668,7 @@ func (g *Generator) genEpisode(t int64, class int) {
 
 // placeEvent decides location, location kind and job for a logical event
 // of the given facility.
-func (g *Generator) placeEvent(fac raslog.Facility, t int64) (string, locKind, Job) {
+func (g *Generator) placeEvent(fac raslog.Facility, t int64) (place, locKind, Job) {
 	switch fac {
 	case raslog.App:
 		j := g.jobs.at(t)
@@ -673,7 +691,7 @@ func (g *Generator) placeEvent(fac raslog.Facility, t int64) (string, locKind, J
 }
 
 // altLocation re-draws a location of the same kind for a spatial duplicate.
-func (g *Generator) altLocation(kind locKind, job Job) string {
+func (g *Generator) altLocation(kind locKind, job Job) place {
 	switch kind {
 	case locChipOfJob:
 		if job.ID != 0 {
@@ -695,7 +713,7 @@ func (g *Generator) altLocation(kind locKind, job Job) string {
 
 // emitLogical appends the base event for a class plus its duplicate copies
 // per the facility's DupProfile.
-func (g *Generator) emitLogical(class int, t int64, loc string, kind locKind, job Job) {
+func (g *Generator) emitLogical(class int, t int64, loc place, kind locKind, job Job) {
 	if t < g.cfg.Start {
 		t = g.cfg.Start
 	}
@@ -704,8 +722,10 @@ func (g *Generator) emitLogical(class int, t int64, loc string, kind locKind, jo
 		Type:     "RAS",
 		Time:     t,
 		JobID:    job.ID,
-		Location: loc,
+		Location: loc.name,
 		Entry:    cl.Entry,
+		LocHint:  loc.sym,
+		EntHint:  g.entrySym[class],
 		Facility: cl.Facility,
 		Severity: cl.Severity,
 	}
@@ -726,7 +746,8 @@ func (g *Generator) emitLogical(class int, t int64, loc string, kind locKind, jo
 			copyEv.Time = t + 10_000 + int64(u*u*590_000)
 		}
 		if g.rng.Bool(dup.SpatialFrac) {
-			copyEv.Location = g.altLocation(kind, job)
+			alt := g.altLocation(kind, job)
+			copyEv.Location, copyEv.LocHint = alt.name, alt.sym
 		}
 		g.pending = append(g.pending, copyEv)
 	}

@@ -132,11 +132,11 @@ func TestAppendBatchOnPreBatchDirectory(t *testing.T) {
 
 	// A two-event frame and a one-event frame, appended after the
 	// pre-batch records in the same segment chain.
-	extra := []raslog.Event{
+	extra := stamped([]raslog.Event{
 		{RecordID: 11, Type: "RAS", Time: 1136074600000, JobID: 9, Location: "R00-M1-N8-C:J05-U11", Entry: "ciod: Error reading message prefix", Facility: raslog.App, Severity: raslog.Failure},
 		{RecordID: 12, Type: "RAS", Time: 1136074601000, JobID: 0, Location: "R23-M1-NC-I:J18-U11", Entry: "link fault", Facility: raslog.LinkCard, Severity: raslog.Warning},
 		{RecordID: 13, Type: "RAS", Time: 1136074602000, JobID: 9, Location: "R00-M1-N8-C:J05-U11", Entry: "rts panic", Facility: raslog.Kernel, Severity: raslog.Fatal},
-	}
+	})
 	if _, _, err := st.AppendBatch(next, extra[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestOneEventFramesMatchPreBatchFixture(t *testing.T) {
 // genFixtureEvents returns the events testdata/prebatch's WAL holds.
 func genFixtureEvents() []raslog.Event {
 	base := int64(1136073600000) // 2006-01-01 00:00:00 UTC
-	return []raslog.Event{
+	return stamped([]raslog.Event{
 		{RecordID: 1, Type: "RAS", Time: base, JobID: 7, Location: "R01-M0-N4-C:J12-U01", Entry: "ddr error", Facility: raslog.Kernel, Severity: raslog.Error},
 		{RecordID: 2, Type: "RAS", Time: base + 1000, JobID: 7, Location: "R01-M0-N4-C:J12-U01", Entry: "ddr error", Facility: raslog.Kernel, Severity: raslog.Error},
 		{RecordID: 3, Type: "RAS", Time: base + 2000, JobID: 0, Location: "R23-M1-NC-I:J18-U11", Entry: "link fault", Facility: raslog.LinkCard, Severity: raslog.Warning},
@@ -329,5 +329,14 @@ func genFixtureEvents() []raslog.Event {
 		{RecordID: 8, Type: "RAS", Time: base + 801000, JobID: 9, Location: "R00-M1-N8-C:J05-U11", Entry: "", Facility: raslog.App, Severity: raslog.Info},
 		{RecordID: 9, Type: "RAS", Time: base + 802000, JobID: 0, Location: "", Entry: "power module status fault", Facility: raslog.Monitor, Severity: raslog.Failure},
 		{RecordID: 10, Type: "RAS", Time: base + 900000, JobID: 9, Location: "R00-M1-N8-C:J05-U11", Entry: "ciod: LOGIN chdir failed", Facility: raslog.App, Severity: raslog.Failure},
+	})
+}
+
+// stamped stamps hand-built events like every decoder stamps the ones it
+// makes, so comparing them with replayed events checks the hints too.
+func stamped(events []raslog.Event) []raslog.Event {
+	for i := range events {
+		events[i].Stamp()
 	}
+	return events
 }

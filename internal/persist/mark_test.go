@@ -306,14 +306,16 @@ func transfer(frames ...int) []byte {
 // FuzzDecodeFrames feeds the follower's decoder arbitrary bytes. Marks
 // and events must arrive in frame order — each mark carries the sequence
 // of the event after it — the returned sequence must be from plus the
-// events delivered, and a stream that decodes must decode to a prefix of
-// itself, without error, when its tail is torn off.
+// events delivered, every event delivered must hold valid enums and
+// hints that name its fields, and a stream that decodes must decode to a
+// prefix of itself, without error, when its tail is torn off.
 func FuzzDecodeFrames(f *testing.F) {
 	mid := transfer(2, -1, 3, -1, -1, 1)
 	f.Add(mid, uint64(0))
 	f.Add(transfer(4, 1, -1), uint64(7))
 	f.Add(mid[:len(mid)-5], uint64(3))
 	f.Add([]byte{}, uint64(0))
+	f.Add(appendFrame(nil, rawEvent(257, 0)), uint64(0)) // would wrap to BGLMASTER
 	f.Fuzz(func(t *testing.T, data []byte, from uint64) {
 		decode := func(data []byte) ([]frameItem, uint64, error) {
 			var got []frameItem
@@ -321,6 +323,12 @@ func FuzzDecodeFrames(f *testing.F) {
 			next, err := DecodeFrames(bytes.NewReader(data), from, func(seq uint64, e raslog.Event) error {
 				if seq != from+n {
 					t.Fatalf("event at %d, want %d", seq, from+n)
+				}
+				if !e.Facility.Valid() || !e.Severity.Valid() {
+					t.Fatalf("event at %d decoded with facility %d, severity %d", seq, e.Facility, e.Severity)
+				}
+				if e.LocHint.String() != e.Location || e.EntHint.String() != e.Entry {
+					t.Fatalf("event at %d decoded with hints that do not name its fields", seq)
 				}
 				n++
 				got = append(got, frameItem{seq: seq})

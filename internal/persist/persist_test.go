@@ -17,8 +17,10 @@ import (
 	"repro/internal/stats"
 )
 
+// testEvent is stamped like every decoded event, so comparing it with a
+// replayed one checks the decoder's hints too.
 func testEvent(i int) raslog.Event {
-	return raslog.Event{
+	e := raslog.Event{
 		RecordID: int64(i),
 		Time:     1_000_000_000_000 + int64(i)*1234 + 7, // ms resolution on purpose
 		JobID:    int64(i%5) - 1,                        // includes -1 (zigzag path)
@@ -28,6 +30,8 @@ func testEvent(i int) raslog.Event {
 		Location: "R" + string(rune('A'+i%3)) + "-M0-N4",
 		Entry:    "machine check interrupt … unit é" + strings.Repeat("x", i%17),
 	}
+	e.Stamp()
+	return e
 }
 
 func TestEventFrameRoundTrip(t *testing.T) {

@@ -204,6 +204,7 @@ func DecodeFrames(r io.Reader, from uint64, fn func(seq uint64, e raslog.Event) 
 // delivery stopped).
 func scanFrames(r *bufio.Reader, firstSeq, from uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, error) {
 	seq := firstSeq
+	in := raslog.NewInterner()
 	for {
 		payload, err := readFrame(r)
 		if err == io.EOF || errors.Is(err, errTorn) {
@@ -217,7 +218,7 @@ func scanFrames(r *bufio.Reader, firstSeq, from uint64, fn func(seq uint64, e ra
 				return seq, err
 			}
 		}
-		d := eventDecoder{buf: payload}
+		d := eventDecoder{buf: payload, in: in}
 		for len(d.buf) > 0 {
 			e, derr := d.event()
 			if derr != nil {

@@ -315,5 +315,10 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 	if err := json.Unmarshal(payload, &s); err != nil {
 		return nil, err
 	}
+	// The JSON holds no hints: stamp the history, which also swaps each
+	// event's freshly decoded strings for the vocabulary's copies.
+	for i := range s.History {
+		s.History[i].Stamp()
+	}
 	return &s, nil
 }

@@ -93,8 +93,12 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// eventDecoder decodes events through in, so a replayed event carries the
+// vocabulary's strings and hints and a string seen before costs no
+// allocation.
 type eventDecoder struct {
 	buf []byte
+	in  *raslog.Interner
 	err error
 }
 
@@ -124,18 +128,31 @@ func (d *eventDecoder) uvarint() uint64 {
 	return v
 }
 
-func (d *eventDecoder) str() string {
+// enum decodes a Facility or Severity value, which must be below n: a
+// larger one would wrap in the int8 the event stores it in.
+func (d *eventDecoder) enum(n int, what string) int8 {
+	v := d.uvarint()
+	if d.err == nil && v >= uint64(n) {
+		d.err = fmt.Errorf("persist: %s %d out of range in event record", what, v)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int8(v)
+}
+
+func (d *eventDecoder) str() (string, raslog.Sym) {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return "", 0
 	}
 	if n > uint64(len(d.buf)) {
 		d.err = errors.New("persist: truncated string in event record")
-		return ""
+		return "", 0
 	}
-	s := string(d.buf[:n])
+	s, id := d.in.Intern(d.buf[:n])
 	d.buf = d.buf[n:]
-	return s
+	return s, id
 }
 
 // event decodes one event from the front of the buffer. A frame payload
@@ -146,16 +163,16 @@ func (d *eventDecoder) event() (raslog.Event, error) {
 	e.RecordID = d.varint()
 	e.Time = d.varint()
 	e.JobID = d.varint()
-	e.Facility = raslog.Facility(d.uvarint())
-	e.Severity = raslog.Severity(d.uvarint())
-	e.Type = d.str()
-	e.Location = d.str()
-	e.Entry = d.str()
+	e.Facility = raslog.Facility(d.enum(int(raslog.NumFacilities), "facility"))
+	e.Severity = raslog.Severity(d.enum(int(raslog.NumSeverities), "severity"))
+	e.Type, _ = d.str()
+	e.Location, e.LocHint = d.str()
+	e.Entry, e.EntHint = d.str()
 	return e, d.err
 }
 
 func decodeEvent(b []byte) (raslog.Event, error) {
-	d := eventDecoder{buf: b}
+	d := eventDecoder{buf: b, in: raslog.NewInterner()}
 	e, err := d.event()
 	if err == nil && len(d.buf) != 0 {
 		err = errors.New("persist: trailing bytes in event record")
@@ -232,6 +249,7 @@ func replaySegment(path string, firstSeq, from, stop uint64, fn func(seq uint64,
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
+	in := raslog.NewInterner()
 	seq, tail := firstSeq, 0
 	for {
 		payload, err := readFrame(r)
@@ -257,7 +275,7 @@ func replaySegment(path string, firstSeq, from, stop uint64, fn func(seq uint64,
 		// A frame holds a batch's events back to back (AppendBatch); a
 		// single-record frame is the degenerate batch, so pre-batch
 		// segments decode identically.
-		d := eventDecoder{buf: payload}
+		d := eventDecoder{buf: payload, in: in}
 		for len(d.buf) > 0 && seq < stop {
 			e, derr := d.event()
 			if derr != nil {

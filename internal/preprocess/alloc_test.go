@@ -7,9 +7,8 @@ import (
 )
 
 // TestStageObserveAllocBudget pins the filter stages' steady-state cost:
-// once a key's vocabulary is interned, Observe must not allocate (the
-// int-keyed tables update in place; map growth is amortized away by the
-// warm-up pass).
+// for stamped events, Observe must not allocate (the Sym-keyed tables
+// update in place; map growth is amortized away by the warm-up pass).
 func TestStageObserveAllocBudget(t *testing.T) {
 	f := Filter{Threshold: 300}
 	temporal := NewTemporalStage(f)
@@ -19,9 +18,10 @@ func TestStageObserveAllocBudget(t *testing.T) {
 		{Time: 0, JobID: 7, Location: "R01-M0-N5", Entry: "ddr error"},
 		{Time: 0, JobID: 3, Location: "R02-M1-N0", Entry: "link fault"},
 	}
-	for _, e := range events { // warm: intern the vocabulary, insert the keys
-		temporal.Observe(e)
-		spatial.Observe(e)
+	for i := range events { // warm: stamp as a decoder would, insert the keys
+		events[i].Stamp()
+		temporal.Observe(events[i])
+		spatial.Observe(events[i])
 	}
 	now := int64(1000)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -38,9 +38,9 @@ func TestStageObserveAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStageExportRoundTripInterned pins that Export resolves interned IDs
-// back to the original strings and Restore re-interns them, across a
-// fresh stage (the recovery path: IDs are never persisted).
+// TestStageExportRoundTripInterned pins that Export resolves Syms back to
+// the original strings and Restore interns them again, across a fresh
+// stage (the recovery path: Syms are never persisted).
 func TestStageExportRoundTripInterned(t *testing.T) {
 	f := Filter{Threshold: 300, Sliding: true}
 	temporal := NewTemporalStage(f)

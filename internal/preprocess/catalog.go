@@ -137,9 +137,10 @@ type Catalog struct {
 	byKey   map[catKey]int
 }
 
+// catKey keys a class on its entry's vocabulary Sym (see raslog.Sym).
 type catKey struct {
+	entry raslog.Sym
 	fac   raslog.Facility
-	entry string
 }
 
 // NewCatalog builds the standard Blue Gene/L catalog, reproducing the class
@@ -204,7 +205,9 @@ func lower(s string) string {
 
 func (c *Catalog) add(cl Class) {
 	cl.ID = len(c.classes)
-	key := catKey{cl.Facility, cl.Entry}
+	var entry raslog.Sym
+	cl.Entry, entry = raslog.Intern(cl.Entry)
+	key := catKey{entry, cl.Facility}
 	if _, dup := c.byKey[key]; dup {
 		panic(fmt.Sprintf("preprocess: duplicate catalog entry %v %q", cl.Facility, cl.Entry))
 	}
@@ -223,9 +226,10 @@ func (c *Catalog) Class(id int) Class { return c.classes[id] }
 // as read-only.
 func (c *Catalog) Classes() []Class { return c.classes }
 
-// Lookup finds the class for a (facility, entry-data) pair.
-func (c *Catalog) Lookup(fac raslog.Facility, entry string) (Class, bool) {
-	id, ok := c.byKey[catKey{fac, entry}]
+// Lookup finds the class for a (facility, entry-data) pair, the entry
+// named by its vocabulary Sym (raslog.Event.Ent).
+func (c *Catalog) Lookup(fac raslog.Facility, entry raslog.Sym) (Class, bool) {
+	id, ok := c.byKey[catKey{entry, fac}]
 	if !ok {
 		return Class{}, false
 	}

@@ -54,7 +54,7 @@ func TestCatalogEntriesUniquePerFacility(t *testing.T) {
 	c := NewCatalog()
 	seen := make(map[catKey]bool)
 	for _, cl := range c.Classes() {
-		k := catKey{cl.Facility, cl.Entry}
+		k := catKey{sym(cl.Entry), cl.Facility}
 		if seen[k] {
 			t.Errorf("duplicate entry %v %q", cl.Facility, cl.Entry)
 		}
@@ -64,18 +64,18 @@ func TestCatalogEntriesUniquePerFacility(t *testing.T) {
 
 func TestCatalogLookup(t *testing.T) {
 	c := NewCatalog()
-	cl, ok := c.Lookup(raslog.Kernel, "uncorrectable torus error")
+	cl, ok := c.Lookup(raslog.Kernel, sym("uncorrectable torus error"))
 	if !ok {
 		t.Fatal("paper example entry missing from catalog")
 	}
 	if !cl.Fatal || cl.Facility != raslog.Kernel {
 		t.Errorf("unexpected class %+v", cl)
 	}
-	if _, ok := c.Lookup(raslog.Kernel, "no such entry"); ok {
+	if _, ok := c.Lookup(raslog.Kernel, sym("no such entry")); ok {
 		t.Error("Lookup invented a class")
 	}
 	// Same entry under another facility must not match.
-	if _, ok := c.Lookup(raslog.App, "uncorrectable torus error"); ok {
+	if _, ok := c.Lookup(raslog.App, sym("uncorrectable torus error")); ok {
 		t.Error("Lookup ignored facility")
 	}
 }

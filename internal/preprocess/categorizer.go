@@ -38,7 +38,7 @@ func (z *Categorizer) Catalog() *Catalog { return z.cat }
 // present in the catalog fall back to a synthetic per-(facility, severity)
 // class and to the recorded severity's fatality.
 func (z *Categorizer) Categorize(e raslog.Event) (class int, fatal bool) {
-	if cl, ok := z.cat.Lookup(e.Facility, e.Entry); ok {
+	if cl, ok := z.cat.Lookup(e.Facility, e.Ent()); ok {
 		if z.TrustSeverity {
 			return cl.ID, cl.Severity.IsFatal()
 		}

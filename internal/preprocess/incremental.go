@@ -31,19 +31,17 @@ const sweepInterval = 8192
 type TemporalStage struct {
 	thresholdMs int64
 	sliding     bool
-	// syms interns the key strings once; last then keys on a pointer-free
-	// struct the GC never scans (see symTable).
-	syms             *symTable
-	locMemo, entMemo symMemo
-	last             map[tempIKey]int64
-	sinceSweep       int
+	// last keys on the events' vocabulary Syms (raslog.Sym): a
+	// pointer-free struct the GC never scans.
+	last       map[tempIKey]int64
+	sinceSweep int
 }
 
 // tempIKey is the interned form of the temporal key
 // (location, job, entry).
 type tempIKey struct {
-	loc   uint32
-	entry uint32
+	loc   raslog.Sym
+	entry raslog.Sym
 	jobID int64
 }
 
@@ -53,7 +51,6 @@ func NewTemporalStage(f Filter) *TemporalStage {
 	return &TemporalStage{
 		thresholdMs: f.Threshold * 1000,
 		sliding:     f.Sliding,
-		syms:        newSymTable(),
 		last:        make(map[tempIKey]int64, 256),
 	}
 }
@@ -65,7 +62,7 @@ func (t *TemporalStage) Observe(e raslog.Event) bool {
 		return true
 	}
 	t.maybeSweep(e.Time)
-	k := tempIKey{loc: t.syms.idAt(&t.locMemo, e.Location), entry: t.syms.idAt(&t.entMemo, e.Entry), jobID: e.JobID}
+	k := tempIKey{loc: e.Loc(), entry: e.Ent(), jobID: e.JobID}
 	if last, seen := t.last[k]; seen && e.Time-last <= t.thresholdMs {
 		if t.sliding {
 			t.last[k] = e.Time
@@ -98,23 +95,21 @@ func (t *TemporalStage) maybeSweep(now int64) {
 // Threshold. Its state is global, so exactly one instance must see the
 // merged, time-ordered survivor stream of the temporal stage.
 type SpatialStage struct {
-	thresholdMs      int64
-	sliding          bool
-	syms             *symTable
-	locMemo, entMemo symMemo
-	last             map[spatIKey]spatState
-	sinceSweep       int
+	thresholdMs int64
+	sliding     bool
+	last        map[spatIKey]spatState
+	sinceSweep  int
 }
 
 // spatIKey is the interned form of the spatial key (job, entry).
 type spatIKey struct {
-	entry uint32
+	entry raslog.Sym
 	jobID int64
 }
 
 type spatState struct {
 	time int64
-	loc  uint32
+	loc  raslog.Sym
 }
 
 // NewSpatialStage returns a streaming spatial compressor with the filter's
@@ -123,7 +118,6 @@ func NewSpatialStage(f Filter) *SpatialStage {
 	return &SpatialStage{
 		thresholdMs: f.Threshold * 1000,
 		sliding:     f.Sliding,
-		syms:        newSymTable(),
 		last:        make(map[spatIKey]spatState, 256),
 	}
 }
@@ -135,8 +129,8 @@ func (s *SpatialStage) Observe(e raslog.Event) bool {
 		return true
 	}
 	s.maybeSweep(e.Time)
-	k := spatIKey{entry: s.syms.idAt(&s.entMemo, e.Entry), jobID: e.JobID}
-	loc := s.syms.idAt(&s.locMemo, e.Location)
+	k := spatIKey{entry: e.Ent(), jobID: e.JobID}
+	loc := e.Loc()
 	if st, seen := s.last[k]; seen && e.Time-st.time <= s.thresholdMs && st.loc != loc {
 		if s.sliding {
 			s.last[k] = spatState{e.Time, st.loc}

@@ -165,8 +165,8 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 
 // TestIncrementalEquivalenceEmptyFields holds the stages to the oracle on
 // a stream that opens with an empty Location and Entry and keeps
-// repeating them: the stages' last-lookup memos must tell "" apart from
-// a memo that holds nothing yet.
+// repeating them: "" is the vocabulary's Sym 0, the value a zero hint
+// holds, and must key like any other string.
 func TestIncrementalEquivalenceEmptyFields(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -1,6 +1,10 @@
 package preprocess
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/raslog"
+)
 
 // Export/Restore turn the streaming filter stages' resident key state
 // into plain rows and back, for the durable snapshots of internal/persist.
@@ -16,13 +20,13 @@ type TemporalEntry struct {
 	LastMs int64 `json:"last_ms"`
 }
 
-// Export returns the stage's resident keys, sorted. Interned IDs are
-// resolved back to strings: the snapshot wire format predates interning
-// and is unchanged (IDs are private to one stage instance).
+// Export returns the stage's resident keys, sorted. Syms are resolved
+// back to strings: a Sym's number depends on what the process saw first,
+// so the snapshot wire format holds none.
 func (t *TemporalStage) Export() []TemporalEntry {
 	out := make([]TemporalEntry, 0, len(t.last))
 	for k, last := range t.last {
-		out = append(out, TemporalEntry{Location: t.syms.str(k.loc), JobID: k.jobID, Entry: t.syms.str(k.entry), LastMs: last})
+		out = append(out, TemporalEntry{Location: k.loc.String(), JobID: k.jobID, Entry: k.entry.String(), LastMs: last})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -37,12 +41,12 @@ func (t *TemporalStage) Export() []TemporalEntry {
 	return out
 }
 
-// Restore replaces the stage's resident keys with rows, re-interning the
-// row strings into this stage's symbol table.
+// Restore replaces the stage's resident keys with rows, interning the
+// row strings into the process vocabulary.
 func (t *TemporalStage) Restore(rows []TemporalEntry) {
 	t.last = make(map[tempIKey]int64, len(rows))
 	for _, r := range rows {
-		t.last[tempIKey{loc: t.syms.id(r.Location), entry: t.syms.id(r.Entry), jobID: r.JobID}] = r.LastMs
+		t.last[tempIKey{loc: sym(r.Location), entry: sym(r.Entry), jobID: r.JobID}] = r.LastMs
 	}
 	t.sinceSweep = 0
 }
@@ -60,7 +64,7 @@ type SpatialEntry struct {
 func (s *SpatialStage) Export() []SpatialEntry {
 	out := make([]SpatialEntry, 0, len(s.last))
 	for k, st := range s.last {
-		out = append(out, SpatialEntry{JobID: k.jobID, Entry: s.syms.str(k.entry), Location: s.syms.str(st.loc), LastMs: st.time})
+		out = append(out, SpatialEntry{JobID: k.jobID, Entry: k.entry.String(), Location: st.loc.String(), LastMs: st.time})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -72,12 +76,18 @@ func (s *SpatialStage) Export() []SpatialEntry {
 	return out
 }
 
-// Restore replaces the stage's resident keys with rows, re-interning
-// the row strings into this stage's symbol table.
+// Restore replaces the stage's resident keys with rows, interning the
+// row strings into the process vocabulary.
 func (s *SpatialStage) Restore(rows []SpatialEntry) {
 	s.last = make(map[spatIKey]spatState, len(rows))
 	for _, r := range rows {
-		s.last[spatIKey{entry: s.syms.id(r.Entry), jobID: r.JobID}] = spatState{time: r.LastMs, loc: s.syms.id(r.Location)}
+		s.last[spatIKey{entry: sym(r.Entry), jobID: r.JobID}] = spatState{time: r.LastMs, loc: sym(r.Location)}
 	}
 	s.sinceSweep = 0
+}
+
+// sym is the vocabulary Sym of s.
+func sym(s string) raslog.Sym {
+	_, id := raslog.Intern(s)
+	return id
 }

@@ -71,10 +71,10 @@ func ParseLine(line string) (Event, error) {
 }
 
 // ParseLineBytes is the zero-copy form of ParseLine: it splits the line
-// in place (no intermediate field slice) and, when an Interner is
-// supplied, reuses prior copies of the string fields — so a line whose
-// vocabulary has been seen before parses without heap allocation. The
-// returned event does not retain line.
+// in place (no intermediate field slice) and takes the string fields and
+// the event's hints from the process vocabulary (through in's cache when
+// in is not nil) — so a line whose vocabulary has been seen before parses
+// without heap allocation. The returned event does not retain line.
 func ParseLineBytes(line []byte, in *Interner) (Event, error) {
 	if n := len(line); n > 0 && line[n-1] == '\r' {
 		line = line[:n-1]
@@ -114,9 +114,9 @@ func ParseLineBytes(line []byte, in *Interner) (Event, error) {
 	if e.Severity, err = parseSeverityBytes(f[6]); err != nil {
 		return Event{}, err
 	}
-	e.Type = intern(in, typeField, f[1])
-	e.Location = intern(in, locationField, f[4])
-	e.Entry = intern(in, entryField, f[7])
+	e.Type, _ = intern(in, typeField, f[1])
+	e.Location, e.LocHint = intern(in, locationField, f[4])
+	e.Entry, e.EntHint = intern(in, entryField, f[7])
 	return e, nil
 }
 

@@ -127,7 +127,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	r := stats.NewRNG(55)
 	l := NewLog("prop", 300)
 	for i := 0; i < 300; i++ {
-		l.Append(Event{
+		e := Event{
 			RecordID: int64(i),
 			Type:     "RAS",
 			Time:     r.Int63n(1_000_000_000) * 1000, // whole seconds
@@ -136,7 +136,9 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			Entry:    "entry text with spaces and: punctuation",
 			Facility: Facility(r.Intn(int(NumFacilities))),
 			Severity: Severity(r.Intn(6)),
-		})
+		}
+		e.Stamp() // as the decoder stamps, so the compare checks its hints
+		l.Append(e)
 	}
 	var buf bytes.Buffer
 	if _, err := WriteLog(&buf, l); err != nil {
@@ -214,13 +216,16 @@ func TestParseLineBytesMatchesSplitN(t *testing.T) {
 		"|||||||",
 	}
 	for _, f := range Facilities() {
-		for s := Info; s < numSeverities; s++ {
+		for s := Info; s < NumSeverities; s++ {
 			lines = append(lines, fmt.Sprintf("7|RAS|1|0|L|%s|%s|e", f, s))
 		}
 	}
 	in := NewInterner()
 	for _, line := range lines {
 		want, werr := splitNLine(line)
+		if werr == nil {
+			want.Stamp() // the decoder stamps its events; the reference is hand-built
+		}
 		for _, withInterner := range []*Interner{nil, in} {
 			got, gerr := ParseLineBytes([]byte(line), withInterner)
 			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
@@ -237,19 +242,21 @@ func TestParseLineBytesMatchesSplitN(t *testing.T) {
 // field: repeated and fresh values alternate, the empty string comes and
 // goes, and the Interner fills up to maxInternEntries. Every string
 // returned must equal the bytes it was given, and still equal them once
-// the buffer has been overwritten.
+// the buffer has been overwritten, and its Sym must name it.
 func TestInternerFieldMemo(t *testing.T) {
 	in := NewInterner()
 	buf := make([]byte, 0, 32)
 	var got, want string
+	var id Sym
 	feed := func(field int, v string) {
 		buf = append(buf[:0], v...)
 		if got != want {
 			t.Fatalf("interned %q changed to %q with the buffer", want, got)
 		}
-		got, want = intern(in, field, buf), v
-		if got != want {
-			t.Fatalf("field %d: interned %q, want %q", field, got, want)
+		got, id = intern(in, field, buf)
+		want = v
+		if got != want || id.String() != want {
+			t.Fatalf("field %d: interned %q as Sym %d (%q), want %q", field, got, id, id.String(), want)
 		}
 	}
 	for i := 0; in.Len() < maxInternEntries; i++ {
@@ -263,7 +270,7 @@ func TestInternerFieldMemo(t *testing.T) {
 			feed(field, "same")
 		}
 	}
-	for i := 0; i < 100; i++ { // a full table copies fresh values
+	for i := 0; i < 100; i++ { // a full cache sends fresh values to the vocabulary
 		for field := typeField; field < numFields; field++ {
 			feed(field, "beyond-"+strconv.Itoa(i))
 			feed(field, "beyond-"+strconv.Itoa(i))

@@ -12,7 +12,7 @@ import (
 
 // Severity is the SEVERITY attribute of a RAS event. The declared order is
 // the increasing order of severity used by the logging facility.
-type Severity int
+type Severity int8
 
 // Severity levels, in increasing order. FATAL and FAILURE events usually
 // lead to system or application crashes; the framework's job is to predict
@@ -24,23 +24,23 @@ const (
 	Error
 	Fatal
 	Failure
-	numSeverities
+	NumSeverities
 )
 
-var severityNames = [numSeverities]string{
+var severityNames = [NumSeverities]string{
 	"INFO", "WARNING", "SEVERE", "ERROR", "FATAL", "FAILURE",
 }
 
 // String returns the log-file spelling of the severity.
 func (s Severity) String() string {
-	if s < 0 || s >= numSeverities {
+	if s < 0 || s >= NumSeverities {
 		return fmt.Sprintf("SEVERITY(%d)", int(s))
 	}
 	return severityNames[s]
 }
 
 // Valid reports whether s is one of the defined levels.
-func (s Severity) Valid() bool { return s >= 0 && s < numSeverities }
+func (s Severity) Valid() bool { return s >= 0 && s < NumSeverities }
 
 // IsFatal reports whether the severity level marks a fatal event
 // (FATAL or FAILURE). Note that the *recorded* severity is not always
@@ -61,7 +61,7 @@ func ParseSeverity(s string) (Severity, error) {
 // Facility is the FACILITY attribute: the service or hardware component
 // experiencing the event. The ten values are the high-level event
 // categories of Table 3.
-type Facility int
+type Facility int8
 
 // The ten high-level Blue Gene/L facilities (Table 3 of the paper).
 const (
@@ -120,6 +120,12 @@ func Facilities() []Facility {
 // production logs is in seconds — the text codec therefore truncates to
 // seconds on write, which is what produces the duplicate same-timestamp
 // entries the filter must coalesce.
+//
+// LocHint and EntHint are the process vocabulary's Syms for Location and
+// Entry as the event's maker stamped them (see Sym). They are hints, not
+// attributes: read them through Loc and Ent, which check them against
+// the fields, so a zero, foreign or stale hint costs a lookup but never
+// changes a result. They are never persisted.
 type Event struct {
 	RecordID int64    // sequence number
 	Type     string   // mechanism through which the event is recorded
@@ -127,8 +133,27 @@ type Event struct {
 	JobID    int64    // job that detected the event (0 = none)
 	Location string   // chip / node card / service card / link card
 	Entry    string   // short description of the event
+	LocHint  Sym      `json:"-"`
+	EntHint  Sym      `json:"-"`
 	Facility Facility // component experiencing the event
 	Severity Severity // severity level
+}
+
+// Loc returns the Sym of e.Location: the hint when it names the field,
+// which for an interned Location costs a length and pointer compare, and
+// otherwise the vocabulary's lookup.
+func (e *Event) Loc() Sym { return vocab.resolve(e.LocHint, e.Location) }
+
+// Ent returns the Sym of e.Entry, as Loc does for Location.
+func (e *Event) Ent() Sym { return vocab.resolve(e.EntHint, e.Entry) }
+
+// Stamp replaces e's Type, Location and Entry with the process
+// vocabulary's copies and sets the hints, for events made by decoding
+// something other than the text codec (a snapshot's JSON) or by hand.
+func (e *Event) Stamp() {
+	e.Type, _ = vocab.intern(e.Type)
+	e.Location, e.LocHint = vocab.intern(e.Location)
+	e.Entry, e.EntHint = vocab.intern(e.Entry)
 }
 
 // Seconds returns the event time in whole seconds since the epoch, the

@@ -38,7 +38,7 @@ func TestSeverityIsFatal(t *testing.T) {
 }
 
 func TestParseSeverityRoundTrip(t *testing.T) {
-	for s := Info; s < numSeverities; s++ {
+	for s := Info; s < NumSeverities; s++ {
 		got, err := ParseSeverity(s.String())
 		if err != nil || got != s {
 			t.Errorf("round trip %v: got %v err %v", s, got, err)
@@ -50,7 +50,7 @@ func TestParseSeverityRoundTrip(t *testing.T) {
 }
 
 func TestSeverityValid(t *testing.T) {
-	if Severity(-1).Valid() || Severity(int(numSeverities)).Valid() {
+	if Severity(-1).Valid() || Severity(int(NumSeverities)).Valid() {
 		t.Error("out-of-range severity reported valid")
 	}
 	if !Fatal.Valid() {

@@ -1,21 +1,25 @@
 package raslog
 
-// Interner deduplicates the small string vocabularies of a RAS stream
-// (event types, locations, catalog entry texts): repeated values share
-// one heap copy, and the lookup itself is allocation-free because the
-// compiler elides the []byte→string conversion used only as a map key.
-// Interned fields also make later map probes cheaper downstream — equal
-// strings are usually the *same* string, so comparisons short-circuit on
-// the data pointer.
+// Interner is one decoding stream's cache of the process vocabulary (see
+// Sym): it hands out the vocabulary's copy of a field and its Sym, so
+// repeated values share one heap copy and a decoded event carries its
+// hints. A hit costs no lock and no allocation (the compiler elides the
+// []byte→string conversion used only as a map key); a miss asks the
+// vocabulary, which allocates only on the first sight in the process.
 //
 // An Interner is not safe for concurrent use; give each decoding stream
 // its own (Scanner does).
 type Interner struct {
-	m map[string]string
+	m map[string]interned
 	// last memoizes, per field of ParseLineBytes, the value interned
 	// last. A RAS stream repeats its Type on every line and its Entry on
 	// most, and a length and memory compare is cheaper than the map's hash.
-	last [numFields]string
+	last [numFields]interned
+}
+
+type interned struct {
+	s  string
+	id Sym
 }
 
 // The fields of ParseLineBytes that go through an Interner, indexing
@@ -27,42 +31,42 @@ const (
 	numFields
 )
 
-// maxInternEntries caps resident entries so adversarial input with
-// unbounded vocabulary degrades to plain copying instead of growing the
-// table without limit. Real RAS vocabularies are a few hundred strings.
+// maxInternEntries caps one Interner's cache so adversarial input with
+// unbounded vocabulary does not grow it without limit; values past the
+// cap still intern, through the vocabulary. Real RAS vocabularies are a
+// few thousand strings.
 const maxInternEntries = 1 << 16
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{m: make(map[string]string, 64)}
+	return &Interner{m: make(map[string]interned, 64)}
 }
 
-// Intern returns a string equal to b, reusing the copy made the first
-// time this value was seen. Only the first occurrence allocates.
-func (in *Interner) Intern(b []byte) string {
-	if s, ok := in.m[string(b)]; ok {
-		return s
+// Intern returns the vocabulary's copy of b and its Sym.
+func (in *Interner) Intern(b []byte) (string, Sym) {
+	if x, ok := in.m[string(b)]; ok {
+		return x.s, x.id
 	}
-	s := string(b)
+	s, id := vocab.internBytes(b)
 	if len(in.m) < maxInternEntries {
-		in.m[s] = s
+		in.m[s] = interned{s, id}
 	}
-	return s
+	return s, id
 }
 
-// Len returns the number of resident entries (for tests).
+// Len returns the number of cached entries (for tests).
 func (in *Interner) Len() int { return len(in.m) }
 
 // intern interns one field of ParseLineBytes, checking the field's last
-// value before the map. A nil Interner copies.
-func intern(in *Interner, field int, b []byte) string {
+// value before the cache. A nil Interner goes to the vocabulary.
+func intern(in *Interner, field int, b []byte) (string, Sym) {
 	if in == nil {
-		return string(b)
+		return vocab.internBytes(b)
 	}
-	if s := in.last[field]; s == string(b) {
-		return s
+	if x := in.last[field]; x.s == string(b) {
+		return x.s, x.id
 	}
-	s := in.Intern(b)
-	in.last[field] = s
-	return s
+	s, id := in.Intern(b)
+	in.last[field] = interned{s, id}
+	return s, id
 }

@@ -3,7 +3,7 @@ package stream
 import "repro/internal/raslog"
 
 // reorderKey orders one buffered event. The heap sifts these 24-byte
-// keys; the 96-byte event itself sits still in the slab until release.
+// keys; the 88-byte event itself sits still in the slab until release.
 type reorderKey struct {
 	time    int64
 	arrival uint64 // tie-break so equal timestamps keep arrival order

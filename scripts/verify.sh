@@ -55,10 +55,23 @@ echo "== allocation budgets (-count=1)"
 # (and ScanLog's decode-ahead: chunk slices recycled, nothing per line),
 # filter stages, predictor observe, the whole stream pipeline, the batch
 # HTTP handler (pooled request scratch: a constant per request, nothing
-# per event), and the fleet-routed path (multi-tenancy must add no
-# per-event cost).
+# per event), the fleet-routed path (multi-tenancy must add no per-event
+# cost), and WAL replay's decode (strings seen before come from the
+# process vocabulary).
 go test -count=1 -run 'AllocBudget' \
-    ./internal/raslog ./internal/preprocess ./internal/predictor ./internal/stream ./internal/fleet
+    ./internal/raslog ./internal/preprocess ./internal/predictor ./internal/stream ./internal/fleet \
+    ./internal/persist
+echo "== vocabulary gate (-race -count=5)"
+# One process vocabulary names every Location and Entry with a dense Sym,
+# and every event source stamps the Syms on its events as hints. The pins
+# repeat under the race detector: goroutines interning overlapping
+# vocabularies get one Sym per string (the reverse table is read without
+# a lock), the filter stages and the categorizer decide the same for
+# zero, foreign and stale hints as for freshly decoded events, and no
+# daemon path (HTTP, backfill, follower, recovery) falls back to a lookup.
+run_selected -count=5 'TestVocabularyConcurrentIntern|TestHintsNeverChangeLoc|TestEventSize' ./internal/raslog
+run_selected -count=5 'TestHintsNeverChangeResults' ./internal/preprocess
+run_selected -count=5 'TestDaemonPathsStampEvents' ./internal/stream
 echo "== decode-ahead gate (-race -count=20)"
 # raslog.ScanLog decodes on its own goroutine. Its contract tests and fuzz
 # seeds (the serial Scanner's events and errors across chunk boundaries,
