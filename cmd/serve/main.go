@@ -47,7 +47,7 @@
 // it tails the leader's WAL over GET /wal/segments + /wal/segment/{name}
 // every -follow-poll, replays every record through the live stage logic,
 // and refuses direct ingest (503) until promoted — POST /promote, or
-// automatically once the leader has been unreachable for -promote-after.
+// automatically once the leader has sent no HTTP response for -promote-after.
 // The leader's pruning retains any segment a registered follower
 // (-follower-id) has not acked. -backfill feeds a historical raw log
 // through the pipeline with bounded memory, in file order, behind live
@@ -164,7 +164,7 @@ func flagSet(o *serveOpts) *flag.FlagSet {
 	fs.StringVar(&o.follow, "follow", "", "run as hot standby of this leader URL (requires -state-dir, excludes -fleet)")
 	fs.StringVar(&o.followerID, "follower-id", "standby", "stable follower name for the leader's retention guard")
 	fs.DurationVar(&o.followPoll, "follow-poll", 250*time.Millisecond, "standby: leader poll interval")
-	fs.DurationVar(&o.promoteAfter, "promote-after", 0, "standby: auto-promote after the leader is unreachable this long (0 = manual POST /promote only)")
+	fs.DurationVar(&o.promoteAfter, "promote-after", 0, "standby: auto-promote after no HTTP response from the leader this long (0 = manual POST /promote only)")
 	fs.StringVar(&o.backfill, "backfill", "", "raw text log to backfill through the pipeline behind live traffic")
 	return fs
 }
@@ -298,9 +298,6 @@ func run(o serveOpts) error {
 				ID:           o.followerID,
 				Poll:         o.followPoll,
 				PromoteAfter: o.promoteAfter,
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, "serve: "+format+"\n", args...)
-				},
 			})
 			if err != nil {
 				svc.Close()

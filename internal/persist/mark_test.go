@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestNewSegmentRestatesMarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []frameItem
-	if _, err := DecodeFrames(&buf, 4, func(seq uint64, _ raslog.Event) error {
+	if _, err := DecodeFrames(&buf, 4, math.MaxUint64, func(seq uint64, _ raslog.Event) error {
 		got = append(got, frameItem{seq: seq})
 		return nil
 	}, func(seq uint64) error {
@@ -237,7 +238,7 @@ func TestCopySegmentShipsInstallMarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []frameItem
-		dnext, err := DecodeFrames(&buf, from, func(seq uint64, e raslog.Event) error {
+		dnext, err := DecodeFrames(&buf, from, math.MaxUint64, func(seq uint64, e raslog.Event) error {
 			if e != testEvent(int(seq)) {
 				t.Fatalf("shipped event %d differs", seq)
 			}
@@ -320,7 +321,7 @@ func FuzzDecodeFrames(f *testing.F) {
 		decode := func(data []byte) ([]frameItem, uint64, error) {
 			var got []frameItem
 			n := uint64(0)
-			next, err := DecodeFrames(bytes.NewReader(data), from, func(seq uint64, e raslog.Event) error {
+			next, err := DecodeFrames(bytes.NewReader(data), from, math.MaxUint64, func(seq uint64, e raslog.Event) error {
 				if seq != from+n {
 					t.Fatalf("event at %d, want %d", seq, from+n)
 				}

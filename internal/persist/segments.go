@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -116,7 +117,8 @@ func (st *Store) readSegment(name string, from uint64, fn func(seq uint64, e ras
 		return 0, err
 	}
 	defer f.Close()
-	return scanFrames(bufio.NewReaderSize(f, 1<<16), firstSeq, from, fn, mark)
+	next, _, err := walkFrames(bufio.NewReaderSize(f, 1<<16), firstSeq, from, math.MaxUint64, fn, mark)
+	return next, err
 }
 
 // CopySegment re-frames the named segment's durable records with
@@ -184,54 +186,20 @@ var errCopyFull = errors.New("persist: copy budget reached")
 // DecodeFrames reads WAL frames from r — the format CopySegment writes
 // and the appender persists — invoking fn per event with sequence
 // numbers assigned densely from `from`, and mark (when non-nil) per
-// install mark with the sequence of the event after it. A torn or
-// truncated tail (a transfer cut off by the sender's death) ends the
-// stream cleanly, like a torn segment tail on disk: the return is the
-// sequence after the last whole record, which is exactly where the
-// receiver retries. Errors from fn or mark abort and surface as-is.
-func DecodeFrames(r io.Reader, from uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, error) {
+// install mark with the sequence of the event after it, up to stop: the
+// first sequence a newer segment supersedes (which restates the marks
+// there). A torn or truncated tail (a transfer cut off by the sender's
+// death) ends the stream cleanly, like a torn segment tail on disk: the
+// return is the sequence after the last whole record (stop at most),
+// which is exactly where the receiver retries. Errors from fn or mark
+// abort and surface as-is.
+func DecodeFrames(r io.Reader, from, stop uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<16)
 	}
-	return scanFrames(br, from, from, fn, mark)
-}
-
-// scanFrames is the shared frame walk: records and marks in [from, ∞)
-// of a stream whose first record carries firstSeq, stopping cleanly at
-// EOF or a torn frame. Callback errors abort the walk (the frame's
-// remaining records are not delivered; the returned seq is where
-// delivery stopped).
-func scanFrames(r *bufio.Reader, firstSeq, from uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, error) {
-	seq := firstSeq
-	in := raslog.NewInterner()
-	for {
-		payload, err := readFrame(r)
-		if err == io.EOF || errors.Is(err, errTorn) {
-			return seq, nil
-		}
-		if err != nil {
-			return seq, err
-		}
-		if len(payload) == 0 && mark != nil && seq >= from {
-			if err := mark(seq); err != nil {
-				return seq, err
-			}
-		}
-		d := eventDecoder{buf: payload, in: in}
-		for len(d.buf) > 0 {
-			e, derr := d.event()
-			if derr != nil {
-				return seq, fmt.Errorf("persist: record %d: %w", seq, derr)
-			}
-			if seq >= from {
-				if err := fn(seq, e); err != nil {
-					return seq, err
-				}
-			}
-			seq++
-		}
-	}
+	next, _, err := walkFrames(br, from, from, stop, fn, mark)
+	return next, err
 }
 
 func isWALName(name string) bool {

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func copyDecode(t *testing.T, st *Store, name string, from uint64, maxBytes int6
 	}
 	var evs []raslog.Event
 	wantSeq := from
-	dnext, err := DecodeFrames(bytes.NewReader(buf.Bytes()), from, func(seq uint64, e raslog.Event) error {
+	dnext, err := DecodeFrames(bytes.NewReader(buf.Bytes()), from, math.MaxUint64, func(seq uint64, e raslog.Event) error {
 		if seq != wantSeq {
 			t.Fatalf("decode out of order: seq %d, want %d", seq, wantSeq)
 		}
@@ -106,7 +107,7 @@ func TestDecodeFramesTornTransfer(t *testing.T) {
 	whole := buf.Bytes()
 	for _, cut := range []int{len(whole) - 1, len(whole) - 5, len(whole) / 2, 3} {
 		count := 0
-		next, err := DecodeFrames(bytes.NewReader(whole[:cut]), 0, func(seq uint64, e raslog.Event) error {
+		next, err := DecodeFrames(bytes.NewReader(whole[:cut]), 0, math.MaxUint64, func(seq uint64, e raslog.Event) error {
 			if e != testEvent(int(seq)) {
 				t.Fatalf("cut %d: event %d differs", cut, seq)
 			}

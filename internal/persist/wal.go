@@ -236,37 +236,46 @@ func (st *Store) ReplayMarks(from uint64, fn func(seq uint64, e raslog.Event) er
 	return next, nil
 }
 
-// replaySegment reads one segment whose first record is firstSeq,
-// invoking fn for records and mark (when non-nil) for install marks in
-// [from, stop): the newer segment starting at stop supersedes this one
-// from there on, marks included (it restates the marks at stop). It
-// returns the sequence after the segment's last durable record (capped
-// at stop) and how many marks follow that record.
+// replaySegment reads one segment whose first record is firstSeq (see
+// walkFrames), naming the segment in its errors.
 func replaySegment(path string, firstSeq, from, stop uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
+	next, tail, err := walkFrames(bufio.NewReaderSize(f, 1<<16), firstSeq, from, stop, fn, mark)
+	if err != nil {
+		return 0, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return next, tail, nil
+}
+
+// walkFrames is the one frame walk, over a segment file or a transfer
+// of one: it reads the frames of a stream whose first record is
+// firstSeq, calling fn for records and mark (when non-nil) for install
+// marks in [from, stop). A newer segment starting at stop supersedes the
+// stream from there on, marks included (it restates the marks at stop).
+// EOF or a torn frame ends the stream cleanly. It returns the sequence
+// after the last record read (stop at most) and how many marks follow
+// that record. An error from fn or mark aborts the walk as-is, with the
+// sequence where delivery stopped.
+func walkFrames(r *bufio.Reader, firstSeq, from, stop uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, int, error) {
 	in := raslog.NewInterner()
 	seq, tail := firstSeq, 0
-	for {
+	for seq < stop {
 		payload, err := readFrame(r)
 		if err == io.EOF || errors.Is(err, errTorn) {
-			break // durable end of this segment
+			break // durable end of the stream
 		}
 		if err != nil {
-			return 0, 0, fmt.Errorf("persist: %s: %w", path, err)
-		}
-		if seq >= stop {
-			break
+			return seq, tail, err
 		}
 		if len(payload) == 0 {
 			tail++
 			if mark != nil && seq >= from {
 				if err := mark(seq); err != nil {
-					return 0, 0, err
+					return seq, tail, err
 				}
 			}
 			continue
@@ -281,11 +290,11 @@ func replaySegment(path string, firstSeq, from, stop uint64, fn func(seq uint64,
 			if derr != nil {
 				// A frame that passes its CRC but does not decode is not a torn
 				// tail; it means the writer and reader disagree. Fail loudly.
-				return 0, 0, fmt.Errorf("persist: %s: record %d: %w", path, seq, derr)
+				return seq, tail, fmt.Errorf("persist: record %d: %w", seq, derr)
 			}
 			if seq >= from {
 				if err := fn(seq, e); err != nil {
-					return 0, 0, err
+					return seq, tail, err
 				}
 			}
 			seq++

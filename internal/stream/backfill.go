@@ -4,17 +4,13 @@ package stream
 // log through the live pipeline in file order, with bounded memory,
 // behind live traffic at lower priority.
 //
-// One decode goroutine scans and parses the input into
-// ingestBatchChunk-event chunks; the caller's goroutine submits them. In
-// flight at once: one line buffer (at most 1 MiB) and three chunks — one
-// being filled, one queued, one being submitted.
-//
-// Before each submission the caller yields while live traffic keeps the
-// sequencer queue busy, and ErrSaturated backs off instead of hammering;
-// the yield is time-bounded, so backfill trickles under sustained load
-// rather than starving. Backfilled events take the same reorder/late-drop
-// path as any ingest: history older than the live watermark minus the
-// reorder tolerance is late-dropped by design (see README).
+// One decode goroutine parses the input into ingestBatchChunk-event
+// chunks and the caller's goroutine submits them: at most one line
+// buffer (1 MiB) and three chunks are in flight. Before each submission
+// the caller yields, for a bounded time, while live traffic keeps the
+// intake queue busy, and ErrSaturated backs off. Backfilled events take
+// the reorder path of any ingest: history older than the live watermark
+// minus the reorder tolerance is late-dropped by design (see README).
 
 import (
 	"bufio"
@@ -32,11 +28,9 @@ import (
 // one at a time keeps the memory bound and the ordering story simple.
 var ErrBackfillBusy = errors.New("stream: a backfill is already running")
 
-// backfillState tracks the singleton run (Service.backfill).
-type backfillState struct {
-	active atomic.Bool
-	ran    atomic.Bool
-}
+// backfillState tracks the singleton run (Service.backfill): ran is set
+// by the first one.
+type backfillState struct{ active, ran atomic.Bool }
 
 // BackfillInfo reports backfill progress in Stats (nil until one runs).
 type BackfillInfo struct {
@@ -60,10 +54,8 @@ func (s *Service) backfillInfo() *BackfillInfo {
 
 // BackfillResult summarizes one completed Backfill call.
 type BackfillResult struct {
-	Lines    int64         `json:"lines"`
-	Skipped  int64         `json:"skipped"`
-	Duration time.Duration `json:"-"`
-	// DurationMs mirrors Duration for the JSON response.
+	Lines      int64 `json:"lines"`
+	Skipped    int64 `json:"skipped"`
 	DurationMs int64 `json:"duration_ms"`
 }
 
@@ -94,10 +86,7 @@ func (s *Service) Backfill(ctx context.Context, r io.Reader) (res BackfillResult
 	s.backfill.ran.Store(true)
 
 	t0 := time.Now()
-	defer func() {
-		res.Duration = time.Since(t0)
-		res.DurationMs = res.Duration.Milliseconds()
-	}()
+	defer func() { res.DurationMs = time.Since(t0).Milliseconds() }()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	chunks := make(chan backfillChunk, 1)

@@ -59,7 +59,7 @@ func feedBatches(t testing.TB, s *Service, events []raslog.Event, size func(i in
 // then the ingest of events[k] releases every event up to its time
 // minus the reorder tolerance, however the feed is batched.
 func crossing(s *Service, events []raslog.Event, i int) int {
-	at := s.nextRetrainMs()
+	at := s.Stats().NextRetrain
 	if at <= 0 {
 		return len(events)
 	}

@@ -2,26 +2,25 @@ package stream
 
 // Hot-standby replication (DESIGN.md §14). A Follower tails a leader's
 // WAL over HTTP (GET /wal/segments for the chain, GET
-// /wal/segment/{name}?from=seq for frames), appends every record and
-// install mark to the replica's own WAL, and runs the events through
-// apply, as live intake and replay do: the replica starts the leader's
-// passes at the same positions and installs them at the leader's marks.
-// Promotion is "stop pulling, install the pass in flight, start the
-// pipeline": the promoted service equals a single node fed the same
-// stream. A pulled batch is committed to the replica's WAL before it is
-// applied, so a replica crash recovers a clean prefix and re-requests
-// from its durable end.
+// /wal/segment/{name}?from=seq for frames) and hands each pull to the
+// standby's pipeline goroutine, which appends its events and install
+// marks to the replica's WAL and applies them through the core, as it
+// does live batches: the replica installs the leader's passes at the
+// leader's marks. Promotion is a request the pipeline serves too. The
+// follower acks a record only once the replica's WAL holds it on disk.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/persist"
@@ -48,16 +47,14 @@ type FollowerConfig struct {
 	ID string
 	// Poll is the idle poll interval against the leader. Zero means 250ms.
 	Poll time.Duration
-	// PromoteAfter auto-promotes the replica once the leader has been
-	// unreachable this long. Zero means manual promotion only (POST
-	// /promote or Follower.Promote).
+	// PromoteAfter auto-promotes the replica once no HTTP response has
+	// come from the leader for this long. A leader that answers — even
+	// with an error, or with a WAL gap — is not silent. Zero means manual
+	// promotion only (POST /promote or Follower.Promote).
 	PromoteAfter time.Duration
 	// Client overrides the HTTP client (tests). Nil means a client with a
 	// 30s request timeout.
 	Client *http.Client
-	// Logf receives operational messages (leader unreachable, promotion).
-	// Nil discards them.
-	Logf func(format string, args ...any)
 }
 
 // Follower drives one standby service from one leader. Create with
@@ -72,8 +69,21 @@ type Follower struct {
 	stopOnce sync.Once
 	done     chan struct{}
 
-	batch []raslog.Event // decode scratch, reused across pulls
+	// next is the sequence the replica applies next, as the pipeline last
+	// reported it, and acked the part below it that the replica's WAL
+	// holds on disk: what the next poll acks.
+	next, acked uint64
 }
+
+// leaderSilent is a sync failure with no HTTP response from the leader:
+// the only kind that counts towards PromoteAfter.
+type leaderSilent struct{ err error }
+
+func (e leaderSilent) Error() string { return e.err.Error() }
+
+// errWALGap: the leader answers, but its oldest segment starts past
+// what the replica needs next.
+var errWALGap = errors.New("stream: WAL gap")
 
 // NewFollower starts the pull loop for svc against cfg.Leader. svc must
 // have been created with Config.Standby (and therefore a StateDir).
@@ -93,9 +103,6 @@ func NewFollower(svc *Service, cfg FollowerConfig) (*Follower, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 250 * time.Millisecond
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 	f := &Follower{
 		svc:    svc,
 		cfg:    cfg,
@@ -106,24 +113,15 @@ func NewFollower(svc *Service, cfg FollowerConfig) (*Follower, error) {
 	if f.client == nil {
 		f.client = &http.Client{Timeout: 30 * time.Second}
 	}
-	// POST /promote on the standby's own mux routes through the hook so
-	// the pull loop is stopped before the state flips.
-	hook := f.Promote
-	svc.promoteHook.Store(&hook)
 	go f.run()
 	return f, nil
 }
 
-// Promote stops the pull loop, waits for any in-flight apply to land,
-// and turns the standby into a live leader. Idempotent; safe to call
-// concurrently with auto-promotion.
+// Promote stops the pull loop and turns the standby into a live leader
+// (Service.Promote).
 func (f *Follower) Promote() error {
-	f.stopOnce.Do(func() { close(f.stop) })
-	<-f.done
-	if f.svc.promoteStandalone() || !f.svc.standby.Load() {
-		return nil
-	}
-	return ErrClosed
+	f.Stop()
+	return f.svc.Promote()
 }
 
 // Stop ends the pull loop without promoting (shutdown of a replica that
@@ -134,32 +132,54 @@ func (f *Follower) Stop() {
 }
 
 // run is the pull loop: poll the leader, pull everything durable, sleep,
-// repeat. Transient leader errors only back off (the whole point of a
-// standby is to ride out the leader's restart window); once the leader
-// has been unreachable past PromoteAfter the replica promotes itself.
+// repeat, until the service is promoted or closed. Errors only back off;
+// once no response has come from the leader for PromoteAfter the replica
+// promotes itself. Sync errors are logged where a run of them starts and
+// ends.
 func (f *Follower) run() {
 	defer close(f.done)
-	lastOK := time.Now()
+	if f.svc.do(func() { f.next = f.svc.core.next }) != nil {
+		return // closed
+	}
+	f.acked = f.next
+	lastHeard := time.Now()
 	delay := f.cfg.Poll
-	for {
+	failing := 0
+	for f.svc.standby.Load() {
 		err := f.syncOnce()
+		if errors.Is(err, ErrClosed) {
+			return
+		}
+		var silent leaderSilent
+		if !errors.As(err, &silent) {
+			lastHeard = time.Now()
+		}
 		switch {
 		case err == nil:
-			lastOK = time.Now()
+			f.svc.gap.Store(nil)
+			if failing > 0 {
+				slog.Info("stream: follower back in sync with the leader", "leader", f.cfg.Leader, "failed_polls", failing)
+			}
+			failing = 0
 			delay = f.cfg.Poll
 		default:
-			f.cfg.Logf("follower: leader %s: %v", f.cfg.Leader, err)
-			if f.cfg.PromoteAfter > 0 && time.Since(lastOK) > f.cfg.PromoteAfter {
-				f.cfg.Logf("follower: leader silent for %s — promoting", time.Since(lastOK).Round(time.Millisecond))
-				f.svc.promoteStandalone()
+			if errors.Is(err, errWALGap) {
+				msg := err.Error()
+				f.svc.gap.Store(&msg)
+				f.svc.m.standbyGaps.Inc()
+			}
+			if failing == 0 {
+				slog.Warn("stream: follower cannot sync with the leader", "leader", f.cfg.Leader, "err", err)
+			}
+			failing++
+			if quiet := time.Since(lastHeard); f.cfg.PromoteAfter > 0 && quiet > f.cfg.PromoteAfter {
+				slog.Warn("stream: leader silent; promoting the standby", "leader", f.cfg.Leader, "silent", quiet.Round(time.Millisecond))
+				f.svc.Promote()
 				return
 			}
 			// Back off on errors, capped well inside PromoteAfter so the
-			// unreachability clock is actually observed.
-			delay *= 2
-			if max := 2 * f.cfg.Poll; delay > max {
-				delay = max
-			}
+			// silence clock is actually observed.
+			delay = min(2*delay, 2*f.cfg.Poll)
 		}
 		select {
 		case <-f.stop:
@@ -172,26 +192,27 @@ func (f *Follower) run() {
 // syncOnce polls the leader's segment listing and pulls every durable
 // record the replica does not yet have.
 func (f *Follower) syncOnce() error {
-	s := f.svc
 	list, err := f.listSegments()
 	if err != nil {
 		return err
 	}
-	atomic.StoreUint64(&s.leaderSeq, list.NextSeq)
-	if s.next > list.NextSeq {
+	f.svc.leaderSeq.Store(list.NextSeq)
+	f.svc.leaderWM.Store(list.WatermarkMs)
+	if f.next > list.NextSeq {
 		// The replica is ahead of the "leader": a fresh/rolled-back state
 		// directory answered our poll. Applying it would fork history.
-		return fmt.Errorf("leader behind replica (leader next %d, replica %d) — refusing to rewind", list.NextSeq, s.next)
+		return fmt.Errorf("leader behind replica (leader next %d, replica %d) — refusing to rewind", list.NextSeq, f.next)
 	}
-	for s.next < list.NextSeq {
-		// The pull source is the newest segment whose records cover s.next:
-		// a recovered leader may open a new segment at the torn tail of an
-		// old one, and stop drops what the newer one supersedes, as Replay
+	for f.next < list.NextSeq {
+		// The pull source is the newest segment whose records cover the
+		// replica's next sequence: a recovered leader may open a new
+		// segment at the torn tail of an old one, and stop drops what the
+		// newer one supersedes (it restates the marks at stop), as Replay
 		// does.
 		src := -1
-		stop := list.NextSeq
+		stop := uint64(math.MaxUint64)
 		for i, seg := range list.Segments {
-			if seg.FirstSeq <= s.next {
+			if seg.FirstSeq <= f.next {
 				src = i
 			} else if src >= 0 {
 				stop = seg.FirstSeq
@@ -199,9 +220,9 @@ func (f *Follower) syncOnce() error {
 			}
 		}
 		if src < 0 {
-			return fmt.Errorf("WAL gap: replica needs seq %d, leader's oldest segment starts later", s.next)
+			return fmt.Errorf("%w: replica needs seq %d, leader's oldest segment starts later", errWALGap, f.next)
 		}
-		advanced, err := f.pullSegment(list.Segments[src].Name, s.next, stop)
+		advanced, err := f.pullSegment(list.Segments[src].Name, stop)
 		if err != nil {
 			return err
 		}
@@ -211,39 +232,32 @@ func (f *Follower) syncOnce() error {
 			break
 		}
 	}
-	f.publishLag(list)
 	return nil
 }
 
-// publishLag updates the standby lag gauges from the latest listing.
-func (f *Follower) publishLag(list *segmentsResponse) {
-	s := f.svc
-	lag := uint64(0)
-	if list.NextSeq > s.next {
-		lag = list.NextSeq - s.next
+// get fetches u; a failure without a response is leaderSilent.
+func (f *Follower) get(u string) (*http.Response, error) {
+	resp, err := f.client.Get(u)
+	if err != nil {
+		return nil, leaderSilent{err}
 	}
-	s.m.standbyLagSeq.Set(float64(lag))
-	secs := 0.0
-	if wm := s.watermarkMs(); wm >= 0 && list.WatermarkMs > wm {
-		secs = float64(list.WatermarkMs-wm) / 1000
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		resp.Body.Close()
+		return nil, fmt.Errorf("GET %s: HTTP %d: %s", resp.Request.URL.Path, resp.StatusCode, b)
 	}
-	s.m.standbyLagSeconds.Set(secs)
+	return resp, nil
 }
 
 // listSegments polls GET /wal/segments, registering this follower's ack
-// so the leader's retention guard keeps everything from s.next on.
+// so the leader's retention guard keeps everything from there on.
 func (f *Follower) listSegments() (*segmentsResponse, error) {
-	u := fmt.Sprintf("%s/wal/segments?follower=%s&acked=%d",
-		f.cfg.Leader, url.QueryEscape(f.cfg.ID), f.svc.next)
-	resp, err := f.client.Get(u)
+	resp, err := f.get(fmt.Sprintf("%s/wal/segments?follower=%s&acked=%d",
+		f.cfg.Leader, url.QueryEscape(f.cfg.ID), f.acked))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("GET /wal/segments: HTTP %d: %s", resp.StatusCode, b)
-	}
 	var list segmentsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		return nil, fmt.Errorf("GET /wal/segments: %w", err)
@@ -251,129 +265,115 @@ func (f *Follower) listSegments() (*segmentsResponse, error) {
 	return &list, nil
 }
 
-// pullSegment fetches records [from, stop) of one leader segment and
-// applies them. Returns whether the replica advanced. Any non-200 is an
-// error; run backs off on its own schedule before the next attempt.
-func (f *Follower) pullSegment(name string, from, stop uint64) (bool, error) {
-	s := f.svc
-	u := fmt.Sprintf("%s/wal/segment/%s?from=%d", f.cfg.Leader, url.PathEscape(name), from)
-	resp, err := f.client.Get(u)
+// pullSegment fetches the records of one leader segment from the
+// replica's position up to stop, hands them to the pipeline goroutine
+// (replicate), and acks them once the replica's WAL holds them on disk.
+// Returns whether the replica advanced.
+func (f *Follower) pullSegment(name string, stop uint64) (bool, error) {
+	from := f.next
+	resp, err := f.get(fmt.Sprintf("%s/wal/segment/%s?from=%d", f.cfg.Leader, url.PathEscape(name), from))
 	if err != nil {
 		return false, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return false, fmt.Errorf("GET /wal/segment/%s: HTTP %d: %s", name, resp.StatusCode, b)
+	// A transfer cut short (or past twice the leader's cap) still yields
+	// its whole frames: they go in, and the next pull resumes after them.
+	frames, rerr := io.ReadAll(io.LimitReader(resp.Body, 2*maxSegmentPull))
+	resp.Body.Close()
+	var t persist.Ticket
+	if derr := f.svc.do(func() { f.next, t, err = f.svc.replicate(frames, from, stop) }); derr != nil {
+		return false, derr
 	}
+	if werr := t.Wait(context.Background()); werr == nil {
+		f.acked = f.next
+	} else {
+		err = errors.Join(err, werr)
+	}
+	if err = errors.Join(err, rerr); err != nil {
+		err = fmt.Errorf("GET /wal/segment/%s: %w", name, err)
+	}
+	return f.next > from, err
+}
 
-	// The marks at `from` the replica holds come again (a re-poll, or a
-	// newer segment restating them): they are skipped. At a new mark, the
-	// events before it go in first.
-	dup := s.marksAt()
-	f.batch = f.batch[:0]
-	next, derr := persist.DecodeFrames(resp.Body, from, func(seq uint64, e raslog.Event) error {
-		if seq >= stop {
-			return errPullDone
+// replicate decodes frames pulled from the leader, records `from` up to
+// stop, on the pipeline goroutine: each run of events is appended to the
+// WAL at its sequence and applied, and each install mark after it
+// installs the pass in flight. The marks at `from` the replica holds come
+// again (a re-poll, or a newer segment restating them) and are skipped.
+// Returns the replica's next sequence and the ticket of its last commit.
+func (s *Service) replicate(frames []byte, from, stop uint64) (uint64, persist.Ticket, error) {
+	c := s.core
+	switch {
+	case !s.standby.Load():
+		return c.next, persist.Ticket{}, errors.New("stream: promoted; no longer following")
+	case from != c.next:
+		return c.next, persist.Ticket{}, fmt.Errorf("stream: pull from seq %d, replica is at %d", from, c.next)
+	}
+	var run []raslog.Event
+	var t persist.Ticket
+	commit := func() error {
+		defer func() { run = run[:0] }()
+		if len(run) == 0 {
+			return nil
 		}
-		f.batch = append(f.batch, e)
+		if t = s.logEvents(run); t.Done() {
+			// Resolved already: a failed append (or sync) is not applied;
+			// the next pull fetches it again.
+			if err := t.Wait(context.Background()); err != nil {
+				return err
+			}
+		}
+		s.m.ingested.Add(int64(len(run)))
+		for i := range run {
+			c.apply(run[i])
+		}
+		return nil
+	}
+	dup := c.marksAt()
+	_, err := persist.DecodeFrames(bytes.NewReader(frames), from, stop, func(_ uint64, e raslog.Event) error {
+		run = append(run, e)
 		return nil
 	}, func(seq uint64) error {
 		if seq == from && dup > 0 {
 			dup--
 			return nil
 		}
-		run := f.batch
-		f.batch = f.batch[:0]
-		if err := s.applyReplicated(run); err != nil {
+		if err := commit(); err != nil {
 			return err
 		}
-		s.applyMark()
+		c.applyMark(s.awaitPass)
 		return nil
 	})
-	if derr == errPullDone {
-		derr = nil
-		next = stop
-	}
-	// Apply whatever decoded cleanly even when the tail of the transfer
-	// died: the prefix is valid, and the next pull resumes after it.
-	if aerr := s.applyReplicated(f.batch); aerr != nil {
-		return false, aerr
-	}
-	if derr != nil {
-		return next > from, fmt.Errorf("GET /wal/segment/%s: %w", name, derr)
-	}
-	return next > from, nil
+	err = errors.Join(err, commit())
+	return c.next, t, err
 }
 
-// errPullDone stops a pull at the segment's supersession boundary.
-var errPullDone = errors.New("stream: pull reached boundary")
-
-// applyReplicated commits pulled events: WAL first (one fsync), then
-// apply, event by event. Runs on the follower goroutine only.
-func (s *Service) applyReplicated(events []raslog.Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	_, ticket, err := s.store.AppendBatch(s.next, events)
-	if err != nil {
+// Promote turns a standby into a live leader, as a request the pipeline
+// goroutine serves: the pass in flight installs at the replicated
+// position, a snapshot re-anchors durability there, and the reorder floor
+// is reseated at the watermark. A Follower still feeding the service
+// stops. Idempotent; ErrClosed if the service was closed as a standby.
+func (s *Service) Promote() error {
+	if err := s.do(s.promote); err != nil && s.standby.Load() {
 		return err
 	}
-	// The replica's ack to the leader (?acked= on the next poll) promises
-	// it can replay these records after a crash, so wait out the commit
-	// pipeline's fsync before applying — the follower has no client to
-	// overlap with, and the poll cadence dwarfs one disk flush.
-	if err := ticket.Wait(context.Background()); err != nil {
-		return err
-	}
-	for i := range events {
-		s.apply(events[i])
-	}
-	s.m.ingested.Add(int64(len(events)))
-	s.publish(len(events))
 	return nil
 }
 
-// promoteStandalone flips a standby into a live leader: the pass in
-// flight, if any, installs at the replicated position with its mark, a
-// snapshot re-anchors durability there, and the pipeline goroutine
-// starts at that position, as after recovery. Returns false if the
-// service is closed or already a leader; closeMu serializes promoters,
-// so exactly one call wins the flip.
-func (s *Service) promoteStandalone() bool {
-	s.closeMu.Lock()
-	defer s.closeMu.Unlock()
-	if s.closed || !s.standby.Load() {
-		return false
+func (s *Service) promote() {
+	if !s.standby.Load() {
+		return
 	}
-	// closeMu serializes promoters, so the load/store pair admits exactly
-	// one winner. The counter is bumped before the role flips: a Stats()
-	// racing the promotion must never see a leader with zero promotions,
-	// or the standby block (and the failover history it carries) would
-	// vanish for that read.
+	// Counted before the flip: a Stats() racing it must not see a leader
+	// with zero promotions, which would drop its standby block.
 	s.m.promotions.Inc()
-	s.standby.Store(false)
-	s.drain()
+	c := s.core
+	c.drain(s.awaitPass)
 	s.writeSnapshot()
-	s.pipelineOn = true
-	go s.pipeline() // owns the apply-side state from here on
+	c.reseat()
+	s.standby.Store(false)
 	s.m.standbyLagSeq.Set(0)
 	s.m.standbyLagSeconds.Set(0)
-	return true
-}
-
-// Promote turns a standby service into a live leader. When a Follower
-// drives the service its pull loop is stopped first (the registered
-// hook); either way the call is idempotent — promoting a service that is
-// already a leader returns nil. ErrClosed if the service was closed.
-func (s *Service) Promote() error {
-	if fn := s.promoteHook.Load(); fn != nil {
-		return (*fn)()
-	}
-	if s.promoteStandalone() || !s.standby.Load() {
-		return nil
-	}
-	return ErrClosed
+	slog.Info("stream: standby promoted to leader", "seq", c.next)
 }
 
 // Standby reports whether the service is (still) a standby replica.

@@ -3,9 +3,11 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -122,8 +124,8 @@ func TestFollowerPromotionEquivalence(t *testing.T) {
 	srv.Close()
 	leader.crash()
 
-	// Promote over the replica's own HTTP surface (stops the pull loop
-	// through the registered hook, then flips the role).
+	// Promote over the replica's own HTTP surface (flips the role; the
+	// pull loop stops at its next pull).
 	resp, err = http.Post(ssrv.URL+"/promote", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +196,8 @@ func TestFollowerRestartResumes(t *testing.T) {
 	durable2 := drainTo(t, leader, len(events))
 
 	s2 := newStandby(t, sdir)
-	if s2.next != durable1 {
-		t.Fatalf("replica recovered to seq %d, want its replicated prefix %d", s2.next, durable1)
+	if got := s2.Recovery().ResumeSeq; got != durable1 {
+		t.Fatalf("replica recovered to seq %d, want its replicated prefix %d", got, durable1)
 	}
 	f2, err := NewFollower(s2, FollowerConfig{Leader: srv.URL, ID: "s1", Poll: 5 * time.Millisecond})
 	if err != nil {
@@ -248,6 +250,60 @@ func TestFollowerAutoPromotes(t *testing.T) {
 	}
 	if err := standby.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFollowerNeverPromotesOnAWALGap pins the split-brain guard: a
+// leader that answers, but no longer holds the records the replica needs
+// (its oldest segment starts past sequence 0), is not a silent leader. A
+// fresh replica attached to it must stay a standby however long that
+// lasts, and name the gap in /stats and on standby_wal_gaps_total.
+func TestFollowerNeverPromotesOnAWALGap(t *testing.T) {
+	l := genLog(t, 11, 8)
+	cfg := durableConfig(t.TempDir())
+	cfg.WALRotateBytes = 4096
+	leader, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	ingestAll(t, leader, l)
+	waitFor(t, 30*time.Second, func() bool {
+		segs, _, err := leader.store.Segments()
+		return err == nil && len(segs) > 0 && segs[0].FirstSeq > 0
+	})
+	srv := httptest.NewServer(NewMux(leader))
+	defer srv.Close()
+
+	const promoteAfter = 100 * time.Millisecond
+	standby := newStandby(t, t.TempDir())
+	defer standby.Close()
+	f, err := NewFollower(standby, FollowerConfig{Leader: srv.URL, Poll: 5 * time.Millisecond, PromoteAfter: promoteAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	ssrv := httptest.NewServer(NewMux(standby))
+	defer ssrv.Close()
+
+	time.Sleep(10 * promoteAfter)
+	if !standby.Standby() {
+		t.Fatal("the replica promoted itself on a WAL gap: two leaders")
+	}
+	resp, err := http.Get(ssrv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Role != "standby" || st.Standby == nil || !strings.Contains(st.Standby.Gap, "WAL gap") {
+		t.Fatalf("/stats: role %q, standby %+v; want a standby naming the WAL gap", st.Role, st.Standby)
+	}
+	if n := standby.m.standbyGaps.Value(); n == 0 {
+		t.Error("standby_wal_gaps_total = 0 after polls that met a gap")
 	}
 }
 

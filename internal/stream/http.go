@@ -15,26 +15,11 @@ import (
 	"repro/internal/raslog"
 )
 
-// NewMux returns the service's HTTP API:
-//
-//	POST /ingest        text-codec RAS lines, one event per line, ingested
-//	POST /ingest/batch  via IngestBatch (the two routes are one handler):
-//	                    1024-line chunks enter the pipeline together,
-//	                    commit to the WAL with one frame and one fsync,
-//	                    and are acked after it
-//	GET  /warnings  recent warnings with their trigger rules (?n=50)
-//	GET  /stats     counters, compression, rule counts, retrain history
-//	GET  /metrics   the same counters in Prometheus text exposition
-//	GET  /healthz   liveness
-//	POST /retrain   force a training pass; returns once it is installed
-//
-// Replication and backfill (DESIGN.md §14; no-ops without a StateDir):
-//
-//	GET  /wal/segments        WAL chain + next seq (?follower=&acked=
-//	                          registers a follower's retention ack)
-//	GET  /wal/segment/{name}  one segment's frames from ?from=seq on
-//	POST /promote             standby → leader (idempotent)
-//	POST /backfill            body = raw text log, fed behind live traffic
+// NewMux returns the service's HTTP API, one route per line below (README
+// describes each). POST /ingest and /ingest/batch are one handler: text
+// lines enter the pipeline in 1024-line chunks, each committed to the WAL
+// as one frame and acked after its fsync. The replication routes
+// (DESIGN.md §14) answer 404 without a StateDir.
 func NewMux(s *Service) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngestBatch)
@@ -271,14 +256,10 @@ func (s *Service) handleWALSegments(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	role := "leader"
-	if s.standby.Load() {
-		role = "standby"
-	}
 	writeJSON(w, http.StatusOK, segmentsResponse{
-		Role:        role,
+		Role:        s.role(),
 		NextSeq:     next,
-		WatermarkMs: s.watermarkMs(),
+		WatermarkMs: int64(s.m.watermark.Value()),
 		Segments:    segs,
 	})
 }
@@ -321,11 +302,7 @@ func (s *Service) handlePromote(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
 		return
 	}
-	role := "leader"
-	if s.standby.Load() {
-		role = "standby"
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"role": role})
+	writeJSON(w, http.StatusOK, map[string]string{"role": s.role()})
 }
 
 // handleBackfill ingests the request body as a raw text log via the

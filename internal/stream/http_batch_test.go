@@ -100,10 +100,10 @@ func TestHTTPIngestBatchMidBatch503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the pipeline (same trick as the /ingest backpressure test):
-	// it takes the first chunk and stalls applying it, the second fills the
-	// length-1 queue, and the third cannot be admitted.
-	s.mu.Lock()
+	// Wedge the pipeline (as the /ingest backpressure test does): the
+	// first chunk fills the length-1 queue, and the second cannot be
+	// admitted.
+	release := wedge(t, s)
 	evs := make([]raslog.Event, 2*ingestBatchChunk+52)
 	for i := range evs {
 		evs[i] = pipelineEvent(i)
@@ -130,7 +130,7 @@ func TestHTTPIngestBatchMidBatch503(t *testing.T) {
 	if out.Line != out.Accepted+1 {
 		t.Errorf("resume line %d with %d accepted; want accepted+1", out.Line, out.Accepted)
 	}
-	s.mu.Unlock()
+	release()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

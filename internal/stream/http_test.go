@@ -170,11 +170,9 @@ func TestHTTPIngestBackpressureTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wedge the pipeline: the first applied event takes s.mu to start the
-	// retrain schedule, so holding it stalls the pipeline goroutine on the
-	// first chunk, the second fills the length-1 queue, and the third
-	// cannot be admitted.
-	s.mu.Lock()
+	// Wedge the pipeline: the first chunk fills the length-1 queue, and
+	// the second cannot be admitted.
+	release := wedge(t, s)
 	evs := make([]raslog.Event, 3*ingestBatchChunk)
 	for i := range evs {
 		evs[i] = pipelineEvent(i)
@@ -198,7 +196,7 @@ func TestHTTPIngestBackpressureTimeout(t *testing.T) {
 	if out.Line != out.Accepted+1 {
 		t.Errorf("failed at line %d with %d accepted; want line = accepted+1", out.Line, out.Accepted)
 	}
-	s.mu.Unlock()
+	release()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestSnapshotCopiesOnlyItsWindow(t *testing.T) {
 		if len(passes) == 0 {
 			<-release
 		}
-		passes = append(passes, pass{from: from, at: at, lag: s.watermarkMs() - at, snapshot: snapshot})
+		passes = append(passes, pass{from: from, at: at, lag: int64(s.m.watermark.Value()) - at, snapshot: snapshot})
 		return engine.TrainWindow(ml, repo, st, snapshot, from, at, p)
 	}
 	// Fed without waiting for the passes: the first one is held.
@@ -146,7 +146,8 @@ func TestSnapshotCopiesOnlyItsWindow(t *testing.T) {
 		}
 	}
 	waitFor(t, 30*time.Second, func() bool {
-		return s.watermarkMs() >= s.streamStartMs()+9*week.Milliseconds()
+		st := s.Stats()
+		return st.Watermark >= st.StreamStart+9*week.Milliseconds()
 	})
 	close(release)
 	if err := s.Close(); err != nil {
@@ -186,33 +187,28 @@ func TestSnapshotCopiesOnlyItsWindow(t *testing.T) {
 func TestTrainingViewSurvivesTrims(t *testing.T) {
 	cfg := Defaults()
 	cfg.TrainWindow = 3000 * time.Millisecond
-	s, err := New(cfg)
+	full, err := cfg.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	c := newCore(full, nil, nil)
 
-	// One event per ms, appended the way process does. The pipeline
-	// goroutine sees no intake, so the test owns the history.
+	// One event per ms, appended the way process does.
 	next := int64(0)
 	feed := func(n int) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		for i := 0; i < n; i++ {
-			s.appendHistoryLocked(preprocess.TaggedEvent{Event: raslog.Event{Time: next}, Class: int(next % 97), Fatal: next%13 == 0})
+			c.appendHistory(preprocess.TaggedEvent{Event: raslog.Event{Time: next}, Class: int(next % 97), Fatal: next%13 == 0})
 			next++
 		}
 	}
 	backingEnd := func() *preprocess.TaggedEvent {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		full := s.history[:cap(s.history)]
+		full := c.history[:cap(c.history)]
 		return &full[len(full)-1]
 	}
 
-	s.m.nextRetrain.Set(3000)
+	c.nextRetrain = 3000
 	feed(3000)
-	view, from := s.trainingView(3000)
+	view, from := c.trainingView(3000)
 	if from != 0 || len(view) != 3000 || cap(view) != len(view) {
 		t.Fatalf("view [%d, 3000): %d events, cap %d; want 3000 from 0 with cap == len", from, len(view), cap(view))
 	}
@@ -223,10 +219,10 @@ func TestTrainingViewSurvivesTrims(t *testing.T) {
 		if next > 1<<20 {
 			t.Fatalf("after %d events: %d trims, %d reallocations; want 2 and 1", next, trims, growths)
 		}
-		s.m.nextRetrain.Set(float64(next + 1000))
-		before, end := len(s.history), backingEnd()
+		c.nextRetrain = next + 1000
+		before, end := len(c.history), backingEnd()
 		feed(1024 - before%1024)
-		if len(s.history) < before {
+		if len(c.history) < before {
 			trims++
 		}
 		if backingEnd() != end {

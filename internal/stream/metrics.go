@@ -37,9 +37,10 @@ type metrics struct {
 	recoverySeconds *obsv.Gauge
 	snapshotLatency *obsv.Histogram
 
-	// Gauges. Stream-time values are milliseconds; streamStart is -1
-	// until the first event, nextRetrain is -1 when no training is due
-	// ever again (static policy after its one pass).
+	// Gauges, each a published copy (publish) that no code reads back as
+	// state. Stream-time values are milliseconds; streamStart is -1 until
+	// the first event, nextRetrain is -1 when no training is due ever
+	// again (static policy after its one pass).
 	reorderDepth *obsv.Gauge
 	rules        *obsv.Gauge
 	streamStart  *obsv.Gauge
@@ -51,6 +52,7 @@ type metrics struct {
 	standbyLagSeq     *obsv.Gauge   // leader next_seq - replica next seq
 	standbyLagSeconds *obsv.Gauge   // leader watermark - replica watermark
 	promotions        *obsv.Counter // standby -> leader transitions
+	standbyGaps       *obsv.Counter // follower polls that met a WAL gap
 	backfillLines     *obsv.Counter // historical log lines fed by backfill
 	backfillSkipped   *obsv.Counter // backfill lines that failed to parse
 
@@ -139,6 +141,8 @@ func newMetrics(s *Service) *metrics {
 		"Stream-time distance behind the leader's watermark in seconds; 0 on a leader.")
 	m.promotions = reg.Counter("standby_promotions_total",
 		"Standby-to-leader promotions performed by this process.")
+	m.standbyGaps = reg.Counter("standby_wal_gaps_total",
+		"Follower polls whose leader no longer holds the records the replica needs next.")
 	m.backfillLines = reg.Counter("backfill_lines_total",
 		"Historical raw-log lines parsed and fed to the pipeline by backfill.")
 	m.backfillSkipped = reg.Counter("backfill_skipped_total",
@@ -162,7 +166,6 @@ func newMetrics(s *Service) *metrics {
 	reg.GaugeFunc("stream_queue_depth", "Admitted messages (events or batches) awaiting the pipeline goroutine.",
 		func() float64 { return float64(len(s.seqCh)) }, obsv.Label{Key: "queue", Value: "sequencer"})
 
-	m.streamStart.Set(-1)
 	m.training = engine.NewTrainingMetrics(reg)
 	return m
 }

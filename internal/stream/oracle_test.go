@@ -58,7 +58,7 @@ func stateOf(t *testing.T, s *Service) finalState {
 	st.Recovery, st.Standby, st.Role, st.Queues = nil, nil, "", QueueDepths{}
 	st.Retrains = withoutTimings(st.Retrains)
 
-	snap, err := s.buildSnapshot()
+	snap, err := s.core.buildSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

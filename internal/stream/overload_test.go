@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,9 +29,8 @@ func saturatedConfig() Config {
 }
 
 // TestSaturationRejectsBoundedAndLosslessly drives Ingest past capacity
-// against a deliberately wedged pipeline (the test holds s.mu, which the
-// pipeline needs on its very first event) and pins the overload
-// contract:
+// against a deliberately wedged pipeline (parked inside a request, see
+// wedge) and pins the overload contract:
 //
 //	(a) rejection is bounded-time — ErrSaturated lands within AdmitWait
 //	    plus scheduling slack, never an unbounded block on ctx;
@@ -50,16 +50,10 @@ func TestSaturationRejectsBoundedAndLosslessly(t *testing.T) {
 	}
 	defer s.Close()
 
-	// The pipeline takes s.mu on its first event (advance sets the
-	// stream clock) and for every kept event after that; holding it here
-	// freezes the pipeline deterministically.
-	s.mu.Lock()
-	stalled := true
-	defer func() {
-		if stalled {
-			s.mu.Unlock()
-		}
-	}()
+	// A request that parks the pipeline goroutine freezes it
+	// deterministically.
+	release := wedge(t, s)
+	defer release()
 
 	ctx := context.Background()
 	accepted := raslog.NewLog("accepted", 600)
@@ -93,8 +87,7 @@ func TestSaturationRejectsBoundedAndLosslessly(t *testing.T) {
 
 	// Clear the stall and feed the rest of the sequence, retrying
 	// rejections, which must now succeed promptly.
-	s.mu.Unlock()
-	stalled = false
+	release()
 	for ; i < 500; i++ {
 		e := pipelineEvent(i)
 		for {
@@ -129,13 +122,13 @@ func TestSaturationRejectsBoundedAndLosslessly(t *testing.T) {
 	// the accepted events, in order, through the same filter decisions as
 	// the batch preprocessor.
 	want := batchPreprocess(accepted, cfg.Filter)
-	if len(s.history) != len(want) {
-		t.Fatalf("history has %d events, batch preprocess %d", len(s.history), len(want))
+	if len(s.core.history) != len(want) {
+		t.Fatalf("history has %d events, batch preprocess %d", len(s.core.history), len(want))
 	}
 	for j := range want {
-		if s.history[j].Event != want[j].Event || s.history[j].Class != want[j].Class ||
-			s.history[j].Fatal != want[j].Fatal {
-			t.Fatalf("history[%d] = %+v, want %+v", j, s.history[j], want[j])
+		if s.core.history[j].Event != want[j].Event || s.core.history[j].Class != want[j].Class ||
+			s.core.history[j].Fatal != want[j].Fatal {
+			t.Fatalf("history[%d] = %+v, want %+v", j, s.core.history[j], want[j])
 		}
 	}
 }
@@ -156,13 +149,8 @@ func TestHTTPSaturationReturns429WithResume(t *testing.T) {
 	}
 	body := encodeLog(t, l)
 
-	s.mu.Lock()
-	stalled := true
-	defer func() {
-		if stalled {
-			s.mu.Unlock()
-		}
-	}()
+	release := wedge(t, s)
+	defer release()
 
 	status429 := 0
 
@@ -207,8 +195,7 @@ func TestHTTPSaturationReturns429WithResume(t *testing.T) {
 
 	// Clear the stall and resume the batch from Line, then retry the
 	// single event; everything lands exactly once.
-	s.mu.Unlock()
-	stalled = false
+	release()
 	lines := bytes.SplitAfter(body, []byte("\n"))
 	remainder := bytes.Join(lines[resp.Line-1:], nil)
 	for attempt := 0; ; attempt++ {
@@ -252,8 +239,8 @@ func TestHTTPSaturationReturns429WithResume(t *testing.T) {
 
 // TestWarningsNotUnderServiceMu is the regression test for the
 // warnings-ring lock split: reading warnings must never need the
-// service mutex, so a pipeline (or retrain bookkeeping) holding s.mu
-// cannot block /warnings readers — and, symmetrically, a warnings
+// service mutex, so retrain bookkeeping holding s.mu cannot block
+// /warnings readers — and, symmetrically, a warnings
 // reader can never hold up the hot path. Before the split Warnings(n)
 // locked s.mu and this test timed out.
 func TestWarningsNotUnderServiceMu(t *testing.T) {
@@ -276,6 +263,21 @@ func TestWarningsNotUnderServiceMu(t *testing.T) {
 		t.Fatal("Warnings blocked behind the service mutex")
 	}
 	s.mu.Unlock()
+}
+
+// wedge parks the pipeline goroutine inside a request until the returned
+// release is called (calling it again is a no-op): intake queues behind
+// it, and so saturates.
+func wedge(t *testing.T, s *Service) (release func()) {
+	t.Helper()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	go s.do(func() {
+		close(entered)
+		<-gate
+	})
+	<-entered
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
 }
 
 // stallWriter is an http.ResponseWriter whose first Write parks until

@@ -148,7 +148,7 @@ func TestConcurrentIngestAndRetrainSwap(t *testing.T) {
 	}
 	// History must still be time-sorted: the predictor's core invariant.
 	var prev int64 = -1
-	for _, te := range s.history {
+	for _, te := range s.core.history {
 		if te.Time < prev {
 			t.Fatalf("history out of order after concurrent ingest: %d after %d", te.Time, prev)
 		}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/learner"
-	"repro/internal/meta"
 	"repro/internal/persist"
 	"repro/internal/preprocess"
 	"repro/internal/raslog"
@@ -104,10 +103,10 @@ func compareServices(t *testing.T, got, want *Service) {
 			gs.StreamStart, gs.Watermark, gs.NextRetrain, ws.StreamStart, ws.Watermark, ws.NextRetrain)
 	}
 	got.mu.Lock()
-	gh := append([]preprocess.TaggedEvent(nil), got.history...)
+	gh := append([]preprocess.TaggedEvent(nil), got.core.history...)
 	got.mu.Unlock()
 	want.mu.Lock()
-	wh := append([]preprocess.TaggedEvent(nil), want.history...)
+	wh := append([]preprocess.TaggedEvent(nil), want.core.history...)
 	want.mu.Unlock()
 	if !reflect.DeepEqual(gh, wh) {
 		t.Errorf("training histories differ: got %d events, want %d", len(gh), len(wh))
@@ -335,28 +334,26 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Service{cfg: full, repo: meta.NewRepository()}
-	s.m = newMetrics(s)
-	s.pr.Store(s.newPredictor(nil))
+	c := newCore(full, nil, func(uint64, bool) {})
 	// swap installs a pass that re-learned the repository's rules, as the
-	// applying goroutine does when a pass hands its predictor over.
+	// pipeline goroutine does when a pass hands its predictor over.
 	swap := func() {
-		s.retraining.Store(true)
-		s.install(pass{pr: s.newPredictor(s.repo.Rules())})
+		c.retraining = true
+		c.install(pass{pr: c.newPredictor(c.repo.Rules())})
 	}
 
 	// One distribution rule: more than 60 s since the last fatal warns.
 	// The fatal arrives before the first pass installs.
-	s.repo.Restore([]learner.Rule{{Kind: learner.Distribution, ElapsedSec: 60, Confidence: 0.9}})
+	c.repo.Restore([]learner.Rule{{Kind: learner.Distribution, ElapsedSec: 60, Confidence: 0.9}})
 	const fatalAt = int64(1_000_000_000_000)
-	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatalAt}, Class: 2, Fatal: true})
+	c.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatalAt}, Class: 2, Fatal: true})
 	swap()
 
 	// 70 s after the fatal: the live predictor warns, through the normal
 	// process path (which is what moves its dedup marks).
 	warnAt := fatalAt + 70_000
-	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: warnAt}, Class: 1})
-	if got := s.m.warningsTotal.Value(); got != 1 {
+	c.process(preprocess.TaggedEvent{Event: raslog.Event{Time: warnAt}, Class: 1})
+	if got := c.n.Warnings; got != 1 {
 		t.Fatalf("setup: expected exactly one warning, got %d", got)
 	}
 
@@ -365,8 +362,8 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 	// and still past the elapsed threshold — the old predictor would have
 	// stayed silent; the swapped-in one must too.
 	swap()
-	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: warnAt + 10_000}, Class: 1})
-	if got := s.m.warningsTotal.Value(); got != 1 {
+	c.process(preprocess.TaggedEvent{Event: raslog.Event{Time: warnAt + 10_000}, Class: 1})
+	if got := c.n.Warnings; got != 1 {
 		t.Fatalf("swapped-in predictor re-warned (total %d) off the pre-swap fatal; dedup state was lost across the swap", got)
 	}
 
@@ -377,14 +374,14 @@ func TestSwapPredictorKeepsWarnSpacing(t *testing.T) {
 	// clock still at the first fatal would not; 400 s after it, the
 	// distribution rule must fire, which an unseeded clock would not.
 	fatal2 := warnAt + 290_000
-	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2}, Class: 2, Fatal: true})
+	c.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2}, Class: 2, Fatal: true})
 	swap()
-	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2 + 30_000}, Class: 1})
-	if got := s.m.warningsTotal.Value(); got != 1 {
+	c.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2 + 30_000}, Class: 1})
+	if got := c.n.Warnings; got != 1 {
 		t.Fatalf("swapped-in predictor warned 30 s after a pre-swap fatal (total %d); its clock is not at the latest fatal", got)
 	}
-	s.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2 + 400_000}, Class: 1})
-	if got := s.m.warningsTotal.Value(); got != 2 {
+	c.process(preprocess.TaggedEvent{Event: raslog.Event{Time: fatal2 + 400_000}, Class: 1})
+	if got := c.n.Warnings; got != 2 {
 		t.Fatalf("warnings total %d after an event 400 s past a pre-swap fatal, want 2; the elapsed-failure clock was lost across the swap", got)
 	}
 }

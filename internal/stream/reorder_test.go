@@ -32,8 +32,8 @@ func drainOrder(t *testing.T, cfg Config, events []raslog.Event) []int64 {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out := make([]int64, len(s.history))
-	for i, te := range s.history {
+	out := make([]int64, len(s.core.history))
+	for i, te := range s.core.history {
 		out[i] = te.RecordID
 	}
 	return out
@@ -129,7 +129,7 @@ func TestReorderOverflowCountsExactlyOne(t *testing.T) {
 	// The released stream must still be time-sorted despite the forced
 	// early releases.
 	var prev int64 = -1 << 62
-	for i, te := range s.history {
+	for i, te := range s.core.history {
 		if te.Time < prev {
 			t.Fatalf("history not time-sorted at %d: %d after %d", i, te.Time, prev)
 		}

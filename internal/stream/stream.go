@@ -3,45 +3,38 @@
 // engine replays offline (paper §4.3 — "an event-driven approach is well
 // suited for online failure prediction").
 //
-// Events flow through one pipeline goroutine:
+// The event state machine is one core (core.go) with one owner: New
+// drives it while it recovers, then the pipeline goroutine alone:
 //
-//		Ingest ─→ queue ─→ reorder buffer ─→ WAL frame ─→ apply, per released event:
+//		Ingest ─→ queue ─→ reorder buffer ─→ WAL frame ─→ core.apply, per released event:
 //		(per batch)        (late drop,        (ticket →     temporal filter → spatial filter →
 //		                    tolerance, cap)    the ack)      categorizer → predictor → retrain check
 //
-//	  - Intake hands whole batches over a bounded queue; that hand-off is the
-//	    only channel hop an event takes.
-//	  - The reorder buffer tolerates out-of-order arrivals: events are
-//	    released in (time, arrival) order once the newest seen timestamp has
-//	    advanced past them by ReorderWindow (or the buffer overflows its
-//	    limit). Events older than the release point are counted and
-//	    dropped, preserving the sorted-stream invariant every later step
-//	    requires.
+//	  - Everything that changes the core arrives over the bounded intake
+//	    queue: client batches, a standby's replicated pulls (follower.go),
+//	    TrainNow and promotion. Other goroutines read published copies.
+//	  - The reorder buffer releases events in (time, arrival) order once
+//	    the newest timestamp leads them by ReorderWindow (or the buffer
+//	    overflows); older arrivals are counted and dropped.
 //	  - A batch's releases are appended to the WAL as one frame and the
-//	    commit ticket goes back to the caller first, so the fsync and the
-//	    client's ack overlap the filtering of the same events.
-//	  - apply is the whole per-event state machine, and the only copy of
-//	    it: WAL replay at startup and a standby's follower call the same
-//	    function, so live ≡ recovery ≡ follower by construction.
-//	    Equivalence with the batch preprocessor on in-order input is pinned
-//	    by TestPipelineMatchesBatch.
+//	    commit ticket goes back first, so the fsync and the client's ack
+//	    overlap the filtering of the same events.
+//	  - core.apply is the only per-event state machine: live batches, WAL
+//	    replay and replicated pulls all run through it, so live ≡ recovery
+//	    ≡ follower by construction (TestOneStateMachineOracle).
 //	  - Retraining runs in the background on a view of the append-only
-//	    history's window (policies Static / Sliding / Whole, as in the
-//	    engine). The applying goroutine installs each finished pass
-//	    between two events and logs an install mark there, where replay
-//	    and a follower install it too. The hot observe path takes no lock
-//	    and never waits on a retrain.
+//	    history. The pipeline installs each finished pass between two
+//	    messages and logs an install mark there, where replay and a
+//	    follower install it too.
 //
-// The intake queue is bounded; a busy pipeline exerts backpressure on
-// Ingest rather than buffering without limit. Close drains everything in
-// order.
+// A busy pipeline exerts backpressure on Ingest rather than buffering
+// without limit. Close drains everything in order.
 package stream
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,9 +122,9 @@ type Config struct {
 	// starts. Empty disables persistence.
 	StateDir string
 	// Standby starts the service as a hot-standby replica (DESIGN.md §14):
-	// Ingest refuses with ErrStandby, and a Follower applies a leader's
-	// WAL as replay would until Promote starts the live pipeline there.
-	// Requires StateDir: a promoted replica recovers from its own WAL.
+	// Ingest refuses with ErrStandby, and a Follower feeds the pipeline a
+	// leader's WAL until Promote. Requires StateDir: a promoted replica
+	// recovers from its own WAL.
 	Standby bool
 	// WALRotateBytes is the WAL segment rotation size. Zero means 8 MiB.
 	WALRotateBytes int64
@@ -213,101 +206,67 @@ type RetrainRecord struct {
 // Close to drain.
 type Service struct {
 	cfg  Config
-	repo *meta.Repository
-	zer  *preprocess.Categorizer
-	// incrState maintains the windowed sufficient statistics that turn a
-	// retrain into a delta-apply. Passes are serialized by the retraining
-	// flag, so Advance/Install never race, and a cut never runs beside one.
-	incrState *incr.State
+	core *core // New's during recovery, the pipeline goroutine's after
 	// trainPass is the training call of every retrain: engine.TrainWindow,
 	// which this package's tests replace with the learners' batch pass as
 	// the reference. Set before the service applies its first event.
 	trainPass func(*meta.MetaLearner, *meta.Repository, *incr.State, []preprocess.TaggedEvent, int64, int64, learner.Params) (engine.Retraining, error)
 
-	// pr is the live predictor: only the applying goroutine observes
-	// through it or replaces it. Before the first pass it has no rules and
-	// keeps the last-fatal clock the first pass is seeded from.
-	pr atomic.Pointer[predictor.Predictor]
-
 	seqCh   chan ingestMsg
-	handoff chan pass       // trainer → applying goroutine; one pass at a time
+	handoff chan pass       // trainer → pipeline goroutine; one pass at a time
 	lim     *RetrainLimiter // Config.RetrainLimiter, nil during recovery
 
-	// State of apply, owned by whichever goroutine is applying events: New
-	// during recovery, the follower while standby, the pipeline goroutine
-	// when live. The hand-overs are ordered by closeMu and goroutine start,
-	// so no lock. start/wm are the stream clock (start is -1 before the
-	// first event); the like-named gauges are its per-batch published copy.
-	temporal *preprocess.TemporalStage
-	spatial  *preprocess.SpatialStage
-	next     uint64 // sequence number the next released event takes
-	start    int64
-	wm       int64
-	// marks counts the install marks at position markSeq the state holds:
-	// a snapshot records them, and a follower skips them when shipped again.
-	markSeq uint64
-	marks   int
+	// Durable-state plumbing; nil/zero when StateDir is empty. store stays
+	// nil during WAL replay, which writes nothing.
+	store      *persist.Store
+	snapSlot   chan struct{} // capacity 1: held while a snapshot is written
+	recovery   RecoveryInfo
+	closeStore sync.Once
 
-	// Durable-state plumbing; nil/zero when StateDir is empty (and during
-	// WAL replay, which writes nothing).
-	store     *persist.Store
-	snapSlot  chan struct{} // capacity 1: held while a snapshot is written
-	recovery  RecoveryInfo
-	finalSnap sync.Once
+	closeMu sync.RWMutex // orders senders on seqCh against Close
+	closed  bool
+	done    chan struct{} // pipeline goroutine finished
 
-	closeMu    sync.RWMutex
-	closed     bool
-	pipelineOn bool          // pipeline goroutine running (false while standby)
-	done       chan struct{} // pipeline goroutine finished
-
-	// standby mirrors Config.Standby until promotion flips it; transitions
-	// happen under closeMu.Lock (promote) so intake checks under RLock are
-	// exact, and reads elsewhere (Stats) take the atomic view. promoteHook
-	// lets a Follower interpose its orderly shutdown in front of the state
-	// flip when POST /promote arrives through the service mux.
-	standby     atomic.Bool
-	promoteHook atomic.Pointer[func() error]
-	// leaderSeq is the leader's next sequence at the follower's last poll
-	// (the replica's own position is the sequenced counter).
-	leaderSeq uint64
+	// standby mirrors Config.Standby until the promotion flips it on the
+	// pipeline goroutine: intake that reads false queues behind it.
+	standby atomic.Bool
+	// leaderSeq and leaderWM are the leader's next sequence and watermark
+	// at the follower's last poll, and gap the WAL gap that poll met (nil
+	// when none).
+	leaderSeq atomic.Uint64
+	leaderWM  atomic.Int64
+	gap       atomic.Pointer[string]
 	// backfill is the bounded-memory historical intake (backfill.go); at
 	// most one runs at a time.
 	backfill backfillState
 
-	// retraining is held from a pass's start to its install: its holder
-	// owns the repository and the schedule.
-	retraining atomic.Bool
-
 	// m holds every counter, gauge and histogram (see metrics.go).
 	// Stats() and GET /metrics are two views over these instruments.
-	// The next-retrain gauge is the schedule: after the first event only
-	// the holder of the retraining flag moves it.
 	m *metrics
 
-	mu       sync.Mutex
-	history  []preprocess.TaggedEvent
-	retrains []RetrainRecord
-
-	// The warnings ring lives under its own mutex, NOT under mu: readers
-	// (GET /warnings, the fleet firehose) copy the ring here and format it
-	// outside any lock, so a slow reader can never hold the service mutex
-	// against the pipeline's hot path. The pipeline takes warnMu only on
-	// the rare event that actually emits warnings.
+	// Copies of the core that publish makes for other goroutines; nothing
+	// reads state back out of them. pub is what it copied last, and
+	// nowWait the TrainNow waiting for the record at index nowAt.
+	pr         atomic.Pointer[predictor.Predictor] // the live predictor, for Rules
+	retraining atomic.Bool
+	mu         sync.Mutex
+	retrains   []RetrainRecord
+	// Warnings readers copy under their own mutex and format outside it.
 	warnMu   sync.Mutex
-	warnings []predictor.Warning // ring of the last WarningsKeep
+	warnings []predictor.Warning
+	pub      struct {
+		n    persist.Counters
+		seq  uint64
+		recs int
+		pr   *predictor.Predictor
+	}
+	nowWait chan RetrainRecord
+	nowAt   int
 }
 
-// Stream-time accessors over the metric gauges (ms). streamStart is -1
-// until the first event; nextRetrain is -1 when no training will ever be
-// due again.
-func (s *Service) streamStartMs() int64 { return int64(s.m.streamStart.Value()) }
-func (s *Service) watermarkMs() int64   { return int64(s.m.watermark.Value()) }
-func (s *Service) nextRetrainMs() int64 { return int64(s.m.nextRetrain.Value()) }
-
-// New validates cfg, starts the pipeline goroutine, and returns the
-// running service. With Config.Standby the goroutine is deferred until
-// Promote: the service recovers its durable state and then waits to be
-// fed by a Follower.
+// New validates cfg, recovers the durable state in StateDir if any, and
+// starts the pipeline goroutine. With Config.Standby the service then
+// waits to be fed by a Follower.
 func New(cfg Config) (*Service, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {
@@ -317,43 +276,29 @@ func New(cfg Config) (*Service, error) {
 		return nil, errors.New("stream: Standby requires StateDir")
 	}
 	s := &Service{
-		cfg:  full,
-		repo: meta.NewRepository(),
-		zer:  preprocess.NewCategorizer(preprocess.NewCatalog()),
-		// Before recover(): a persisted snapshot may carry incremental
-		// state to restore, sparing the first post-recovery retrain a
-		// cold rebuild.
-		incrState: incr.New(meta.IncrConfig(full.Meta, full.Params)),
+		cfg:       full,
 		trainPass: engine.TrainWindow,
-		temporal:  preprocess.NewTemporalStage(full.Filter),
-		spatial:   preprocess.NewSpatialStage(full.Filter),
 		seqCh:     make(chan ingestMsg, full.QueueLen),
 		handoff:   make(chan pass, 1),
-		start:     -1,
 		snapSlot:  make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
-	s.pr.Store(s.newPredictor(nil))
+	s.core = newCore(full, s.train, s.mark)
 	s.m = newMetrics(s) // after the queue exists: its depth gauge reads it
+	s.standby.Store(full.Standby)
 
 	if full.StateDir != "" {
 		// Recovery runs before the pipeline goroutine exists: the snapshot
-		// is restored and the WAL tail replayed through apply, then intake
-		// resumes where the durable log ends.
+		// is restored and the WAL tail replayed through the core, then
+		// intake resumes where the durable log ends.
 		if err := s.recover(); err != nil {
 			return nil, err
 		}
 	}
-
 	s.lim = full.RetrainLimiter
-	if full.Standby {
-		// No pipeline goroutine exists until promotion: the Follower feeds
-		// applyReplicated, which installs each pass at the leader's mark.
-		s.standby.Store(true)
-		return s, nil
-	}
-	s.pipelineOn = true
-	go s.pipeline() // owns the apply-side state from here on
+	s.core.reseat()
+	s.publish()
+	go s.pipeline() // owns the core from here on
 	return s, nil
 }
 
@@ -368,11 +313,9 @@ func (s *Service) Ingest(ctx context.Context, e raslog.Event) error {
 }
 
 // admit hands msg to the pipeline goroutine. The fast path is a
-// non-blocking send — no timer, no allocation, so an unsaturated pipeline
-// keeps the zero-alloc budget. Only when the queue is full does it arm a timer and
-// wait up to AdmitWait, recording the stall either way: admission waits
-// feed the backpressure histogram, timeouts the rejected counter (whose
-// value therefore equals the number of 429s the HTTP layer produced).
+// non-blocking send, with no timer or allocation. With the queue full it
+// waits up to AdmitWait, recording the stall in the backpressure
+// histogram and a timeout in the rejected counter (one per HTTP 429).
 // Caller holds closeMu.RLock, so seqCh cannot close under the send.
 func (s *Service) admit(ctx context.Context, msg ingestMsg) error {
 	select {
@@ -458,37 +401,40 @@ func (s *Service) submit(ctx context.Context, msg ingestMsg) (int, error) {
 	return n, nil
 }
 
+// do runs fn on the pipeline goroutine between two batches, publishes
+// what it changed, and returns once that is done; ErrClosed after Close.
+func (s *Service) do(fn func()) error {
+	done := make(chan struct{})
+	msg := ingestMsg{serve: func() {
+		fn()
+		s.publish()
+		close(done)
+	}}
+	s.closeMu.RLock()
+	if s.closed {
+		s.closeMu.RUnlock()
+		return ErrClosed
+	}
+	s.seqCh <- msg
+	s.closeMu.RUnlock()
+	<-done
+	return nil
+}
+
 // Close stops intake, drains the pipeline in order, installs any pass in
 // flight, and returns. Safe to call more than once; a standby's Follower
 // must be stopped first.
 func (s *Service) Close() error {
 	s.closeMu.Lock()
-	already := s.closed
-	pipelineOn := s.pipelineOn
-	if !already {
+	if !s.closed {
 		s.closed = true
 		close(s.seqCh)
 	}
 	s.closeMu.Unlock()
-	// A standby's pass in flight installs at the leader's mark, which a
-	// restart replays to: it is awaited, but neither installed nor cut.
-	inFlight := !pipelineOn && s.retraining.Load()
-	if pipelineOn {
-		<-s.done
-	} else if inFlight {
-		<-s.handoff
-	}
+	<-s.done
 	var err error
-	if s.store != nil {
-		// Graceful shutdown snapshots the fully-drained state, so the next
-		// start replays no WAL at all. After crash() the store is dead and
-		// both calls are no-ops — that is the point of the simulation.
-		s.finalSnap.Do(func() {
-			if !inFlight {
-				s.writeSnapshot()
-			}
-			err = s.store.Close()
-		})
+	if s.store != nil { // a no-op after crash(), as a kill leaves it
+		s.closeStore.Do(func() { err = s.store.Close() })
 	}
 	return err
 }
@@ -497,89 +443,86 @@ func (s *Service) Close() error {
 // The pipeline goroutine: reorder, log, apply.
 // ---------------------------------------------------------------------------
 
-// ingestMsg travels IngestBatch → pipeline. A batch is sequenced as one
-// unit, so everything it releases shares one WAL group commit. ack, when
-// non-nil, receives exactly one commit ticket, covering the events the
-// batch released, once those are in the WAL. recycle, when non-nil, is
-// the chunkPool entry backing batch: the pipeline puts it back once the
-// events are copied into the reorder buffer, the last time it reads
-// batch.
+// ingestMsg travels to the pipeline goroutine: a batch, sequenced as one
+// unit, or with serve set a request (do). ack, when non-nil, receives
+// one commit ticket covering the batch's releases. recycle, when
+// non-nil, is the chunkPool entry backing batch, put back once the
+// events are in the reorder buffer.
 type ingestMsg struct {
 	batch   []raslog.Event
 	ack     chan persist.Ticket
 	recycle *[]raslog.Event
+	serve   func()
 }
 
-// pipeline is the service's one event-processing goroutine. Per message
-// it copies the events into the reorder buffer, appends what it releases
-// to the WAL as one frame, hands the commit ticket back, and only then
-// applies the releases, so the fsync overlaps the filter and predictor
-// work. A snapshot syncs the WAL first, so no durable state can claim a
-// sequence the log might still lose.
+// pipeline is the goroutine that owns the core. Per batch it sequences
+// the events, appends the releases to the WAL as one frame, hands the
+// ticket back, and only then applies them, so the fsync overlaps the
+// filtering. A leader installs each finished pass between two messages;
+// a standby leaves them to the leader's marks. At the end of intake it
+// flushes the buffer, installs what is training (a TrainNow that got in
+// before Close waits on it) and snapshots, so a restart replays nothing.
 func (s *Service) pipeline() {
 	defer close(s.done)
-	// After recovery or promotion the ordering floor continues at the
-	// restored watermark (releases are nondecreasing in time, so that is
-	// the last emitted time): re-fed events are not mistaken for late.
-	floor := int64(-1 << 62)
-	if s.start >= 0 {
-		floor = s.wm
-	}
-	buf := newReorderBuf(s.cfg.ReorderLimit, s.cfg.ReorderWindow.Milliseconds(), floor)
+	c := s.core
 	var release []raslog.Event // this round's releases, committed together
 	for {
-		// A finished pass goes live before the next batch, or when idle.
+		var handoff chan pass
+		if !s.standby.Load() {
+			handoff = s.handoff
+		}
 		var msg ingestMsg
 		var ok bool
 		select {
-		case p := <-s.handoff:
-			s.install(p)
-			continue
-		default:
-		}
-		select {
-		case p := <-s.handoff:
-			s.install(p)
+		case p := <-handoff:
+			c.install(p)
+			s.publish()
 			continue
 		case msg, ok = <-s.seqCh:
 		}
 		if !ok {
 			break
 		}
-		t0 := time.Now()
-		for i := range msg.batch {
-			buf.push(msg.batch[i])
+		if msg.serve != nil {
+			msg.serve()
+			continue
 		}
+		t0 := time.Now()
+		release = c.sequence(release[:0], msg.batch, false)
 		if msg.recycle != nil {
 			chunkPool.Put(msg.recycle)
 		}
-		var late, overflow int64
-		release, late, overflow = buf.release(release[:0], false)
-		t := s.logReleases(release)
+		t := s.logEvents(release)
 		if msg.ack != nil {
 			msg.ack <- t // buffered: never blocks the pipeline
 		}
 		t1 := time.Now()
 		s.m.seqLatency.Observe(t1.Sub(t0).Seconds())
-		s.applyBatch(release, late, overflow, buf.len(), t1)
+		s.applyRun(release, t1)
 	}
-	// Intake closed: flush the buffer in order, then install what is
-	// still training (a TrainNow that got in before Close waits on it).
-	var late int64
-	release, late, _ = buf.release(release[:0], true)
-	s.logReleases(release)
-	s.applyBatch(release, late, 0, 0, time.Now())
-	s.drain()
+	release = c.sequence(release[:0], nil, true)
+	s.logEvents(release)
+	s.applyRun(release, time.Now())
+	if !s.standby.Load() {
+		c.drain(s.awaitPass)
+	} else if c.retraining {
+		// A standby's pass installs at the leader's mark, which a restart
+		// replays to: it is awaited, but neither installed nor cut.
+		<-s.handoff
+	}
+	s.publish()
+	if s.store != nil {
+		s.writeSnapshot() // Close closes the store next
+	}
 }
 
-// logReleases appends one round of releases to the WAL at sequences
-// s.next on as one frame whatever its size (group commit). The returned
-// ticket resolves with the covering fsync.
-func (s *Service) logReleases(release []raslog.Event) persist.Ticket {
-	if s.store == nil || len(release) == 0 {
+// logEvents appends events to the WAL at core.next as one frame (group
+// commit); the ticket resolves with the covering fsync.
+func (s *Service) logEvents(events []raslog.Event) persist.Ticket {
+	if s.store == nil || len(events) == 0 {
 		return persist.Ticket{}
 	}
-	n, t, err := s.store.AppendBatch(s.next, release)
+	n, t, err := s.store.AppendBatch(s.core.next, events)
 	if err != nil {
 		s.m.walErrors.Inc()
 		return persist.FailedTicket(err)
@@ -588,172 +531,36 @@ func (s *Service) logReleases(release []raslog.Event) persist.Ticket {
 	return t
 }
 
-// applyBatch runs one round of releases through apply and publishes it to
-// the instruments — per batch, not per event. t0 is when the round's
-// sequencing ended.
-func (s *Service) applyBatch(release []raslog.Event, late, overflow int64, depth int, t0 time.Time) {
-	// The reorder tallies land before the events are applied, so the
-	// counters of a snapshot an install cuts are exact at its cut.
-	s.m.lateDropped.Add(late)
-	s.m.reorderOverflow.Add(overflow)
-	for i := range release {
-		s.apply(release[i])
+// applyRun applies events and publishes the result, once per run. t0 is
+// when the run's sequencing ended.
+func (s *Service) applyRun(events []raslog.Event, t0 time.Time) {
+	for i := range events {
+		s.core.apply(events[i])
 	}
-	s.publish(len(release))
-	s.m.reorderDepth.Set(float64(depth))
-	if len(release) > 0 {
-		clear(release) // drop the string references
+	s.publish()
+	if len(events) > 0 {
+		clear(events) // drop the string references
 		s.m.collectLatency.Since(t0)
 	}
 }
 
-// apply is the per-event state machine, and the only one: the live
-// pipeline, WAL replay and the standby's follower all advance the
-// service through this function, so the three agree by construction.
-func (s *Service) apply(e raslog.Event) {
-	s.next++
-	if s.start < 0 {
-		s.start = e.Time
-		s.m.nextRetrain.Set(float64(e.Time + s.cfg.InitialTrain.Milliseconds()))
-	}
-	if e.Time > s.wm {
-		s.wm = e.Time
-	}
-	if s.temporal.Observe(e) {
-		s.m.afterTemporal.Inc()
-		if s.spatial.Observe(e) {
-			class, fatal := s.zer.Categorize(e)
-			s.process(preprocess.TaggedEvent{Event: e, Class: class, Fatal: fatal})
-		}
-	}
-	s.startDue()
-}
+// awaitPass waits for the pass in flight to finish.
+func (s *Service) awaitPass() pass { return <-s.handoff }
 
-// startDue starts the pass the schedule owes unless one is in flight.
-func (s *Service) startDue() {
-	if s.due() && s.retraining.CompareAndSwap(false, true) {
-		s.startPass(s.nextRetrainMs(), pass{})
-	}
-}
-
-// publish makes n applied events and the stream clock visible to everyone
-// who is not the applying goroutine (TrainNow reads the clock here, at
-// most one batch stale).
-func (s *Service) publish(n int) {
-	s.m.sequenced.Add(int64(n))
-	s.m.streamStart.Set(float64(s.start))
-	s.m.watermark.Set(float64(s.wm))
-}
-
-// process feeds one fully-filtered event to the history and the live
-// predictor. Runs only on the applying goroutine; the predictor pointer
-// is loaded once per event and never locked.
-func (s *Service) process(te preprocess.TaggedEvent) {
-	s.m.processed.Inc()
-	warns := s.pr.Load().Observe(te)
-	if te.Fatal {
-		s.m.fatals.Inc()
-	}
-
-	s.mu.Lock()
-	s.appendHistoryLocked(te)
-	s.mu.Unlock()
-	if len(warns) > 0 {
-		s.m.warningsTotal.Add(int64(len(warns)))
-		s.warnMu.Lock()
-		s.warnings = append(s.warnings, warns...)
-		if over := len(s.warnings) - s.cfg.WarningsKeep; over > 0 {
-			s.warnings = append(s.warnings[:0], s.warnings[over:]...)
-		}
-		s.warnMu.Unlock()
-	}
-}
-
-// appendHistoryLocked adds te to the history, bounded to what future
-// retrainings can use: nothing once a Static service has trained, the
-// sliding window (plus the untrained remainder) under Sliding. Whole
-// keeps everything.
-//
-// The history is append-only: a trim reslices past the expired prefix
-// (append's next reallocation frees it), and a reset starts a new
-// slice, so no code writes an element below len and a view taken by
-// trainingView stays intact while the history moves on.
-func (s *Service) appendHistoryLocked(te preprocess.TaggedEvent) {
-	if s.cfg.Policy == engine.Static && len(s.retrains) > 0 {
-		return
-	}
-	s.history = append(s.history, te)
-	if s.cfg.Policy != engine.Sliding || len(s.history)%1024 != 0 {
-		return
-	}
-	cutoff := s.nextRetrainMs() - s.cfg.TrainWindow.Milliseconds()
-	i := 0
-	for i < len(s.history) && s.history[i].Time < cutoff {
-		i++
-	}
-	s.history = s.history[i:]
-}
-
-// due reports whether the stream clock has crossed the next training
-// boundary. Runs on the applying goroutine.
-func (s *Service) due() bool {
-	at := s.nextRetrainMs()
-	return at > 0 && s.wm >= at
-}
-
-// trainingView returns the policy's training slice ending at the
-// stream-time boundary `at` (ms) and its window start (engine.TrainWindow
-// needs both bounds). The slice is a view of the history, not a copy:
-// the history is append-only (see appendHistoryLocked), and the view's cap
-// ends at its len, so neither the history nor the trainer can write into
-// the other's elements. The history is time-sorted, so the window's
-// bounds are two binary searches.
-func (s *Service) trainingView(at int64) ([]preprocess.TaggedEvent, int64) {
-	var from int64 = -1 << 62
-	if s.cfg.Policy == engine.Sliding {
-		from = at - s.cfg.TrainWindow.Milliseconds()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	search := func(t int64) int {
-		return sort.Search(len(s.history), func(i int) bool { return s.history[i].Time >= t })
-	}
-	lo, hi := search(from), search(at)
-	return s.history[lo:hi:hi], from
-}
-
-// pass is one training pass on its way to its install.
-type pass struct {
-	rec  RetrainRecord
-	pr   *predictor.Predictor // over the pass's rules; nil when it failed
-	done chan RetrainRecord   // TrainNow's: gets the record once installed
-	prev int64                // the schedule the pass's start replaced
-}
-
-// startPass advances the schedule a cadence past `at` (a static service
-// trains once) and runs the pass over the window ending at `at`
-// (engine.TrainWindow, delta-applied) on a goroutine of its own, under
-// the retrain limiter, handing it to the applying goroutine. The caller
-// holds the retraining flag, which the install releases.
-func (s *Service) startPass(at int64, p pass) {
-	p.rec.At, p.prev = at, s.nextRetrainMs()
-	next := int64(-1)
-	if s.cfg.Policy != engine.Static {
-		next = max(p.prev, at+s.cfg.RetrainEvery.Milliseconds())
-	}
-	s.m.nextRetrain.Set(float64(next))
-	view, from := s.trainingView(at)
-	lim := s.lim
+// train is the core's pass-start exit: it runs the pass on a goroutine
+// of its own, under the retrain limiter, and hands it back on handoff.
+func (s *Service) train(p pass, view []preprocess.TaggedEvent, from int64) {
+	c, lim := s.core, s.lim
 	go func() {
 		if lim != nil {
 			lim.acquire()
 		}
-		rt, err := s.trainPass(s.cfg.Meta, s.repo, s.incrState, view, from, at, s.cfg.Params)
+		rt, err := s.trainPass(s.cfg.Meta, c.repo, c.incrState, view, from, p.rec.At, s.cfg.Params)
 		if err != nil {
 			p.rec.Err = err.Error()
 		} else {
 			p.rec.Retraining = rt
-			p.pr = s.newPredictor(s.repo.Rules())
+			p.pr = c.newPredictor(c.repo.Rules())
 		}
 		if lim != nil {
 			lim.release()
@@ -762,108 +569,73 @@ func (s *Service) startPass(at int64, p pass) {
 	}()
 }
 
-// newPredictor builds the service's predictor over rules: one open
-// warning across the expert families, spaced at the base window even
-// under a wider W_P, as the offline engine counts.
-func (s *Service) newPredictor(rules []learner.Rule) *predictor.Predictor {
-	pr := predictor.New(rules, s.cfg.Params)
-	pr.GlobalDedup = true
-	engine.ClampDedup(pr, s.cfg.Params.WindowSec)
-	return pr
-}
-
-// install puts a finished pass into effect at s.next on the applying
-// goroutine: its predictor takes over the old one's last fatal and dedup
-// marks (TestSwapPredictorKeepsWarnSpacing), goes live, and is logged by
-// an install mark and a cut taken before anything trains again. A failed
-// pass is only recorded, a TrainNow's handing its schedule claim back.
-// Then the pass already due starts, or the retraining flag is released.
-// Reports whether p went live.
-func (s *Service) install(p pass) bool {
-	ok := p.pr != nil
-	if ok {
-		old := s.pr.Load()
-		p.pr.SeedLastFatal(old.LastFatal())
-		p.pr.SeedLastWarn(old.LastWarnTimes())
-		s.pr.Store(p.pr)
-		s.m.rules.Set(float64(len(p.pr.Rules())))
-		s.m.training.Record(p.rec.Retraining)
-		p.rec.InstalledSeq = s.next
-		s.logMark()
-	} else {
-		s.m.training.RecordError()
-		if p.done != nil {
-			s.m.nextRetrain.Set(float64(p.prev))
-		}
-	}
-	s.mu.Lock()
-	s.retrains = append(s.retrains, p.rec)
-	if s.cfg.Policy == engine.Static && ok {
-		s.history = nil // a static service never trains again
-	}
-	s.mu.Unlock()
-	if ok && s.store != nil {
-		s.cut()
-	}
-	if s.due() {
-		s.startPass(s.nextRetrainMs(), pass{}) // the flag passes to it
-	} else {
-		s.retraining.Store(false)
-	}
-	if p.done != nil {
-		p.done <- p.rec
-	}
-	return ok
-}
-
-// logMark counts an install mark at s.next and writes it to the WAL.
-func (s *Service) logMark() {
-	if s.markSeq != s.next {
-		s.markSeq, s.marks = s.next, 0
-	}
-	s.marks++
+// mark is the core's install-mark exit: it appends the mark to the WAL
+// and, where a pass went live, cuts a snapshot. Without a store
+// (memory-only, or during replay) it does nothing.
+func (s *Service) mark(seq uint64, live bool) {
 	if s.store == nil {
 		return
 	}
-	if n, err := s.store.AppendMark(s.next); err != nil {
+	if n, err := s.store.AppendMark(seq); err != nil {
 		s.m.walErrors.Inc()
 	} else {
 		s.m.walBytes.Add(int64(n))
 	}
-}
-
-// marksAt counts the marks at s.next the state holds.
-func (s *Service) marksAt() int {
-	if s.markSeq != s.next {
-		return 0
+	if live {
+		s.cut()
 	}
-	return s.marks
 }
 
-// applyMark installs, at a mark read from the log, the pass started but
-// not installed (after recording a failed one ahead of it). With nothing
-// started (a TrainNow's mark) the mark is only counted and logged.
-func (s *Service) applyMark() {
-	for s.retraining.Load() {
-		if s.install(<-s.handoff) {
-			return
+// publish copies the core to what other goroutines read: the metrics,
+// the live predictor, the retrain records and the warnings. The
+// sequenced counter goes last, so a reader that sees a run counted sees
+// the rest of it too; a TrainNow waiting for its record gets it last.
+func (s *Service) publish() {
+	c, m, pub := s.core, s.m, &s.pub
+	m.lateDropped.Add(c.n.LateDropped - pub.n.LateDropped)
+	m.reorderOverflow.Add(c.n.Overflow - pub.n.Overflow)
+	m.afterTemporal.Add(c.n.AfterTemporal - pub.n.AfterTemporal)
+	m.processed.Add(c.n.Processed - pub.n.Processed)
+	m.fatals.Add(c.n.Fatals - pub.n.Fatals)
+	if c.n.Warnings != pub.n.Warnings {
+		m.warningsTotal.Add(c.n.Warnings - pub.n.Warnings)
+		s.warnMu.Lock()
+		s.warnings = c.warnings[:len(c.warnings):len(c.warnings)]
+		s.warnMu.Unlock()
+	}
+	if n := len(c.retrains); n != pub.recs {
+		for _, rec := range c.retrains[pub.recs:] {
+			if rec.Err != "" {
+				m.training.RecordError()
+			} else {
+				m.training.Record(rec.Retraining)
+			}
 		}
+		s.mu.Lock()
+		s.retrains = c.retrains[:n:n]
+		s.mu.Unlock()
 	}
-	s.logMark()
-}
-
-// drain installs every pass in flight at s.next, with its mark: at the
-// end of intake or of replay, at promotion and at shutdown.
-func (s *Service) drain() {
-	for s.retraining.Load() {
-		s.install(<-s.handoff)
+	if c.pr != pub.pr {
+		s.pr.Store(c.pr)
+		m.rules.Set(float64(len(c.pr.Rules())))
+	}
+	if s.standby.Load() {
+		lead, lwm := s.leaderSeq.Load(), s.leaderWM.Load()
+		m.standbyLagSeq.Set(float64(lead - min(lead, c.next)))
+		m.standbyLagSeconds.Set(float64(max(lwm-c.wm, 0)) / 1000)
+	}
+	m.streamStart.Set(float64(c.start))
+	m.watermark.Set(float64(c.wm))
+	m.nextRetrain.Set(float64(c.nextRetrain))
+	m.reorderDepth.Set(float64(c.buf.len()))
+	s.retraining.Store(c.retraining)
+	m.sequenced.Add(int64(c.next - pub.seq))
+	pub.n, pub.seq, pub.recs, pub.pr = c.n, c.next, len(c.retrains), c.pr
+	if s.nowWait != nil && len(c.retrains) > s.nowAt {
+		s.nowWait <- c.retrains[s.nowAt]
+		s.nowWait = nil
 	}
 }
-
-// ErrNoEvents is returned by TrainNow before the first event has been
-// applied: there is no history to train on and no stream clock to
-// schedule against.
-var ErrNoEvents = errors.New("stream: no events observed yet; nothing to train on")
 
 // TrainNow runs a training pass over the history up to the current
 // watermark and returns once it is installed. It is the manual override
@@ -873,7 +645,21 @@ var ErrNoEvents = errors.New("stream: no events observed yet; nothing to train o
 // nor a replay without a later snapshot reproduces it.
 func (s *Service) TrainNow() (RetrainRecord, error) {
 	done := make(chan RetrainRecord, 1)
-	if err := s.startNow(done); err != nil {
+	var err error
+	// publish sends done the pass's record once it is installed, which
+	// the end of intake also waits for.
+	if derr := s.do(func() {
+		err = ErrStandby
+		if !s.standby.Load() {
+			err = s.core.trainNow()
+		}
+		if err == nil {
+			s.nowWait, s.nowAt = done, len(s.core.retrains)
+		}
+	}); derr != nil {
+		return RetrainRecord{}, derr
+	}
+	if err != nil {
 		return RetrainRecord{}, err
 	}
 	rec := <-done
@@ -881,27 +667,6 @@ func (s *Service) TrainNow() (RetrainRecord, error) {
 		return rec, errors.New(rec.Err)
 	}
 	return rec, nil
-}
-
-// startNow starts TrainNow's pass, which claims the schedule, so the
-// install's catch-up does not re-fire on the same data. The read lock
-// keeps Close from ending the pipeline before the install TrainNow
-// waits for.
-func (s *Service) startNow(done chan RetrainRecord) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	switch {
-	case s.closed:
-		return ErrClosed
-	case s.standby.Load():
-		return ErrStandby
-	case s.streamStartMs() < 0:
-		return ErrNoEvents
-	case !s.retraining.CompareAndSwap(false, true):
-		return errors.New("stream: retraining already in flight")
-	}
-	s.startPass(s.watermarkMs()+1, pass{done: done})
-	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -989,6 +754,10 @@ type StandbyInfo struct {
 	LagSeconds float64 `json:"lag_seconds"`
 	// Promotions counts standby→leader transitions (0 or 1 per process).
 	Promotions int64 `json:"promotions"`
+	// Gap is set while the leader no longer holds the records the replica
+	// needs next (its oldest segment starts past them). A gap is an answer
+	// from a live leader, so it never counts towards auto-promotion.
+	Gap string `json:"gap,omitempty"`
 }
 
 // Stats snapshots the service's instruments — the same registry GET
@@ -1009,8 +778,9 @@ func (s *Service) Stats() Stats {
 		WarningsTotal:   s.m.warningsTotal.Value(),
 		Rules:           int64(s.m.rules.Value()),
 		Retraining:      s.retraining.Load(),
-		StreamStart:     s.streamStartMs(),
-		Watermark:       s.watermarkMs(),
+		StreamStart:     int64(s.m.streamStart.Value()),
+		Watermark:       int64(s.m.watermark.Value()),
+		NextRetrain:     int64(s.m.nextRetrain.Value()),
 		Queues: QueueDepths{
 			Sequencer: len(s.seqCh),
 			Reorder:   int(s.m.reorderDepth.Value()),
@@ -1020,30 +790,34 @@ func (s *Service) Stats() Stats {
 		st.CompressionRate = 1 - float64(st.Processed)/float64(st.Sequenced)
 	}
 	s.mu.Lock()
-	st.NextRetrain = s.nextRetrainMs()
 	st.Retrains = append([]RetrainRecord(nil), s.retrains...)
 	s.mu.Unlock()
 	if s.store != nil {
 		r := s.recovery
 		st.Recovery = &r
 	}
-	st.Role = "leader"
-	if s.standby.Load() {
-		st.Role = "standby"
-	}
 	// A promoted replica keeps reporting its standby block so the
 	// promotion count survives the role flip.
-	if st.Role == "standby" || s.m.promotions.Value() > 0 {
+	if st.Role = s.role(); st.Role == "standby" || s.m.promotions.Value() > 0 {
 		st.Standby = &StandbyInfo{
 			NextSeq:    uint64(st.Sequenced),
-			LeaderSeq:  atomic.LoadUint64(&s.leaderSeq),
+			LeaderSeq:  s.leaderSeq.Load(),
 			LagSeq:     uint64(s.m.standbyLagSeq.Value()),
 			LagSeconds: s.m.standbyLagSeconds.Value(),
 			Promotions: s.m.promotions.Value(),
 		}
+		if g := s.gap.Load(); g != nil {
+			st.Standby.Gap = *g
+		}
 	}
-	if b := s.backfillInfo(); b != nil {
-		st.Backfill = b
-	}
+	st.Backfill = s.backfillInfo()
 	return st
+}
+
+// role is "standby" until promotion, "leader" after it.
+func (s *Service) role() string {
+	if s.standby.Load() {
+		return "standby"
+	}
+	return "leader"
 }

@@ -107,7 +107,7 @@ func TestPipelineMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			got := s.history
+			got := s.core.history
 			if len(got) != len(want) {
 				t.Fatalf("pipeline kept %d events, batch kept %d", len(got), len(want))
 			}
@@ -212,14 +212,14 @@ func TestOutOfOrderTolerance(t *testing.T) {
 		t.Errorf("late dropped = %d, want 1", st.LateDropped)
 	}
 	var prev int64 = -1
-	for _, te := range s.history {
+	for _, te := range s.core.history {
 		if te.Time < prev {
 			t.Fatalf("history out of order: %d after %d", te.Time, prev)
 		}
 		prev = te.Time
 	}
-	if len(s.history) != 8 {
-		t.Errorf("history has %d events, want 8 (7 in-tolerance + 1 tail)", len(s.history))
+	if len(s.core.history) != 8 {
+		t.Errorf("history has %d events, want 8 (7 in-tolerance + 1 tail)", len(s.core.history))
 	}
 }
 
@@ -387,7 +387,7 @@ func TestStaticPolicyTrainsOnce(t *testing.T) {
 	if len(st.Retrains) != 1 {
 		t.Fatalf("static policy retrained %d times, want exactly 1", len(st.Retrains))
 	}
-	if len(s.history) != 0 {
-		t.Errorf("static policy retained %d history events after training", len(s.history))
+	if len(s.core.history) != 0 {
+		t.Errorf("static policy retained %d history events after training", len(s.core.history))
 	}
 }

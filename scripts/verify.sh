@@ -126,20 +126,22 @@ echo "== kill-and-recover counters (-race -count=10)"
 # must hold on any machine speed, not only on the one it was written on.
 go test -race -count=10 -run '^TestKillRecoverCountersExact$' ./internal/stream
 echo "== install hand-off gate (-race -count=10)"
-# A finished training pass goes live on the applying goroutine at a
+# A finished training pass goes live on the pipeline goroutine at a
 # position the WAL records as an install mark (DESIGN.md §9), with
 # training in the background as the daemon runs it. The hand-off pins
 # repeat under the race detector, because it interleaves differently on
 # every run: the one-state-machine oracle with a stalled live trainer
 # (replay and follower install at its marks), a snapshot cut while a
 # pass is in flight, TrainNow racing Close, recovery from an install's
-# cut, a leader restarted with a pass in flight behind a follower, and a
-# replica restarted with one. The persist side of the mark runs once: a
+# cut, a leader restarted with a pass in flight behind a follower, a
+# replica restarted with one, the core's purity (no goroutine, channel,
+# lock, clock or os in core.go; DESIGN.md §16) and a bare core driven
+# from a slice of a live run's WAL. The persist side of the mark runs once: a
 # mark on a rotation boundary, a new segment restating the marks at its
 # start, Replay skipping marks, CopySegment -> DecodeFrames keeping them
 # in place, the decoder's fuzz seeds, and replay from past retained
 # segments.
-run_selected -count=10 'TestOneStateMachineOracle|TestSnapshotCutNeverCapturesAPassInFlight|TestTrainNowRacingCloseReturns|TestRecoveryFromAnInstallCut|TestFollowerReadsMarksThatEndASegment|TestStandbyRestartWithPassInFlight' \
+run_selected -count=10 'TestOneStateMachineOracle|TestSnapshotCutNeverCapturesAPassInFlight|TestTrainNowRacingCloseReturns|TestRecoveryFromAnInstallCut|TestFollowerReadsMarksThatEndASegment|TestStandbyRestartWithPassInFlight|TestCoreIsPure|TestCoreFromASlice' \
     ./internal/stream
 run_selected 'InstallMark|RestatesMarks|FuzzDecodeFrames|ReplayFromPastRetainedSegments' ./internal/persist
 echo "== overload-path gate (-race -count=1)"
@@ -153,13 +155,15 @@ go test -race -count=1 \
 echo "== standby/failover gate (-race -count=1)"
 # The hot-standby pins re-proven fresh every run: follower catch-up and
 # promotion byte-equivalence against the single-node oracle, replica
-# crash/resume, auto-promotion, WAL segment serving edge cases (live
+# crash/resume, auto-promotion, no promotion on a WAL gap (the
+# split-brain pin, TestFollowerNeverPromotesOnAWALGap), WAL segment
+# serving edge cases (live
 # tail reads, rotation boundaries, prune vs follower acks and in-flight
 # pulls), the backfill path (ordering, garbage tolerance, cancellation,
 # singleton, the overlong-line bound), the shared Retry-After parser,
 # and the monotonic idle clock the failover sweep flushed out.
 go test -race -count=1 \
-    -run 'Follower|Promotion|Backfill|Segment|Prune|TornTransfer|RetryAfter|MonotonicClock' \
+    -run 'Follower|NeverPromotesOnAWALGap|Promotion|Backfill|Segment|Prune|TornTransfer|RetryAfter|MonotonicClock' \
     ./internal/stream ./internal/persist ./internal/httpx ./internal/fleet
 echo "== backfill hand-off gate (-race -count=10)"
 # Backfill decodes on its own goroutine and hands chunks to the caller's
