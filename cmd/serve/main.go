@@ -44,9 +44,9 @@
 // hold server resources.
 //
 // -follow runs this daemon as a hot standby of another (DESIGN.md §14):
-// it tails the leader's WAL over GET /wal/segments + /wal/segment/{name}
-// every -follow-poll, replays every record through the live stage logic,
-// and refuses direct ingest (503) until promoted — POST /promote, or
+// it tails the leader's WAL over GET /wal?from=seq every -follow-poll,
+// replays every record through the live stage logic, and refuses
+// direct ingest (503) until promoted — POST /promote, or
 // automatically once the leader has sent no HTTP response for -promote-after.
 // The leader's pruning retains any segment a registered follower
 // (-follower-id) has not acked. -backfill feeds a historical raw log

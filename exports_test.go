@@ -28,7 +28,6 @@ var exportAllowlist = map[string]string{
 	"internal/fleet.Registry.Evict":                      "test reference: fleet tests evict a chosen tenant to pin reactivation; the daemon evicts through EvictIdle and MaxActive",
 	"internal/fleet.Registry.Limiter":                    "test reference: TestSharedRetrainLimiter reads the limiter the tenants share",
 	"internal/obsv.Histogram.Sum":                        "test reference: TestHistogramExposition checks the observed sum",
-	"internal/persist.Store.Followers":                   "test reference: TestFollowerTTLExpiry reads the registered follower acks",
 	"internal/preprocess.Catalog.FatalIDs":               "test reference: the catalog and generator tests enumerate the fatal classes through it",
 	"internal/preprocess.IncrementalFilter.ResidentKeys": "test reference: TestIncrementalBoundedState bounds the filter's resident keys",
 	"internal/raslog.HintMisses":                         "test reference: TestDaemonPathsStampEvents pins that no daemon path falls back to a lookup",

@@ -3,7 +3,8 @@ package persist
 import (
 	"bytes"
 	"fmt"
-	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -37,8 +38,13 @@ func appendMark(t *testing.T, st *Store, seq uint64) {
 // writes a mark at the next sequence. It returns the script's items.
 func writeMarked(t *testing.T, st *Store, script ...int) []frameItem {
 	t.Helper()
+	return writeMarkedFrom(t, st, 0, script...)
+}
+
+// writeMarkedFrom is writeMarked on a store whose next sequence is next.
+func writeMarkedFrom(t *testing.T, st *Store, next uint64, script ...int) []frameItem {
+	t.Helper()
 	var want []frameItem
-	next := uint64(0)
 	for _, n := range script {
 		if n < 0 {
 			appendMark(t, st, next)
@@ -108,7 +114,7 @@ func TestInstallMarkReplaysOnRotationBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if segs, _, err := st.Segments(); err != nil || len(segs) < len(want) {
+	if segs, err := st.listRefs(walPrefix); err != nil || len(segs) < len(want) {
 		t.Fatalf("%d segments (%v) for %d frames: the rotation size does not isolate the marks", len(segs), err, len(want))
 	}
 	for _, from := range []uint64{0, 2, 3, 5} {
@@ -153,27 +159,16 @@ func TestNewSegmentRestatesMarks(t *testing.T) {
 	if _, err := st.WriteSnapshot(&Snapshot{Seq: 4, Marks: 1}); err != nil {
 		t.Fatal(err)
 	}
-	segs, _, err := st.Segments()
-	if err != nil || len(segs) != 1 || segs[0].FirstSeq != 4 {
+	segs, err := st.listRefs(walPrefix)
+	if err != nil || len(segs) != 1 || segs[0].seq != 4 {
 		t.Fatalf("segments after the snapshot: %v, %v; want the one starting at 4", segs, err)
 	}
 	want := []frameItem{{mark: true, seq: 4}, {seq: 4}, {mark: true, seq: 5}}
 	if got, end := replayItems(t, st, 4); end != 5 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay from the snapshot: %v, end %d; want %v, end 5", got, end, want)
 	}
-	var buf bytes.Buffer
-	if _, _, err := st.CopySegment(&buf, segs[0].Name, 4, 0); err != nil {
-		t.Fatal(err)
-	}
-	var got []frameItem
-	if _, err := DecodeFrames(&buf, 4, math.MaxUint64, func(seq uint64, _ raslog.Event) error {
-		got = append(got, frameItem{seq: seq})
-		return nil
-	}, func(seq uint64) error {
-		got = append(got, frameItem{mark: true, seq: seq})
-		return nil
-	}); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("shipped from the new segment: %v, %v; want %v", got, err, want)
+	if got, _ := copyItems(t, st, 4, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shipped from the new segment: %v; want %v", got, want)
 	}
 }
 
@@ -213,59 +208,43 @@ func TestReplaySkipsInstallMarks(t *testing.T) {
 	}
 }
 
-// TestCopySegmentShipsInstallMarks pins the follower's read path:
-// CopySegment ships every mark at or after `from` as an empty frame at
-// its place between the events, and DecodeFrames reports it there, at
-// any starting point and under a byte budget that splits the transfer.
-func TestCopySegmentShipsInstallMarks(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
+// copyItems ships st's WAL from `from` with Copy under a maxBytes
+// budget and decodes it with DecodeFrames, the follower's read path,
+// checking every event's content and that both end at the same next.
+func copyItems(t *testing.T, st *Store, from uint64, maxBytes int64) ([]frameItem, uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	next, _, err := st.Copy(&buf, from, maxBytes)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Copy(%d): %v", from, err)
 	}
-	defer st.Close()
-	if err := st.StartAppend(0); err != nil {
-		t.Fatal(err)
-	}
-	want := writeMarked(t, st, 2, -1, 3, -1, -1, 6, -1)
-	segs, _, err := st.Segments()
-	if err != nil || len(segs) != 1 {
-		t.Fatalf("Segments: %v, %v", segs, err)
-	}
-	decode := func(from uint64, maxBytes int64) ([]frameItem, uint64) {
-		var buf bytes.Buffer
-		_, next, err := st.CopySegment(&buf, segs[0].Name, from, maxBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []frameItem
-		dnext, err := DecodeFrames(&buf, from, math.MaxUint64, func(seq uint64, e raslog.Event) error {
-			if e != testEvent(int(seq)) {
-				t.Fatalf("shipped event %d differs", seq)
-			}
-			got = append(got, frameItem{seq: seq})
-			return nil
-		}, func(seq uint64) error {
-			got = append(got, frameItem{mark: true, seq: seq})
-			return nil
-		})
-		if err != nil || dnext != next {
-			t.Fatalf("DecodeFrames from %d: next %d, err %v; CopySegment reported %d", from, dnext, err, next)
-		}
-		return got, next
-	}
-	for _, from := range []uint64{0, 2, 3, 5, 6} {
-		if got, next := decode(from, 0); next != 6 || !reflect.DeepEqual(got, after(want, from)) {
-			t.Errorf("from %d: %v, next %d; want %v, next 6", from, got, next, after(want, from))
-		}
-	}
-
-	// A one-byte budget splits the transfer at every mark; resuming at
-	// each reported next, and dropping the marks at it a previous request
-	// shipped (as the follower does), rebuilds the stream.
 	var got []frameItem
-	for from := uint64(0); ; {
-		part, next := decode(from, 1)
-		dup := 0 // marks at from that earlier requests already shipped
+	dnext, err := DecodeFrames(&buf, from, func(seq uint64, e raslog.Event) error {
+		if e != testEvent(int(seq)) {
+			t.Fatalf("shipped event %d differs", seq)
+		}
+		got = append(got, frameItem{seq: seq})
+		return nil
+	}, func(seq uint64) error {
+		got = append(got, frameItem{mark: true, seq: seq})
+		return nil
+	})
+	if err != nil || dnext != next {
+		t.Fatalf("DecodeFrames from %d: next %d, err %v; Copy reported %d", from, dnext, err, next)
+	}
+	return got, next
+}
+
+// pullItems pulls st's WAL from `from` as a follower does: Copy under a
+// maxBytes budget, resumed at each returned next until a pull brings no
+// new record, dropping the marks at `from` that an earlier pull already
+// shipped. It returns what the pulls delivered and where they ended.
+func pullItems(t *testing.T, st *Store, from uint64, maxBytes int64) ([]frameItem, uint64) {
+	t.Helper()
+	var got []frameItem
+	for {
+		part, next := copyItems(t, st, from, maxBytes)
+		dup := 0 // marks at from that earlier pulls already shipped
 		for _, it := range got {
 			if it.mark && it.seq == from {
 				dup++
@@ -279,12 +258,120 @@ func TestCopySegmentShipsInstallMarks(t *testing.T) {
 			got = append(got, it)
 		}
 		if next == from {
-			break
+			return got, next
 		}
 		from = next
 	}
-	if !reflect.DeepEqual(got, want) {
+}
+
+// TestCopyShipsInstallMarks pins the follower's read path: Copy ships
+// every mark at or after `from` as an empty frame at its place between
+// the events, and DecodeFrames reports it there, at any starting point
+// and under a byte budget that splits the transfer.
+func TestCopyShipsInstallMarks(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.StartAppend(0); err != nil {
+		t.Fatal(err)
+	}
+	want := writeMarked(t, st, 2, -1, 3, -1, -1, 6, -1)
+	if segs, err := st.listRefs(walPrefix); err != nil || len(segs) != 1 {
+		t.Fatalf("segments: %v, %v", segs, err)
+	}
+	for _, from := range []uint64{0, 2, 3, 5, 6} {
+		if got, next := copyItems(t, st, from, 0); next != 6 || !reflect.DeepEqual(got, after(want, from)) {
+			t.Errorf("from %d: %v, next %d; want %v, next 6", from, got, next, after(want, from))
+		}
+	}
+
+	// A one-byte budget splits the transfer at every mark; resuming at
+	// each reported next, and dropping the marks at it a previous request
+	// shipped (as the follower does), rebuilds the stream.
+	if got, _ := pullItems(t, st, 0, 1); !reflect.DeepEqual(got, want) {
 		t.Errorf("budgeted transfer: %v; want %v", got, want)
+	}
+}
+
+// TestCopyMatchesReplayMarks pins why one walk serves both readers:
+// pulled from any sequence, resumed at each next Copy returns, the WAL
+// ships exactly what ReplayMarks from that sequence delivers, and that
+// is the stream that was written. The directory has every shape the
+// walk must cap or restate: segments of one frame each (a mark alone on
+// a rotation boundary), marks that end a segment before a restart, and
+// a store reopened after its last frame was torn off, whose new segment
+// restates the marks before the tear.
+func TestCopyMatchesReplayMarks(t *testing.T) {
+	dir := t.TempDir()
+	reopen := func(rotate int64) (*Store, uint64) {
+		t.Helper()
+		st, err := Open(dir, Options{RotateBytes: rotate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		end, err := st.Replay(0, func(uint64, raslog.Event) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.StartAppend(end); err != nil {
+			t.Fatal(err)
+		}
+		return st, end
+	}
+	st, _ := reopen(1)
+	want := writeMarked(t, st, 2, -1, 3, -1, -1, 5, -1, -1)
+	st.Close()
+
+	// The restart opens a segment at 5 that restates the two marks ending
+	// the last one; the batch frame after the marks at 11 is torn off.
+	st, end := reopen(128)
+	if end != 5 {
+		t.Fatalf("reopened at %d, want 5", end)
+	}
+	want = append(want, writeMarkedFrom(t, st, 5, 8, -1, 11, -1, -1)...)
+	if _, _, err := st.AppendBatch(11, []raslog.Event{testEvent(11), testEvent(12)}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	segs, err := st.listRefs(walPrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := filepath.Join(dir, segs[len(segs)-1].name)
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopened at the tear, the store opens a segment at 11 that restates
+	// the marks there.
+	st, end = reopen(128)
+	if end != 11 {
+		t.Fatalf("reopened after the tear at %d, want 11", end)
+	}
+	want = append(want, writeMarkedFrom(t, st, 11, 14, -1)...)
+	st.Close()
+	st, _ = reopen(128)
+	defer st.Close()
+	if segs, _ := st.listRefs(walPrefix); len(segs) < 10 {
+		t.Fatalf("%d segments; want one per frame before the first restart", len(segs))
+	}
+
+	for from := uint64(0); from <= 14; from++ {
+		replayed, rend := replayItems(t, st, from)
+		if rend != 14 || !reflect.DeepEqual(replayed, after(want, from)) {
+			t.Fatalf("ReplayMarks(%d): %v, end %d; want %v, end 14", from, replayed, rend, after(want, from))
+		}
+		for _, budget := range []int64{1, 0} {
+			if got, next := pullItems(t, st, from, budget); next != rend || !reflect.DeepEqual(got, replayed) {
+				t.Errorf("pulled from %d with budget %d: %v, next %d; ReplayMarks delivered %v, end %d", from, budget, got, next, replayed, rend)
+			}
+		}
 	}
 }
 
@@ -321,7 +408,7 @@ func FuzzDecodeFrames(f *testing.F) {
 		decode := func(data []byte) ([]frameItem, uint64, error) {
 			var got []frameItem
 			n := uint64(0)
-			next, err := DecodeFrames(bytes.NewReader(data), from, math.MaxUint64, func(seq uint64, e raslog.Event) error {
+			next, err := DecodeFrames(bytes.NewReader(data), from, func(seq uint64, e raslog.Event) error {
 				if seq != from+n {
 					t.Fatalf("event at %d, want %d", seq, from+n)
 				}

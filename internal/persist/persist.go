@@ -51,10 +51,6 @@ type Options struct {
 	// newest plus fallbacks in case the newest is unreadable. Zero
 	// means 2.
 	KeepSnapshots int
-	// FollowerTTL bounds how long a registered follower's ack keeps WAL
-	// segments from being pruned without a refresh (RetainFollower).
-	// Zero means 10 minutes.
-	FollowerTTL time.Duration
 	// SyncMaxWait is an optional coalescing delay for the asynchronous
 	// commit pipeline (commit.go): after being woken, the background
 	// syncer lingers this long so more AppendBatch tickets can join the
@@ -85,7 +81,7 @@ var ErrClosed = errors.New("persist: store closed")
 // Store is one state directory: the WAL appender plus the snapshot
 // reader/writer. All methods are safe for concurrent use; the intended
 // caller is the stream pipeline goroutine, which both appends and
-// snapshots, next to HTTP handlers serving segments to followers.
+// snapshots, next to HTTP handlers serving the WAL to followers.
 type Store struct {
 	dir string
 	opt Options
@@ -116,10 +112,12 @@ type Store struct {
 	syncStopped bool
 	syncerDone  chan struct{}
 
-	// Retention guard (segments.go): registered follower acks plus pins
-	// held by in-flight segment reads; pruneLocked keeps every segment
-	// holding records at or above the guard's floor.
+	// Retention guard (segments.go): registered follower acks, which
+	// expire after ackTTL (followerTTL), plus pins held by in-flight
+	// reads; pruneLocked keeps every segment holding records at or above
+	// the guard's floor.
 	followers map[string]followerAck
+	ackTTL    time.Duration
 	pins      map[int]uint64
 	pinID     int
 }
@@ -131,7 +129,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	st := &Store{dir: dir, opt: opt.withDefaults()}
+	st := &Store{dir: dir, opt: opt.withDefaults(), ackTTL: followerTTL}
 	st.syncCond = sync.NewCond(&st.mu)
 	names, err := st.listNames()
 	if err != nil {

@@ -2,25 +2,26 @@ package persist
 
 import (
 	"bytes"
-	"math"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/raslog"
 )
 
-// copyDecode round-trips CopySegment output through DecodeFrames — the
-// follower's read path.
-func copyDecode(t *testing.T, st *Store, name string, from uint64, maxBytes int64) ([]raslog.Event, uint64) {
+// copyDecode round-trips Copy output through DecodeFrames — the
+// follower's read path — and returns the events, the next sequence and
+// the flushed end Copy reported.
+func copyDecode(t *testing.T, st *Store, from uint64, maxBytes int64) ([]raslog.Event, uint64, uint64) {
 	t.Helper()
 	var buf bytes.Buffer
-	_, next, err := st.CopySegment(&buf, name, from, maxBytes)
+	next, end, err := st.Copy(&buf, from, maxBytes)
 	if err != nil {
-		t.Fatalf("CopySegment(%s, %d): %v", name, from, err)
+		t.Fatalf("Copy(%d): %v", from, err)
 	}
 	var evs []raslog.Event
 	wantSeq := from
-	dnext, err := DecodeFrames(bytes.NewReader(buf.Bytes()), from, math.MaxUint64, func(seq uint64, e raslog.Event) error {
+	dnext, err := DecodeFrames(bytes.NewReader(buf.Bytes()), from, func(seq uint64, e raslog.Event) error {
 		if seq != wantSeq {
 			t.Fatalf("decode out of order: seq %d, want %d", seq, wantSeq)
 		}
@@ -32,15 +33,16 @@ func copyDecode(t *testing.T, st *Store, name string, from uint64, maxBytes int6
 		t.Fatalf("DecodeFrames: %v", err)
 	}
 	if dnext != next {
-		t.Fatalf("DecodeFrames ended at %d, CopySegment reported %d", dnext, next)
+		t.Fatalf("DecodeFrames ended at %d, Copy reported %d", dnext, next)
 	}
-	return evs, next
+	return evs, next, end
 }
 
-// TestReadActiveSegmentExtends is the live-tail contract: a segment read
-// while the leader is still appending to it returns everything durable
-// so far as a clean end — and a retry from that position picks up the
-// extension. This is exactly a follower tailing a leader's open segment.
+// TestReadActiveSegmentExtends is the live-tail contract: a read while
+// the leader is still appending to its segment returns everything
+// durable so far as a clean end — and a retry from that position picks
+// up the extension. This is exactly a follower tailing a leader's open
+// segment.
 func TestReadActiveSegmentExtends(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -53,14 +55,10 @@ func TestReadActiveSegmentExtends(t *testing.T) {
 		appendOne(t, st, uint64(i), testEvent(i))
 	}
 
-	segs, next, err := st.Segments()
-	if err != nil {
-		t.Fatal(err)
+	evs, got, end := copyDecode(t, st, 0, 1<<20)
+	if segs, _ := st.listRefs(walPrefix); len(segs) != 1 || end != first {
+		t.Fatalf("%d segments, flushed end %d; want 1, %d", len(segs), end, first)
 	}
-	if len(segs) != 1 || next != first {
-		t.Fatalf("Segments: %d segments, next %d; want 1, %d", len(segs), next, first)
-	}
-	evs, got := copyDecode(t, st, segs[0].Name, 0, 1<<20)
 	if got != first || len(evs) != first {
 		t.Fatalf("live read: %d events, next %d; want %d", len(evs), got, first)
 	}
@@ -70,7 +68,7 @@ func TestReadActiveSegmentExtends(t *testing.T) {
 	for i := first; i < second; i++ {
 		appendOne(t, st, uint64(i), testEvent(i))
 	}
-	evs, got = copyDecode(t, st, segs[0].Name, first, 1<<20)
+	evs, got, _ = copyDecode(t, st, first, 1<<20)
 	if got != second || len(evs) != second-first {
 		t.Fatalf("extension read: %d events, next %d; want %d, %d", len(evs), got, second-first, second)
 	}
@@ -95,19 +93,15 @@ func TestDecodeFramesTornTransfer(t *testing.T) {
 	for i := 0; i < n; i++ {
 		appendOne(t, st, uint64(i), testEvent(i))
 	}
-	segs, _, err := st.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if _, _, err := st.CopySegment(&buf, segs[0].Name, 0, 1<<20); err != nil {
+	if _, _, err := st.Copy(&buf, 0, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 
 	whole := buf.Bytes()
 	for _, cut := range []int{len(whole) - 1, len(whole) - 5, len(whole) / 2, 3} {
 		count := 0
-		next, err := DecodeFrames(bytes.NewReader(whole[:cut]), 0, math.MaxUint64, func(seq uint64, e raslog.Event) error {
+		next, err := DecodeFrames(bytes.NewReader(whole[:cut]), 0, func(seq uint64, e raslog.Event) error {
 			if e != testEvent(int(seq)) {
 				t.Fatalf("cut %d: event %d differs", cut, seq)
 			}
@@ -123,12 +117,14 @@ func TestDecodeFramesTornTransfer(t *testing.T) {
 	}
 }
 
-// TestCopySegmentFromRotationBoundary pins the `from` semantics at
-// segment edges: from exactly at the next segment's first seq drains the
-// older segment to zero events, and the newer segment starts exactly
-// there — no duplicate, no gap.
-func TestCopySegmentFromRotationBoundary(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{RotateBytes: 256})
+// TestCopyFromRotationBoundary pins the `from` semantics at segment
+// edges: a copy from just below, at or just above a segment's first seq
+// crosses into the newer segment with no duplicate and no gap, a
+// one-byte budget resumed at each next walks the whole chain, and a from
+// below the oldest retained segment is refused with ErrWALGap — the
+// chain cannot prove dense coverage below its start.
+func TestCopyFromRotationBoundary(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{RotateBytes: 256, KeepSnapshots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,66 +134,96 @@ func TestCopySegmentFromRotationBoundary(t *testing.T) {
 	for i := 0; i < n; i++ {
 		appendOne(t, st, uint64(i), testEvent(i))
 	}
-	segs, next, err := st.Segments()
+	segs, err := st.listRefs(walPrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(segs) < 3 {
 		t.Fatalf("need several segments, got %d", len(segs))
 	}
-	boundary := segs[1].FirstSeq
+	boundary := segs[1].seq
 
-	// from == the older segment's end: zero events, clean end at the end
-	// of that segment's records.
-	evs, got := copyDecode(t, st, segs[0].Name, boundary, 1<<20)
-	if len(evs) != 0 || got != boundary {
-		t.Fatalf("old segment from boundary: %d events, next %d; want 0, %d", len(evs), got, boundary)
+	for _, from := range []uint64{boundary - 1, boundary, boundary + 1} {
+		evs, next, _ := copyDecode(t, st, from, 1<<20)
+		if next != n || len(evs) != n-int(from) {
+			t.Fatalf("from %d: %d events, next %d; want %d, next %d", from, len(evs), next, n-int(from), n)
+		}
+		for i, e := range evs {
+			if e != testEvent(int(from)+i) {
+				t.Fatalf("from %d: event %d differs", from, int(from)+i)
+			}
+		}
 	}
-	// The newer segment serves the boundary record itself.
-	evs, _ = copyDecode(t, st, segs[1].Name, boundary, 1<<20)
-	if len(evs) == 0 || evs[0] != testEvent(int(boundary)) {
-		t.Fatalf("new segment from boundary: first event wrong (%d events)", len(evs))
-	}
-	// And from below a segment's first seq is refused — the caller asked
-	// for records this file cannot prove dense coverage for.
-	if _, _, err := st.CopySegment(&bytes.Buffer{}, segs[1].Name, boundary-1, 1<<20); err == nil {
-		t.Fatal("CopySegment accepted from below the segment's first seq")
-	}
-	_ = next
 
-	// A byte budget smaller than the segment resumes exactly where the
-	// flushed copy ended.
-	evs1, mid := copyDecode(t, st, segs[0].Name, 0, 1)
-	if mid == 0 || int(mid) >= int(boundary) && len(evs1) == 0 {
-		t.Fatalf("budgeted copy made no progress (next %d)", mid)
+	// A byte budget smaller than a segment resumes exactly where the
+	// previous copy ended, across every rotation.
+	var all []raslog.Event
+	for from := uint64(0); from < n; {
+		evs, next, _ := copyDecode(t, st, from, 1)
+		if next <= from {
+			t.Fatalf("budgeted copy from %d made no progress (next %d)", from, next)
+		}
+		all, from = append(all, evs...), next
 	}
-	evs2, end := copyDecode(t, st, segs[0].Name, mid, 1<<20)
-	if end != boundary || len(evs1)+len(evs2) != int(boundary) {
-		t.Fatalf("budget resume: %d+%d events, end %d; want %d total", len(evs1), len(evs2), end, boundary)
+	for i, e := range all {
+		if e != testEvent(i) {
+			t.Fatalf("budget resume: event %d differs", i)
+		}
+	}
+	if len(all) != n {
+		t.Fatalf("budget resume: %d events, want %d", len(all), n)
+	}
+
+	if _, err := st.WriteSnapshot(&Snapshot{Seq: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Copy(&bytes.Buffer{}, 0, 1<<20); !errors.Is(err, ErrWALGap) {
+		t.Fatalf("Copy from below the oldest retained segment: %v, want ErrWALGap", err)
 	}
 }
 
+// blockingWriter parks the first Write until release is closed, holding
+// a Copy (and its pin) mid-transfer.
+type blockingWriter struct {
+	started, release chan struct{}
+	once             bool
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	if !w.once {
+		w.once = true
+		close(w.started)
+		<-w.release
+	}
+	return len(p), nil
+}
+
 // TestPruneSparesFollowerAndPinnedSegments is the retention-guard test:
-// a registered follower ack and an in-flight segment read both hold
-// segments a snapshot would otherwise prune; dropping the follower (or
-// its TTL lapsing) releases them at the next snapshot.
+// a registered follower ack and an in-flight copy both hold segments a
+// snapshot would otherwise prune; dropping the follower (or its TTL
+// lapsing) releases them at the next snapshot.
 func TestPruneSparesFollowerAndPinnedSegments(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{RotateBytes: 256, KeepSnapshots: 1, FollowerTTL: time.Hour})
+	st, err := Open(t.TempDir(), Options{RotateBytes: 256, KeepSnapshots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	st.ackTTL = time.Hour
 	st.StartAppend(0)
 	const n = 50
 	for i := 0; i < n; i++ {
 		appendOne(t, st, uint64(i), testEvent(i))
 	}
-	segs, _, err := st.Segments()
-	if err != nil {
-		t.Fatal(err)
+	if segs, err := st.listRefs(walPrefix); err != nil || len(segs) < 3 {
+		t.Fatalf("need several segments, got %d (%v)", len(segs), err)
 	}
-	if len(segs) < 3 {
-		t.Fatalf("need several segments, got %d", len(segs))
+	oldest := func() uint64 {
+		t.Helper()
+		segs, err := st.listRefs(walPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs[0].seq
 	}
 
 	// A follower acked at seq 5: a snapshot at 40 must keep the chain
@@ -206,47 +232,32 @@ func TestPruneSparesFollowerAndPinnedSegments(t *testing.T) {
 	if _, err := st.WriteSnapshot(&Snapshot{Seq: 40}); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := st.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after[0].FirstSeq > 5 {
-		t.Fatalf("prune tore the follower's chain: oldest segment now starts at %d, follower acked 5", after[0].FirstSeq)
+	kept := oldest()
+	if kept > 5 {
+		t.Fatalf("prune tore the follower's chain: oldest segment now starts at %d, follower acked 5", kept)
 	}
 	// The replica must still be able to read seq 5 end to end.
-	evs, _ := copyDecode(t, st, after[0].Name, after[0].FirstSeq, 1<<20)
-	if len(evs) == 0 {
-		t.Fatal("retained segment is unreadable")
+	if evs, _, _ := copyDecode(t, st, 5, 1<<20); len(evs) != n-5 {
+		t.Fatalf("retained chain from 5 read %d events, want %d", len(evs), n-5)
 	}
 
-	// Prune racing an in-flight pull: a reader mid-segment pins it even
-	// once the follower has caught up and holds nothing back.
+	// Prune racing an in-flight pull: a copy mid-transfer pins its start
+	// even once the follower has caught up and holds nothing back.
 	st.RetainFollower("replica-1", n)
-	started := make(chan struct{})
-	release := make(chan struct{})
+	w := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
 	done := make(chan error, 1)
 	go func() {
-		_, err := st.readSegment(after[0].Name, after[0].FirstSeq, func(seq uint64, e raslog.Event) error {
-			if seq == after[0].FirstSeq {
-				close(started)
-				<-release
-			}
-			return nil
-		}, nil)
+		_, _, err := st.Copy(w, kept, 1<<20)
 		done <- err
 	}()
-	<-started
+	<-w.started
 	if _, err := st.WriteSnapshot(&Snapshot{Seq: 45}); err != nil {
 		t.Fatal(err)
 	}
-	mid, _, err := st.Segments()
-	if err != nil {
-		t.Fatal(err)
+	if got := oldest(); got != kept {
+		t.Fatalf("prune removed a segment with an in-flight read (oldest now %d)", got)
 	}
-	if mid[0].FirstSeq != after[0].FirstSeq {
-		t.Fatalf("prune removed a segment with an in-flight read (oldest now %d)", mid[0].FirstSeq)
-	}
-	close(release)
+	close(w.release)
 	if err := <-done; err != nil {
 		t.Fatalf("pinned read failed: %v", err)
 	}
@@ -256,44 +267,41 @@ func TestPruneSparesFollowerAndPinnedSegments(t *testing.T) {
 	if _, err := st.WriteSnapshot(&Snapshot{Seq: 45}); err != nil {
 		t.Fatal(err)
 	}
-	final, _, err := st.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final[0].FirstSeq <= 5 {
-		t.Fatalf("segments not pruned after guard release: oldest still %d", final[0].FirstSeq)
+	if got := oldest(); got <= 5 {
+		t.Fatalf("segments not pruned after guard release: oldest still %d", got)
 	}
 }
 
 // TestFollowerTTLExpiry: a follower that stops polling ages out of the
 // retention guard instead of growing the WAL forever.
 func TestFollowerTTLExpiry(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{RotateBytes: 256, KeepSnapshots: 1, FollowerTTL: 5 * time.Millisecond})
+	st, err := Open(t.TempDir(), Options{RotateBytes: 256, KeepSnapshots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	st.ackTTL = 5 * time.Millisecond
 	st.StartAppend(0)
 	const n = 50
 	for i := 0; i < n; i++ {
 		appendOne(t, st, uint64(i), testEvent(i))
 	}
 	st.RetainFollower("ghost", 0)
-	if got := st.Followers(); len(got) != 1 || got["ghost"] != 0 {
-		t.Fatalf("Followers: %v, want ghost@0", got)
+	if f, ok := st.followers["ghost"]; len(st.followers) != 1 || !ok || f.acked != 0 {
+		t.Fatalf("followers: %v, want ghost@0", st.followers)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if got := st.Followers(); len(got) != 0 {
-		t.Fatalf("expired follower still listed: %v", got)
-	}
 	if _, err := st.WriteSnapshot(&Snapshot{Seq: 40}); err != nil {
 		t.Fatal(err)
 	}
-	segs, _, err := st.Segments()
+	if len(st.followers) != 0 {
+		t.Fatalf("expired follower still registered: %v", st.followers)
+	}
+	segs, err := st.listRefs(walPrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segs[0].FirstSeq == 0 {
+	if segs[0].seq == 0 {
 		t.Fatal("expired follower's ack still blocks pruning")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -197,36 +198,9 @@ func (st *Store) Replay(from uint64, fn func(seq uint64, e raslog.Event) error) 
 // tells the store how many marks follow the last record, so the next
 // segment restates them.
 func (st *Store) ReplayMarks(from uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, error) {
-	segs, err := st.listRefs(walPrefix)
+	next, tail, err := st.walk(from, fn, mark)
 	if err != nil {
 		return 0, err
-	}
-	next, tail := from, 0
-	for i, seg := range segs {
-		if seg.seq > next && i > 0 {
-			return 0, fmt.Errorf("persist: WAL gap: segment %s starts at seq %d, have %d", seg.name, seg.seq, next)
-		}
-		if seg.seq > next {
-			// The oldest retained segment starts beyond `from`: the caller's
-			// snapshot is older than the truncation point, so the records in
-			// between are gone.
-			return 0, fmt.Errorf("persist: WAL gap: oldest segment %s starts at seq %d, need %d", seg.name, seg.seq, from)
-		}
-		stop := uint64(1<<64 - 1)
-		if i+1 < len(segs) {
-			stop = segs[i+1].seq // a newer segment supersedes anything past its start
-		}
-		end, marks, err := replaySegment(filepath.Join(st.dir, seg.name), seg.seq, next, stop, fn, mark)
-		if err != nil {
-			return 0, err
-		}
-		tail = marks
-		if end < stop && i+1 < len(segs) {
-			return 0, fmt.Errorf("persist: WAL gap: segment %s ends at seq %d, next starts at %d", seg.name, end, stop)
-		}
-		// A segment wholly below from (one a follower's ack kept from
-		// pruning) ends before it: the next segment still starts at from.
-		next = max(next, end)
 	}
 	st.mu.Lock()
 	if !st.appending {
@@ -236,17 +210,65 @@ func (st *Store) ReplayMarks(from uint64, fn func(seq uint64, e raslog.Event) er
 	return next, nil
 }
 
-// replaySegment reads one segment whose first record is firstSeq (see
+// ErrWALGap reports that the oldest retained WAL segment starts past the
+// sequence a read starts from: the records in between are gone.
+var ErrWALGap = errors.New("persist: WAL gap")
+
+// walk is the one reader of the segment chain, behind both ReplayMarks
+// and Copy: it calls fn for every durable record with sequence >= from
+// and mark (when non-nil) for every install mark at a sequence >= from,
+// in stream order. Each stretch of the stream is read from the newest
+// segment that holds it: a segment supersedes anything an older one
+// holds from its first sequence on, marks included (it restates the
+// marks there), so a segment whose successor starts at or below from is
+// not read at all. It returns the sequence after the last record (from
+// at least) and how many marks follow that record. An oldest segment
+// starting past from fails with ErrWALGap; a segment that ends before
+// its successor starts is corruption and fails loudly rather than
+// delivering a stream with a hole in it. An error from fn or mark aborts
+// the walk, wrapped, with the sequence where delivery stopped.
+func (st *Store) walk(from uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, int, error) {
+	segs, err := st.listRefs(walPrefix)
+	if err != nil {
+		return from, 0, err
+	}
+	next, tail := from, 0
+	for i, seg := range segs {
+		stop := uint64(math.MaxUint64)
+		if i+1 < len(segs) {
+			stop = segs[i+1].seq
+		}
+		if stop <= from {
+			continue
+		}
+		if seg.seq > next {
+			// Only the first segment read can start past next: every later
+			// one starts where the check below left its predecessor.
+			return next, 0, fmt.Errorf("%w: oldest segment %s starts at seq %d, need %d", ErrWALGap, seg.name, seg.seq, from)
+		}
+		end, marks, err := walkSegment(filepath.Join(st.dir, seg.name), seg.seq, next, stop, fn, mark)
+		if err != nil {
+			return end, marks, err
+		}
+		if end < stop && i+1 < len(segs) {
+			return end, 0, fmt.Errorf("persist: WAL gap: segment %s ends at seq %d, next starts at %d", seg.name, end, stop)
+		}
+		next, tail = max(next, end), marks
+	}
+	return next, tail, nil
+}
+
+// walkSegment reads one segment whose first record is firstSeq (see
 // walkFrames), naming the segment in its errors.
-func replaySegment(path string, firstSeq, from, stop uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, int, error) {
+func walkSegment(path string, firstSeq, from, stop uint64, fn func(seq uint64, e raslog.Event) error, mark func(seq uint64) error) (uint64, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, err
+		return from, 0, err
 	}
 	defer f.Close()
 	next, tail, err := walkFrames(bufio.NewReaderSize(f, 1<<16), firstSeq, from, stop, fn, mark)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%s: %w", path, err)
+		return next, tail, fmt.Errorf("%s: %w", path, err)
 	}
 	return next, tail, nil
 }

@@ -1,40 +1,30 @@
 package stream
 
 // Hot-standby replication (DESIGN.md §14). A Follower tails a leader's
-// WAL over HTTP (GET /wal/segments for the chain, GET
-// /wal/segment/{name}?from=seq for frames) and hands each pull to the
-// standby's pipeline goroutine, which appends its events and install
-// marks to the replica's WAL and applies them through the core, as it
-// does live batches: the replica installs the leader's passes at the
-// leader's marks. Promotion is a request the pipeline serves too. The
-// follower acks a record only once the replica's WAL holds it on disk.
+// WAL over HTTP (GET /wal?from=seq, which the leader serves from
+// persist.Store.Copy) and hands each pull to the standby's pipeline
+// goroutine, which appends its events and install marks to the replica's
+// WAL and applies them through the core, as it does live batches: the
+// replica installs the leader's passes at the leader's marks. Promotion
+// is a request the pipeline serves too. The follower acks a record, on
+// its next pull, only once the replica's WAL holds it on disk.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/persist"
 	"repro/internal/raslog"
 )
-
-// segmentsResponse is the leader's GET /wal/segments body — shared by
-// the serving handler (http.go) and the follower's poll.
-type segmentsResponse struct {
-	Role        string                `json:"role"`
-	NextSeq     uint64                `json:"next_seq"`
-	WatermarkMs int64                 `json:"watermark_ms"`
-	Segments    []persist.SegmentInfo `json:"segments"`
-}
 
 // FollowerConfig parameterizes a pull loop over one leader.
 type FollowerConfig struct {
@@ -52,9 +42,6 @@ type FollowerConfig struct {
 	// with an error, or with a WAL gap — is not silent. Zero means manual
 	// promotion only (POST /promote or Follower.Promote).
 	PromoteAfter time.Duration
-	// Client overrides the HTTP client (tests). Nil means a client with a
-	// 30s request timeout.
-	Client *http.Client
 }
 
 // Follower drives one standby service from one leader. Create with
@@ -71,7 +58,7 @@ type Follower struct {
 
 	// next is the sequence the replica applies next, as the pipeline last
 	// reported it, and acked the part below it that the replica's WAL
-	// holds on disk: what the next poll acks.
+	// holds on disk: what the next pull acks.
 	next, acked uint64
 }
 
@@ -81,8 +68,8 @@ type leaderSilent struct{ err error }
 
 func (e leaderSilent) Error() string { return e.err.Error() }
 
-// errWALGap: the leader answers, but its oldest segment starts past
-// what the replica needs next.
+// errWALGap: the leader answers 410 Gone, because its oldest segment
+// starts past what the replica needs next.
 var errWALGap = errors.New("stream: WAL gap")
 
 // NewFollower starts the pull loop for svc against cfg.Leader. svc must
@@ -106,12 +93,9 @@ func NewFollower(svc *Service, cfg FollowerConfig) (*Follower, error) {
 	f := &Follower{
 		svc:    svc,
 		cfg:    cfg,
-		client: cfg.Client,
+		client: &http.Client{Timeout: 30 * time.Second},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	if f.client == nil {
-		f.client = &http.Client{Timeout: 30 * time.Second}
 	}
 	go f.run()
 	return f, nil
@@ -189,99 +173,56 @@ func (f *Follower) run() {
 	}
 }
 
-// syncOnce polls the leader's segment listing and pulls every durable
-// record the replica does not yet have.
+// syncOnce pulls from the leader until the replica holds everything the
+// leader had flushed when it answered, or a pull brings nothing new.
 func (f *Follower) syncOnce() error {
-	list, err := f.listSegments()
-	if err != nil {
-		return err
-	}
-	f.svc.leaderSeq.Store(list.NextSeq)
-	f.svc.leaderWM.Store(list.WatermarkMs)
-	if f.next > list.NextSeq {
-		// The replica is ahead of the "leader": a fresh/rolled-back state
-		// directory answered our poll. Applying it would fork history.
-		return fmt.Errorf("leader behind replica (leader next %d, replica %d) — refusing to rewind", list.NextSeq, f.next)
-	}
-	for f.next < list.NextSeq {
-		// The pull source is the newest segment whose records cover the
-		// replica's next sequence: a recovered leader may open a new
-		// segment at the torn tail of an old one, and stop drops what the
-		// newer one supersedes (it restates the marks at stop), as Replay
-		// does.
-		src := -1
-		stop := uint64(math.MaxUint64)
-		for i, seg := range list.Segments {
-			if seg.FirstSeq <= f.next {
-				src = i
-			} else if src >= 0 {
-				stop = seg.FirstSeq
-				break
-			}
-		}
-		if src < 0 {
-			return fmt.Errorf("%w: replica needs seq %d, leader's oldest segment starts later", errWALGap, f.next)
-		}
-		advanced, err := f.pullSegment(list.Segments[src].Name, stop)
-		if err != nil {
+	for {
+		from := f.next
+		lead, err := f.pull()
+		if err != nil || f.next == from || f.next >= lead {
 			return err
 		}
-		if !advanced {
-			// Caught up to this segment's durable end (flushed-but-unrotated
-			// tail): nothing more to read until the leader appends.
-			break
-		}
 	}
-	return nil
 }
 
-// get fetches u; a failure without a response is leaderSilent.
-func (f *Follower) get(u string) (*http.Response, error) {
-	resp, err := f.client.Get(u)
+// pull fetches the leader's WAL from the replica's next sequence, with
+// the ack of what the replica's WAL holds on disk, and hands the frames
+// to the pipeline goroutine (replicate); once their commit ticket
+// resolves, the next pull acks them. Returns the leader's flushed end.
+func (f *Follower) pull() (uint64, error) {
+	from := f.next
+	resp, err := f.client.Get(fmt.Sprintf("%s/wal?from=%d&follower=%s&acked=%d",
+		f.cfg.Leader, from, url.QueryEscape(f.cfg.ID), f.acked))
 	if err != nil {
-		return nil, leaderSilent{err}
-	}
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		resp.Body.Close()
-		return nil, fmt.Errorf("GET %s: HTTP %d: %s", resp.Request.URL.Path, resp.StatusCode, b)
-	}
-	return resp, nil
-}
-
-// listSegments polls GET /wal/segments, registering this follower's ack
-// so the leader's retention guard keeps everything from there on.
-func (f *Follower) listSegments() (*segmentsResponse, error) {
-	resp, err := f.get(fmt.Sprintf("%s/wal/segments?follower=%s&acked=%d",
-		f.cfg.Leader, url.QueryEscape(f.cfg.ID), f.acked))
-	if err != nil {
-		return nil, err
+		return 0, leaderSilent{err}
 	}
 	defer resp.Body.Close()
-	var list segmentsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return nil, fmt.Errorf("GET /wal/segments: %w", err)
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		err := fmt.Errorf("GET /wal: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(b))
+		if resp.StatusCode == http.StatusGone {
+			err = fmt.Errorf("%w: %w", errWALGap, err)
+		}
+		return 0, err
 	}
-	return &list, nil
-}
-
-// pullSegment fetches the records of one leader segment from the
-// replica's position up to stop, hands them to the pipeline goroutine
-// (replicate), and acks them once the replica's WAL holds them on disk.
-// Returns whether the replica advanced.
-func (f *Follower) pullSegment(name string, stop uint64) (bool, error) {
-	from := f.next
-	resp, err := f.get(fmt.Sprintf("%s/wal/segment/%s?from=%d", f.cfg.Leader, url.PathEscape(name), from))
-	if err != nil {
-		return false, err
+	lead, lerr := strconv.ParseUint(resp.Header.Get("X-Wal-Leader-Seq"), 10, 64)
+	wm, werr := strconv.ParseInt(resp.Header.Get("X-Wal-Watermark-Ms"), 10, 64)
+	if err := errors.Join(lerr, werr); err != nil {
+		return 0, fmt.Errorf("GET /wal: %w", err)
+	}
+	f.svc.leaderSeq.Store(lead)
+	f.svc.leaderWM.Store(wm)
+	if from > lead {
+		// A fresh or rolled-back state directory answered: applying it
+		// would fork history.
+		return lead, fmt.Errorf("leader behind replica (leader next %d, replica %d) — refusing to rewind", lead, from)
 	}
 	// A transfer cut short (or past twice the leader's cap) still yields
 	// its whole frames: they go in, and the next pull resumes after them.
-	frames, rerr := io.ReadAll(io.LimitReader(resp.Body, 2*maxSegmentPull))
-	resp.Body.Close()
+	frames, rerr := io.ReadAll(io.LimitReader(resp.Body, 2*maxWALPull))
 	var t persist.Ticket
-	if derr := f.svc.do(func() { f.next, t, err = f.svc.replicate(frames, from, stop) }); derr != nil {
-		return false, derr
+	if derr := f.svc.do(func() { f.next, t, err = f.svc.replicate(frames, from) }); derr != nil {
+		return lead, derr
 	}
 	if werr := t.Wait(context.Background()); werr == nil {
 		f.acked = f.next
@@ -289,18 +230,18 @@ func (f *Follower) pullSegment(name string, stop uint64) (bool, error) {
 		err = errors.Join(err, werr)
 	}
 	if err = errors.Join(err, rerr); err != nil {
-		err = fmt.Errorf("GET /wal/segment/%s: %w", name, err)
+		err = fmt.Errorf("GET /wal?from=%d: %w", from, err)
 	}
-	return f.next > from, err
+	return lead, err
 }
 
-// replicate decodes frames pulled from the leader, records `from` up to
-// stop, on the pipeline goroutine: each run of events is appended to the
-// WAL at its sequence and applied, and each install mark after it
-// installs the pass in flight. The marks at `from` the replica holds come
-// again (a re-poll, or a newer segment restating them) and are skipped.
+// replicate decodes frames pulled from the leader, records `from` on, on
+// the pipeline goroutine: each run of events is appended to the WAL at
+// its sequence and applied, and each install mark after it installs the
+// pass in flight. The marks at `from` the replica holds come again (a
+// re-poll, or a newer segment restating them) and are skipped.
 // Returns the replica's next sequence and the ticket of its last commit.
-func (s *Service) replicate(frames []byte, from, stop uint64) (uint64, persist.Ticket, error) {
+func (s *Service) replicate(frames []byte, from uint64) (uint64, persist.Ticket, error) {
 	c := s.core
 	switch {
 	case !s.standby.Load():
@@ -329,7 +270,7 @@ func (s *Service) replicate(frames []byte, from, stop uint64) (uint64, persist.T
 		return nil
 	}
 	dup := c.marksAt()
-	_, err := persist.DecodeFrames(bytes.NewReader(frames), from, stop, func(_ uint64, e raslog.Event) error {
+	_, err := persist.DecodeFrames(bytes.NewReader(frames), from, func(_ uint64, e raslog.Event) error {
 		run = append(run, e)
 		return nil
 	}, func(seq uint64) error {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/learner"
 	"repro/internal/learner/incr"
 	"repro/internal/meta"
+	"repro/internal/persist"
 	"repro/internal/preprocess"
 	"repro/internal/raslog"
 )
@@ -117,6 +119,11 @@ func TestFollowerPromotionEquivalence(t *testing.T) {
 	waitCaughtUp(t, standby, durable)
 	if lag := standby.Stats().Standby.LagSeq; lag != 0 {
 		t.Errorf("replica lag %d after catch-up, want 0", lag)
+	}
+	// The lag is only worth something if the leader's position is read:
+	// it is the leader's durable end, not a zero that makes any lag 0.
+	if lead := standby.Stats().Standby.LeaderSeq; lead != durable || lead == 0 {
+		t.Errorf("replica reports the leader at seq %d, the leader sequenced %d", lead, durable)
 	}
 
 	// kill -9: the leader's store is abandoned mid-flight, the reorder
@@ -269,8 +276,8 @@ func TestFollowerNeverPromotesOnAWALGap(t *testing.T) {
 	defer leader.Close()
 	ingestAll(t, leader, l)
 	waitFor(t, 30*time.Second, func() bool {
-		segs, _, err := leader.store.Segments()
-		return err == nil && len(segs) > 0 && segs[0].FirstSeq > 0
+		_, _, err := leader.store.Copy(io.Discard, 0, 1)
+		return errors.Is(err, persist.ErrWALGap)
 	})
 	srv := httptest.NewServer(NewMux(leader))
 	defer srv.Close()
@@ -308,7 +315,7 @@ func TestFollowerNeverPromotesOnAWALGap(t *testing.T) {
 }
 
 // TestWALEndpointsRequireStateDir pins the serving side for a
-// memory-only service: no durable state, no segments to ship.
+// memory-only service: no durable state, no WAL to ship.
 func TestWALEndpointsRequireStateDir(t *testing.T) {
 	s, err := New(Defaults())
 	if err != nil {
@@ -318,13 +325,13 @@ func TestWALEndpointsRequireStateDir(t *testing.T) {
 	srv := httptest.NewServer(NewMux(s))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/wal/segments")
+	resp, err := http.Get(srv.URL + "/wal?from=0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /wal/segments without state dir: HTTP %d, want 404", resp.StatusCode)
+		t.Fatalf("GET /wal without state dir: HTTP %d, want 404", resp.StatusCode)
 	}
 	// Promoting a plain leader is a no-op, not an error.
 	if err := s.Promote(); err != nil {

@@ -18,8 +18,8 @@ import (
 // NewMux returns the service's HTTP API, one route per line below (README
 // describes each). POST /ingest and /ingest/batch are one handler: text
 // lines enter the pipeline in 1024-line chunks, each committed to the WAL
-// as one frame and acked after its fsync. The replication routes
-// (DESIGN.md §14) answer 404 without a StateDir.
+// as one frame and acked after its fsync. The replication route
+// (DESIGN.md §14) answers 404 without a StateDir.
 func NewMux(s *Service) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngestBatch)
@@ -29,8 +29,7 @@ func NewMux(s *Service) *http.ServeMux {
 	mux.Handle("GET /metrics", s.Metrics().Handler())
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("POST /retrain", s.handleRetrain)
-	mux.HandleFunc("GET /wal/segments", s.handleWALSegments)
-	mux.HandleFunc("GET /wal/segment/{name}", s.handleWALSegment)
+	mux.HandleFunc("GET /wal", s.handleWAL)
 	mux.HandleFunc("POST /promote", s.handlePromote)
 	mux.HandleFunc("POST /backfill", s.handleBackfill)
 	return mux
@@ -226,23 +225,31 @@ func (s *Service) handleRetrain(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// maxSegmentPull caps one GET /wal/segment response. The body is staged
-// in memory so the next-seq header can precede it; followers loop until
-// caught up, so the cap bounds the leader's per-request memory, not the
+// maxWALPull caps one GET /wal response. The body is staged in memory
+// so the sequence headers can precede it; followers loop until caught
+// up, so the cap bounds the leader's per-request memory, not the
 // transfer.
-const maxSegmentPull = 4 << 20
+const maxWALPull = 4 << 20
 
-// handleWALSegments serves the replication listing: the WAL chain, the
-// durable next sequence, and the leader's stream clock. A follower
-// identifies itself with ?follower=<id>&acked=<seq>; the ack registers
-// in the retention guard so pruning keeps everything the follower still
-// needs (see persist.RetainFollower).
-func (s *Service) handleWALSegments(w http.ResponseWriter, r *http.Request) {
+// handleWAL serves the WAL from ?from=<seq> on in its own frame format
+// (persist.Store.Copy), bounded by maxWALPull. A follower names itself
+// with &follower=<id>&acked=<seq>; the ack registers in the retention
+// guard, so pruning keeps everything the follower still needs (see
+// persist.RetainFollower). X-Wal-Next-Seq is where the next pull
+// resumes, X-Wal-Leader-Seq the store's flushed end and
+// X-Wal-Watermark-Ms the stream clock. 410 Gone: the WAL no longer holds
+// from.
+func (s *Service) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		http.Error(w, "no durable state (start with -state-dir)", http.StatusNotFound)
 		return
 	}
 	q := r.URL.Query()
+	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad from=%q", q.Get("from")), http.StatusBadRequest)
+		return
+	}
 	if id := q.Get("follower"); id != "" {
 		acked, err := strconv.ParseUint(q.Get("acked"), 10, 64)
 		if err != nil {
@@ -251,47 +258,22 @@ func (s *Service) handleWALSegments(w http.ResponseWriter, r *http.Request) {
 		}
 		s.store.RetainFollower(id, acked)
 	}
-	segs, next, err := s.store.Segments()
-	if err != nil {
+	var buf bytes.Buffer
+	next, end, err := s.store.Copy(&buf, from, maxWALPull)
+	switch {
+	case errors.Is(err, persist.ErrWALGap):
+		http.Error(w, err.Error(), http.StatusGone)
+		return
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, segmentsResponse{
-		Role:        s.role(),
-		NextSeq:     next,
-		WatermarkMs: int64(s.m.watermark.Value()),
-		Segments:    segs,
-	})
-}
-
-// handleWALSegment streams one segment's records from ?from=<seq> on, in
-// the WAL's own frame format (persist.CopySegment). The body is bounded
-// by maxSegmentPull; X-Wal-Next-Seq names the sequence after the last
-// record shipped, so a follower can tell progress without decoding.
-func (s *Service) handleWALSegment(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		http.Error(w, "no durable state (start with -state-dir)", http.StatusNotFound)
-		return
-	}
-	name := r.PathValue("name")
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad from=%q", r.URL.Query().Get("from")), http.StatusBadRequest)
-		return
-	}
-	var buf bytes.Buffer
-	_, next, err := s.store.CopySegment(&buf, name, from, maxSegmentPull)
-	switch {
-	case errors.Is(err, persist.ErrNoSegment):
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Wal-Next-Seq", strconv.FormatUint(next, 10))
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("X-Wal-Next-Seq", strconv.FormatUint(next, 10))
+	h.Set("X-Wal-Leader-Seq", strconv.FormatUint(end, 10))
+	h.Set("X-Wal-Watermark-Ms", strconv.FormatInt(int64(s.m.watermark.Value()), 10))
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	_, _ = w.Write(buf.Bytes())
 }
 

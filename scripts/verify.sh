@@ -138,8 +138,8 @@ echo "== install hand-off gate (-race -count=10)"
 # lock, clock or os in core.go; DESIGN.md §16) and a bare core driven
 # from a slice of a live run's WAL. The persist side of the mark runs once: a
 # mark on a rotation boundary, a new segment restating the marks at its
-# start, Replay skipping marks, CopySegment -> DecodeFrames keeping them
-# in place, the decoder's fuzz seeds, and replay from past retained
+# start, Replay skipping marks, Copy -> DecodeFrames keeping them in
+# place, the decoder's fuzz seeds, and replay from past retained
 # segments.
 run_selected -count=10 'TestOneStateMachineOracle|TestSnapshotCutNeverCapturesAPassInFlight|TestTrainNowRacingCloseReturns|TestRecoveryFromAnInstallCut|TestFollowerReadsMarksThatEndASegment|TestStandbyRestartWithPassInFlight|TestCoreIsPure|TestCoreFromASlice' \
     ./internal/stream
@@ -155,15 +155,18 @@ go test -race -count=1 \
 echo "== standby/failover gate (-race -count=1)"
 # The hot-standby pins re-proven fresh every run: follower catch-up and
 # promotion byte-equivalence against the single-node oracle, replica
-# crash/resume, auto-promotion, no promotion on a WAL gap (the
-# split-brain pin, TestFollowerNeverPromotesOnAWALGap), WAL segment
-# serving edge cases (live
-# tail reads, rotation boundaries, prune vs follower acks and in-flight
-# pulls), the backfill path (ordering, garbage tolerance, cancellation,
-# singleton, the overlong-line bound), the shared Retry-After parser,
-# and the monotonic idle clock the failover sweep flushed out.
+# crash/resume, auto-promotion, the leader position a pull reports
+# (TestFollowerPromotionEquivalence), no promotion on a WAL gap (the
+# split-brain pin, TestFollowerNeverPromotesOnAWALGap, the gap arriving
+# as 410 on GET /wal), the WAL serving edge cases of Store.Copy (live
+# tail reads, rotation boundaries with budget resume, prune vs follower
+# acks and in-flight pulls, ErrWALGap), Copy shipping from every
+# sequence what ReplayMarks delivers (TestCopyMatchesReplayMarks), the
+# backfill path (ordering, garbage tolerance, cancellation, singleton,
+# the overlong-line bound), the shared Retry-After parser, and the
+# monotonic idle clock the failover sweep flushed out.
 go test -race -count=1 \
-    -run 'Follower|NeverPromotesOnAWALGap|Promotion|Backfill|Segment|Prune|TornTransfer|RetryAfter|MonotonicClock' \
+    -run 'Follower|NeverPromotesOnAWALGap|Promotion|Backfill|Segment|Copy|Prune|TornTransfer|RetryAfter|MonotonicClock' \
     ./internal/stream ./internal/persist ./internal/httpx ./internal/fleet
 echo "== backfill hand-off gate (-race -count=10)"
 # Backfill decodes on its own goroutine and hands chunks to the caller's
