@@ -2,8 +2,11 @@ package persist
 
 import (
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/preprocess"
 	"repro/internal/raslog"
 )
 
@@ -64,5 +67,48 @@ func TestDecodeEventRejectsOutOfRangeEnums(t *testing.T) {
 	e, err := decodeEvent(rawEvent(uint64(raslog.ServNet), uint64(raslog.Failure)))
 	if err != nil || e.Facility != raslog.ServNet || e.Severity != raslog.Failure {
 		t.Fatalf("the last facility and severity decoded as %v, %v", e, err)
+	}
+}
+
+// TestSnapshotWriteAllocBudget pins the streamed snapshot write: the
+// bytes a write allocates stay fixed (buffers and the small head), not
+// a multiple of the snapshot's size, at 8 K and at 64 K history events.
+// Building the snapshot in memory allocated 4.8 times its bytes.
+func TestSnapshotWriteAllocBudget(t *testing.T) {
+	const budget = 512 << 10
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	history := make([]preprocess.TaggedEvent, 64<<10)
+	for i := range history {
+		e := raslog.Event{
+			RecordID: int64(i), Time: 1_000_000_000_000 + int64(i)*997, JobID: int64(i % 50),
+			Type: "RAS", Location: fmt.Sprintf("R%02d-M%d-N%d-C:J%02d-U01", i%16, i%2, i%8, i%18),
+			Entry:    fmt.Sprintf("ddr error %d", i%40),
+			Facility: raslog.Facility(i % 4), Severity: raslog.Severity(i % 6),
+		}
+		e.Stamp()
+		history[i] = preprocess.TaggedEvent{Event: e, Class: i % 97, Fatal: i%7 == 0}
+	}
+	seq := uint64(0)
+	write := func(n int) {
+		seq++
+		if _, err := st.WriteSnapshot(&Snapshot{Seq: seq, History: history[:n]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1 << 10) // warm-up
+	for _, n := range []int{8 << 10, 64 << 10} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		write(n)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			t.Errorf("writing a snapshot of %d history events allocated %d bytes, budget %d", n, got, budget)
+		} else {
+			t.Logf("%d history events: %d bytes allocated", n, got)
+		}
 	}
 }

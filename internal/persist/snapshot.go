@@ -34,15 +34,13 @@ type Snapshot struct {
 
 	// Rules is the trained repository in wire form (Dist flattened).
 	Rules []Rule `json:"rules,omitempty"`
-	// Temporal / Spatial are the filter stages' resident keys.
-	Temporal []preprocess.TemporalEntry `json:"temporal,omitempty"`
-	Spatial  []preprocess.SpatialEntry  `json:"spatial,omitempty"`
+	// Spatial is the spatial filter stage's resident keys.
+	Spatial []preprocess.SpatialEntry `json:"spatial,omitempty"`
 	// Predictor is the live predictor's runtime state; nil before the
 	// first training pass.
 	Predictor *predictor.State `json:"predictor,omitempty"`
-	// History is the retraining window; Warnings the recent-warnings ring.
-	History  []preprocess.TaggedEvent `json:"history,omitempty"`
-	Warnings []predictor.Warning      `json:"warnings,omitempty"`
+	// Warnings is the recent-warnings ring.
+	Warnings []predictor.Warning `json:"warnings,omitempty"`
 	// Retrains carries the service's retrain records opaquely (their type
 	// is private to the stream package).
 	Retrains json.RawMessage `json:"retrains,omitempty"`
@@ -52,6 +50,16 @@ type Snapshot struct {
 	// Optional: a snapshot without it — or with an incompatible version —
 	// recovers fine, at the cost of one full rebuild.
 	Incr json.RawMessage `json:"incr,omitempty"`
+
+	// The two big arrays come last, in this order: WriteSnapshot streams
+	// them element by element after one json.Marshal of everything above,
+	// and the bytes equal json.Marshal of the whole only because no field
+	// follows them.
+
+	// Temporal is the temporal filter stage's resident keys.
+	Temporal []preprocess.TemporalEntry `json:"temporal,omitempty"`
+	// History is the retraining window.
+	History []preprocess.TaggedEvent `json:"history,omitempty"`
 }
 
 // Counters are the pipeline counters consistent with the cut, so a
@@ -172,7 +180,8 @@ func decodeDist(w Dist) (stats.Distribution, error) {
 // segments wholly below s.Seq removed. Encoding and the temp-file write
 // run without the store lock — they are most of the cost, and appends
 // must not wait behind them; only the WAL sync and the publication hold
-// it.
+// it. The encoding streams into the temp file (snapenc.go), so a write
+// never holds the whole snapshot in memory.
 func (st *Store) WriteSnapshot(s *Snapshot) (int64, error) {
 	st.mu.Lock()
 	if gone, err := st.goneLocked(); gone {
@@ -183,13 +192,9 @@ func (st *Store) WriteSnapshot(s *Snapshot) (int64, error) {
 	final := filepath.Join(st.dir, snapName(s.Seq, st.gen))
 	st.mu.Unlock()
 
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return 0, fmt.Errorf("persist: snapshot encode: %w", err)
-	}
-	frame := appendFrame(make([]byte, 0, len(payload)+frameHeader), payload)
 	tmp := final + tmpSuffix
-	if err := writeFileSync(tmp, frame); err != nil {
+	n, err := writeSnapshotFile(tmp, s)
+	if err != nil {
 		return 0, err
 	}
 
@@ -212,7 +217,7 @@ func (st *Store) WriteSnapshot(s *Snapshot) (int64, error) {
 	if err := st.pruneLocked(s.Seq); err != nil {
 		return 0, err
 	}
-	return int64(len(frame)), nil
+	return n, nil
 }
 
 // goneLocked reports whether the store is dead or closed, and what a
@@ -226,23 +231,6 @@ func (st *Store) goneLocked() (bool, error) {
 		return true, ErrClosed
 	}
 	return false, nil
-}
-
-func writeFileSync(path string, b []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(b)
-	serr := f.Sync()
-	cerr := f.Close()
-	for _, e := range []error{werr, serr, cerr} {
-		if e != nil {
-			os.Remove(path)
-			return e
-		}
-	}
-	return nil
 }
 
 // pruneLocked removes snapshots beyond the retention count and WAL

@@ -38,10 +38,17 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var errTorn = errors.New("persist: torn or corrupt frame")
 
 func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	hdr := frameHead(len(payload), crc32.Checksum(payload, crcTable))
 	return append(append(dst, hdr[:]...), payload...)
+}
+
+// frameHead is the header of a frame whose payload is n bytes long with
+// CRC-32C crc.
+func frameHead(n int, crc uint32) [frameHeader]byte {
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	return hdr
 }
 
 // readFrame returns the next payload, io.EOF at a clean segment end, or

@@ -1,6 +1,7 @@
 package preprocess
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/raslog"
@@ -67,5 +68,22 @@ func TestStageExportRoundTripInterned(t *testing.T) {
 	}
 	if got, want := s2.Observe(probe), spatial.Observe(probe); got != want {
 		t.Fatalf("restored spatial stage decided %v, original %v", got, want)
+	}
+}
+
+// TestFilterKeysHaveNoPadding: a map key with no padding bytes is hashed
+// as plain memory (16 bytes: the runtime's memhash128); one with padding
+// gets a generated hash that walks its fields, which cost the spatial
+// stage's lookups about a fifth.
+func TestFilterKeysHaveNoPadding(t *testing.T) {
+	for _, k := range []any{tempIKey{}, spatIKey{}} {
+		typ := reflect.TypeOf(k)
+		var sum uintptr
+		for i := 0; i < typ.NumField(); i++ {
+			sum += typ.Field(i).Type.Size()
+		}
+		if typ.Size() != sum {
+			t.Errorf("%s is %d bytes, its fields %d: reorder or widen them", typ.Name(), typ.Size(), sum)
+		}
 	}
 }

@@ -101,10 +101,13 @@ type SpatialStage struct {
 	sinceSweep  int
 }
 
-// spatIKey is the interned form of the spatial key (job, entry).
+// spatIKey is the interned form of the spatial key (job, entry). The
+// entry Sym is widened to 64 bits so the key has no padding: the map
+// then hashes its 16 bytes as plain memory, as it does tempIKey's,
+// instead of calling a generated per-field hash (TestFilterKeysHaveNoPadding).
 type spatIKey struct {
-	entry raslog.Sym
 	jobID int64
+	entry uint64 // a raslog.Sym
 }
 
 type spatState struct {
@@ -129,7 +132,7 @@ func (s *SpatialStage) Observe(e raslog.Event) bool {
 		return true
 	}
 	s.maybeSweep(e.Time)
-	k := spatIKey{entry: e.Ent(), jobID: e.JobID}
+	k := spatIKey{jobID: e.JobID, entry: uint64(e.Ent())}
 	loc := e.Loc()
 	if st, seen := s.last[k]; seen && e.Time-st.time <= s.thresholdMs && st.loc != loc {
 		if s.sliding {

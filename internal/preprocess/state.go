@@ -64,7 +64,7 @@ type SpatialEntry struct {
 func (s *SpatialStage) Export() []SpatialEntry {
 	out := make([]SpatialEntry, 0, len(s.last))
 	for k, st := range s.last {
-		out = append(out, SpatialEntry{JobID: k.jobID, Entry: k.entry.String(), Location: st.loc.String(), LastMs: st.time})
+		out = append(out, SpatialEntry{JobID: k.jobID, Entry: raslog.Sym(k.entry).String(), Location: st.loc.String(), LastMs: st.time})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -81,7 +81,7 @@ func (s *SpatialStage) Export() []SpatialEntry {
 func (s *SpatialStage) Restore(rows []SpatialEntry) {
 	s.last = make(map[spatIKey]spatState, len(rows))
 	for _, r := range rows {
-		s.last[spatIKey{entry: sym(r.Entry), jobID: r.JobID}] = spatState{time: r.LastMs, loc: sym(r.Location)}
+		s.last[spatIKey{jobID: r.JobID, entry: uint64(sym(r.Entry))}] = spatState{time: r.LastMs, loc: sym(r.Location)}
 	}
 	s.sinceSweep = 0
 }

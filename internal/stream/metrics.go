@@ -32,6 +32,7 @@ type metrics struct {
 	walErrors       *obsv.Counter
 	snapshots       *obsv.Counter
 	snapshotErrors  *obsv.Counter
+	snapshotSkipped *obsv.Counter
 	snapshotBytes   *obsv.Counter
 	replayed        *obsv.Counter
 	recoverySeconds *obsv.Gauge
@@ -126,6 +127,8 @@ func newMetrics(s *Service) *metrics {
 		"Durable snapshots written.")
 	m.snapshotErrors = reg.Counter("stream_snapshot_errors_total",
 		"Failed snapshot writes (the previous snapshot stays authoritative).")
+	m.snapshotSkipped = reg.Counter("stream_snapshot_skipped_total",
+		"Snapshot cuts skipped because the previous write was still in flight (recovery replays a longer WAL tail).")
 	m.snapshotBytes = reg.Counter("stream_snapshot_bytes_total",
 		"Bytes written across all snapshots.")
 	m.replayed = reg.Counter("stream_replayed_total",

@@ -222,6 +222,7 @@ func TestMetricsEndpointCoverage(t *testing.T) {
 		"train_incr_expired_events_total",
 		"train_rules_unchanged_total",
 		"train_rules_removed_total",
+		"stream_snapshot_skipped_total",
 		`stream_queue_depth{queue="sequencer"}`,
 		`stream_stage_latency_seconds_bucket{stage="collector",le="+Inf"}`,
 	}

@@ -114,14 +114,16 @@ func (s *Service) recover() error {
 // cut snapshots the core at its position, but only builds the snapshot:
 // encoding and writing — tens of milliseconds at a few MB of state —
 // happen on a goroutine of their own, so the next batch's ack does not
-// wait behind them. With a write still in flight it cuts nothing: the
-// previous snapshot plus a longer WAL tail recovers the same state, as
-// after a failed write (counted and logged, never fatal). Runs on the
-// goroutine driving the core, with no pass in flight.
+// wait behind them. With a write still in flight it cuts nothing
+// (counted in stream_snapshot_skipped_total): the previous snapshot plus
+// a longer WAL tail recovers the same state, as after a failed write
+// (counted and logged, never fatal). Runs on the goroutine driving the
+// core, with no pass in flight.
 func (s *Service) cut() {
 	select {
 	case s.snapSlot <- struct{}{}:
 	default:
+		s.m.snapshotSkipped.Inc()
 		return
 	}
 	t0, seq := time.Now(), s.core.next

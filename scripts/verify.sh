@@ -92,10 +92,14 @@ echo "== group-commit gate (-race -count=1)"
 # resolution and coalescing (one fsync covers many tickets), abandon and
 # close semantics, the fleet-shared sync executor, rotation under
 # pending tickets, batch ≡ sequential ingest equivalence, the
-# crash-mid-coalesce pins (no acked batch lost, no false acks), and a
-# 200 from either ingest route surviving a crash right after it.
+# crash-mid-coalesce pins (no acked batch lost, no false acks), a
+# 200 from either ingest route surviving a crash right after it, and the
+# streamed snapshot write: its bytes equal json.Marshal's frame (and the
+# string appender's equal encoding/json's, fuzz seeds), a payload past
+# the frame limit fails, and a fuzzed newest snapshot falls back to the
+# older one.
 go test -race -count=1 \
-    -run 'Ticket|Coalesce|SharedSyncExecutor|RotationPreserves|IngestBatch|DurableBatch|AckImpliesDurable' \
+    -run 'Ticket|Coalesce|SharedSyncExecutor|RotationPreserves|IngestBatch|DurableBatch|AckImpliesDurable|StreamedSnapshot|SnapshotJSONString|PastMaxFrame|FuzzLoadSnapshot' \
     ./internal/persist ./internal/stream
 echo "== training-path equivalence gate (-race -count=1)"
 # engine.TrainWindow ≡ the learners' batch passes, re-proven fresh on
